@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.types import is_numeric_string
+from repro.core.types import JsonType, is_numeric_string
 from repro.errors import JsonbEncodeError
 from repro.jsonb import format as fmt
 
@@ -63,36 +63,65 @@ def _measure_float(value: float) -> _Plan:
     return _Plan(fmt.TYPE_FLOAT, 9, 8, struct.pack("<d", value))
 
 
-def _measure(value: object, detect_numeric_strings: bool) -> _Plan:
+def _measure(value: object, detect_numeric_strings: bool,
+             sink=None, node=None) -> _Plan:
+    """Measure pass.  With an item *sink* (``repro.mining.ItemSink``)
+    the same walk also reports every leaf and empty container at *node*,
+    typed as stored (a numeric string is a NUMSTR item)."""
     if value is None:
-        return _Plan(fmt.TYPE_LITERAL, 1, fmt.LITERAL_NULL)
-    if isinstance(value, bool):
+        plan = _Plan(fmt.TYPE_LITERAL, 1, fmt.LITERAL_NULL)
+    elif isinstance(value, bool):
         info = fmt.LITERAL_TRUE if value else fmt.LITERAL_FALSE
-        return _Plan(fmt.TYPE_LITERAL, 1, info)
-    if isinstance(value, int):
+        plan = _Plan(fmt.TYPE_LITERAL, 1, info)
+    elif isinstance(value, int):
         nbytes = fmt.int_payload_size(value)
         if nbytes == 0:
-            return _Plan(fmt.TYPE_INT, 1, value)
-        return _Plan(fmt.TYPE_INT, 1 + nbytes, 7 + nbytes, value)
-    if isinstance(value, float):
-        return _measure_float(value)
-    if isinstance(value, str):
+            plan = _Plan(fmt.TYPE_INT, 1, value)
+        else:
+            plan = _Plan(fmt.TYPE_INT, 1 + nbytes, 7 + nbytes, value)
+    elif isinstance(value, float):
+        plan = _measure_float(value)
+    elif isinstance(value, str):
         if detect_numeric_strings and is_numeric_string(value):
-            return _measure_string(value, fmt.TYPE_NUMSTR)
-        return _measure_string(value, fmt.TYPE_STRING)
-    if isinstance(value, dict):
-        return _measure_object(value, detect_numeric_strings)
-    if isinstance(value, (list, tuple)):
-        return _measure_array(value, detect_numeric_strings)
-    raise JsonbEncodeError(f"cannot encode value of type {type(value).__name__}")
+            plan = _measure_string(value, fmt.TYPE_NUMSTR)
+        else:
+            plan = _measure_string(value, fmt.TYPE_STRING)
+    elif isinstance(value, dict):
+        return _measure_object(value, detect_numeric_strings, sink, node)
+    elif isinstance(value, (list, tuple)):
+        return _measure_array(value, detect_numeric_strings, sink, node)
+    else:
+        raise JsonbEncodeError(
+            f"cannot encode value of type {type(value).__name__}")
+    if sink is not None:
+        sink.add(node, _item_type(plan))
+    return plan
 
 
-def _measure_object(value: dict, detect: bool) -> _Plan:
+_ITEM_TYPES = {fmt.TYPE_INT: JsonType.INT, fmt.TYPE_FLOAT: JsonType.FLOAT,
+               fmt.TYPE_STRING: JsonType.STRING,
+               fmt.TYPE_NUMSTR: JsonType.NUMSTR}
+
+
+def _item_type(plan: _Plan) -> JsonType:
+    """The mining item type of a measured scalar."""
+    if plan.kind == fmt.TYPE_LITERAL:
+        return JsonType.NULL if plan.info == fmt.LITERAL_NULL else JsonType.BOOL
+    return _ITEM_TYPES[plan.kind]
+
+
+def _measure_object(value: dict, detect: bool, sink, node) -> _Plan:
     slots: List[Tuple[bytes, _Plan]] = []
     for key, child in value.items():
         if not isinstance(key, str):
             raise JsonbEncodeError(f"object key must be a string, got {key!r}")
-        slots.append((key.encode("utf-8"), _measure(child, detect)))
+        if sink is None:
+            plan = _measure(child, detect)
+        else:
+            plan = _measure(child, detect, sink, sink.child(node, key))
+        slots.append((key.encode("utf-8"), plan))
+    if sink is not None and not slots:
+        sink.add(node, JsonType.OBJECT)
     # Keys are stored sorted so lookups can binary-search (Section 5.1).
     slots.sort(key=lambda slot: slot[0])
     slot_bytes = sum(
@@ -105,8 +134,20 @@ def _measure_object(value: dict, detect: bool) -> _Plan:
     return _Plan(fmt.TYPE_OBJECT, size, code, None, slots)
 
 
-def _measure_array(value: object, detect: bool) -> _Plan:
-    children = [_measure(child, detect) for child in value]
+def _measure_array(value: object, detect: bool, sink, node) -> _Plan:
+    if sink is None:
+        children = [_measure(child, detect) for child in value]
+    else:
+        # only the leading slots are mining items (Section 3.5); the
+        # rest is encoded without reporting
+        limit = sink.max_array_elements
+        children = [
+            _measure(child, detect, sink, sink.child(node, slot))
+            if slot < limit else _measure(child, detect)
+            for slot, child in enumerate(value)
+        ]
+        if not children:
+            sink.add(node, JsonType.ARRAY)
     payload_bytes = sum(plan.size for plan in children)
     count = len(children)
     code = fmt.offset_width_code(max(payload_bytes, 1))
@@ -171,14 +212,22 @@ def _write_array(plan: _Plan, buf: bytearray, pos: int) -> int:
     return pos
 
 
-def encode(value: object, detect_numeric_strings: bool = True) -> bytes:
+def encode(value: object, detect_numeric_strings: bool = True,
+           sink=None) -> bytes:
     """Encode a parsed JSON value into JSONB bytes.
 
     ``detect_numeric_strings`` enables the numeric-string type of
     Section 5.2; turning it off stores all strings verbatim (used by the
-    format ablation tests).
+    format ablation tests).  An item *sink* (``repro.mining.ItemSink``)
+    additionally receives the document's typed key paths from the
+    measure pass, as one transaction — the loader's single walk per
+    document.
     """
-    plan = _measure(value, detect_numeric_strings)
+    if sink is None:
+        plan = _measure(value, detect_numeric_strings)
+    else:
+        plan = _measure(value, detect_numeric_strings, sink, sink.root)
+        sink.end_document()
     buf = bytearray(plan.size)
     end = _write(plan, buf, 0)
     assert end == plan.size, "measure/write size mismatch"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.core.jsonpath import KeyPath, collect_key_paths
+from repro.core.jsonpath import KeyPath, Step, collect_key_paths
 from repro.core.types import JsonType
 
 Item = Tuple[KeyPath, JsonType]
@@ -62,11 +62,72 @@ class ItemDictionary:
         return merged
 
 
+class _PathNode:
+    """One interned key path of an :class:`ItemSink`: its children by
+    step, and the item id of every (path, type) seen so far (-1: none)."""
+
+    __slots__ = ("path", "children", "ids")
+
+    def __init__(self, path: KeyPath):
+        self.path = path
+        self.children: Dict[Step, "_PathNode"] = {}
+        self.ids = [-1] * len(JsonType)
+
+
+class ItemSink:
+    """Collects the typed key paths of documents while the JSONB encoder
+    walks them (``repro.jsonb.encode(document, sink=sink)``), so one
+    traversal yields both the bytes and the mining input.
+
+    After every document has been encoded, ``dictionary`` and
+    ``transactions`` equal what :func:`encode_documents` returns for the
+    same documents: the same item ids in the same order, the same counts
+    and one sorted transaction per document.  Child paths are interned
+    per ``(parent, step)``, so a key path object is built once per
+    partition rather than once per node.
+    """
+
+    __slots__ = ("dictionary", "transactions", "max_array_elements",
+                 "root", "_items")
+
+    def __init__(self, max_array_elements: int = 8):
+        self.dictionary = ItemDictionary()
+        self.transactions: List[List[int]] = []
+        #: arrays contribute their leading slots only (Section 3.5)
+        self.max_array_elements = max_array_elements
+        self.root = _PathNode(KeyPath())
+        self._items: List[int] = []
+
+    def child(self, node: _PathNode, step: Step) -> _PathNode:
+        found = node.children.get(step)
+        if found is None:
+            found = node.children[step] = _PathNode(node.path.child(step))
+        return found
+
+    def add(self, node: _PathNode, jtype: JsonType) -> None:
+        """Record that the current document has a *jtype* value at
+        *node* (a leaf, or an empty object / array)."""
+        item_id = node.ids[jtype]
+        if item_id < 0:
+            item_id = node.ids[jtype] = self.dictionary.encode(
+                (node.path, jtype))
+        else:
+            self.dictionary.counts[item_id] += 1
+        self._items.append(item_id)
+
+    def end_document(self) -> None:
+        self.transactions.append(sorted(set(self._items)))
+        self._items = []
+
+
 def encode_documents(
     documents: Sequence[object], max_array_elements: int = 8
 ) -> Tuple[ItemDictionary, List[List[int]]]:
     """Collect the typed key paths of every document and dictionary-encode
-    them into integer transactions (Section 3.1 steps 1-2 input)."""
+    them into integer transactions (Section 3.1 steps 1-2 input).
+
+    For callers that only need the items; the loader gets the same
+    result from its JSONB encoding walk through an :class:`ItemSink`."""
     dictionary = ItemDictionary()
     transactions: List[List[int]] = []
     for document in documents:
@@ -104,16 +165,19 @@ def subset_dictionary(
     step expects.
     """
     local = ItemDictionary()
+    counts = local.counts
     remapped: List[List[int]] = []
-    mapping: Dict[int, Item] = {}
+    local_ids: Dict[int, int] = {}  # parent id -> local id
     for transaction in transactions:
         row = []
         for item_id in transaction:
-            item = mapping.get(item_id)
-            if item is None:
-                item = parent.decode(item_id)
-                mapping[item_id] = item
-            row.append(local.encode(item))
+            local_id = local_ids.get(item_id)
+            if local_id is None:
+                local_id = local_ids[item_id] = local.encode(
+                    parent.decode(item_id))
+            else:
+                counts[local_id] += 1
+            row.append(local_id)
         row.sort()
         remapped.append(row)
     return local, remapped

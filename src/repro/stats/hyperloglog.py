@@ -38,7 +38,9 @@ def hash64(value: object) -> int:
     elif isinstance(value, int):
         data = b"\x02" + value.to_bytes(16, "little", signed=True)
     elif isinstance(value, float):
-        if value == int(value) and abs(value) < 2**63:
+        # NaN / +-inf have no integer value: they hash by their bits
+        if math.isfinite(value) and value == int(value) \
+                and abs(value) < 2**63:
             # ints and equal floats hash identically (SQL equality)
             data = b"\x02" + int(value).to_bytes(16, "little", signed=True)
         else:

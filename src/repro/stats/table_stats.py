@@ -13,7 +13,7 @@ full.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.jsonpath import KeyPath
 from repro.stats.frequency import FrequencyCounters
@@ -39,18 +39,26 @@ class ColumnStatistics:
         self.histogram = None
 
     def observe(self, value: object) -> None:
-        if value is None:
-            return
-        self.sketch.add(value)
-        self.non_null_count += 1
-        try:
-            if self.min_value is None or value < self.min_value:
-                self.min_value = value
-            if self.max_value is None or value > self.max_value:
-                self.max_value = value
-        except TypeError:
-            # mixed-type outliers: keep the domain bounds we have
-            pass
+        if value is not None:
+            self.observe_distinct((value,), 1)
+
+    def observe_distinct(self, values: Iterable[object], count: int) -> None:
+        """Observe *count* non-null values whose distinct values are
+        *values*, in order of first appearance.  Equivalent to calling
+        :meth:`observe` on every one of them: a sketch ``add`` is
+        idempotent and the bounds depend only on the distinct values,
+        so each value is hashed once."""
+        for value in values:
+            self.sketch.add(value)
+            try:
+                if self.min_value is None or value < self.min_value:
+                    self.min_value = value
+                if self.max_value is None or value > self.max_value:
+                    self.max_value = value
+            except TypeError:
+                # mixed-type outliers: keep the domain bounds we have
+                pass
+        self.non_null_count += count
 
     def distinct(self) -> float:
         return self.sketch.estimate()

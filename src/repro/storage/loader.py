@@ -4,15 +4,20 @@ The loader turns a stream of documents (parsed dicts or JSON text
 lines) into a :class:`~repro.storage.relation.Relation`:
 
 1. *parse* the text (when text is given),
-2. *write JSONB* — encode every document into the binary fallback,
+2. *write JSONB* — one walk per document encodes it into the binary
+   fallback and, in the same measure pass, collects its typed key
+   paths into the partition's item dictionary (the mining input),
 3. *reorder* each partition of ``partition_size`` tiles (TILES only),
 4. *mine + extract* tiles (TILES/SINEW) and collect statistics,
 5. for TILES_STAR, detect high-cardinality arrays and load them into
    child relations first.
 
-Each phase is timed into ``relation.load_breakdown`` (Figure 16).
-Partitions are disjoint, so ``num_workers > 1`` builds them in parallel
-worker processes (Figure 17's parallel loading).
+Each phase is timed into ``relation.load_breakdown`` (Figure 16); the
+fused walk of step 2 is reported as ``write_jsonb``, so ``mining`` is
+what remains after the walk: per-tile dictionaries, schema choice and
+date detection.  The walk runs in the calling process; partitions are
+disjoint, so ``num_workers > 1`` then builds them in parallel worker
+processes (Figure 17's parallel loading).
 """
 
 from __future__ import annotations
@@ -23,7 +28,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.jsonpath import KeyPath
 from repro.jsonb import encode as jsonb_encode
-from repro.mining.dictionary import encode_documents, subset_dictionary
+from repro.mining.dictionary import (
+    ItemDictionary,
+    ItemSink,
+    encode_documents,
+    subset_dictionary,
+)
 from repro.storage.formats import StorageFormat
 from repro.storage.relation import Relation
 from repro.tiles.arrays import (
@@ -52,13 +62,17 @@ def _parse_documents(rows: Sequence[DocumentInput],
     return documents
 
 
-def _encode_jsonb(documents: Sequence[object],
-                  timings: Dict[str, float]) -> List[bytes]:
+def _encode_partition(documents: Sequence[object], config: ExtractionConfig,
+                      timings: Dict[str, float],
+                      ) -> Tuple[List[bytes], ItemDictionary, List[List[int]]]:
+    """The one walk per document: JSONB bytes plus the partition's
+    dictionary-encoded (key path, type) transactions."""
     started = time.perf_counter()
-    encoded = [jsonb_encode(document) for document in documents]
+    sink = ItemSink(config.max_array_elements)
+    encoded = [jsonb_encode(document, sink=sink) for document in documents]
     timings["write_jsonb"] = (timings.get("write_jsonb", 0.0)
                               + time.perf_counter() - started)
-    return encoded
+    return encoded, sink.dictionary, sink.transactions
 
 
 def _sinew_schema(documents: Sequence[object],
@@ -75,21 +89,16 @@ def _sinew_schema(documents: Sequence[object],
 def _build_partition(args: Tuple) -> Tuple[List[Tile], Dict[str, float]]:
     """Build all tiles of one partition (worker-process entry point).
 
-    The partition's key paths are collected exactly once: the encoded
-    transactions drive both the reordering and the per-tile extraction.
+    The partition's documents were walked once, by the JSONB encoder;
+    the transactions of that walk drive both the reordering and the
+    per-tile extraction.
     """
-    (documents, jsonb_rows, config, first_tile_number, first_row,
-     storage_format, schema, detach_rows) = args
+    (documents, jsonb_rows, dictionary, transactions, config,
+     first_tile_number, first_row, storage_format, schema,
+     detach_rows) = args
     timings: Dict[str, float] = {}
     order = list(range(len(documents)))
     extract = storage_format.extracts_columns
-    dictionary = None
-    transactions = None
-    if extract:
-        started = time.perf_counter()
-        dictionary, transactions = encode_documents(
-            documents, config.max_array_elements)
-        timings["mining"] = time.perf_counter() - started
     if storage_format in (StorageFormat.TILES, StorageFormat.TILES_STAR) \
             and config.enable_reordering:
         started = time.perf_counter()
@@ -101,18 +110,15 @@ def _build_partition(args: Tuple) -> Tuple[List[Tile], Dict[str, float]]:
     tiles = []
     tile_size = config.tile_size
     for offset in range(0, len(documents), tile_size):
-        chunk = documents[offset : offset + tile_size]
-        chunk_rows = jsonb_rows[offset : offset + tile_size]
-        tile_number = first_tile_number + offset // tile_size
-        encoded = None
-        if extract:
-            started = time.perf_counter()
-            encoded = subset_dictionary(
-                dictionary, transactions[offset : offset + tile_size])
-            timings["mining"] = (timings.get("mining", 0.0)
-                                 + time.perf_counter() - started)
+        started = time.perf_counter()
+        encoded = subset_dictionary(
+            dictionary, transactions[offset : offset + tile_size])
+        timings["mining"] = (timings.get("mining", 0.0)
+                             + time.perf_counter() - started)
         tiles.append(
-            build_tile(chunk, chunk_rows, config, tile_number,
+            build_tile(documents[offset : offset + tile_size],
+                       jsonb_rows[offset : offset + tile_size], config,
+                       first_tile_number + offset // tile_size,
                        first_row + offset,
                        schema=schema if extract and schema else None,
                        mine=extract, timings=timings, encoded=encoded)
@@ -200,8 +206,6 @@ def load_documents(
             documents = [strip_extracted_arrays(doc, paths)
                          for doc in documents]
 
-    jsonb_rows = _encode_jsonb(documents, timings)
-
     schema: Optional[TileSchema] = None
     if storage_format == StorageFormat.SINEW:
         started = time.perf_counter()
@@ -209,19 +213,20 @@ def load_documents(
         timings["mining"] = (timings.get("mining", 0.0)
                              + time.perf_counter() - started)
 
-    partition_rows = config.tile_size * config.partition_size
+    # without extraction nothing is reordered or mined across tiles, so
+    # each tile is its own partition (and its dictionary is the one its
+    # own documents produce)
+    partition_rows = config.tile_size * (
+        config.partition_size if storage_format.extracts_columns else 1)
     parallel = num_workers > 1 and len(documents) > partition_rows
     jobs = []
-    starts = list(range(0, len(documents), partition_rows))
-    for start in starts:
+    for start in range(0, len(documents), partition_rows):
+        part = documents[start : start + partition_rows]
+        part_rows, dictionary, transactions = _encode_partition(
+            part, config, timings)
         jobs.append((
-            documents[start : start + partition_rows],
-            jsonb_rows[start : start + partition_rows],
-            config,
-            start // config.tile_size,
-            start,
-            storage_format,
-            schema,
+            part, part_rows, dictionary, transactions, config,
+            start // config.tile_size, start, storage_format, schema,
             parallel,
         ))
 
@@ -230,10 +235,9 @@ def load_documents(
     else:
         results = [_build_partition(job) for job in jobs]
 
-    for start, (tiles, job_timings, order) in zip(starts, results):
+    for job, (tiles, job_timings, order) in zip(jobs, results):
         if parallel:
-            partition_jsonb = jsonb_rows[start : start + partition_rows]
-            reordered = apply_order(partition_jsonb, order)
+            reordered = apply_order(job[1], order)
             offset = 0
             for tile in tiles:
                 tile.jsonb_rows = reordered[

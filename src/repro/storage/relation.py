@@ -25,6 +25,7 @@ from repro.errors import StorageError
 from repro.jsonb import decode as jsonb_decode
 from repro.jsonb import encode as jsonb_encode
 from repro.lsm.manifest import LevelManifest
+from repro.mining.dictionary import ItemSink
 from repro.stats.table_stats import TableStatistics
 from repro.storage.formats import StorageFormat
 from repro.storage.tile_cache import GLOBAL_TILE_CACHE
@@ -246,12 +247,15 @@ class Relation:
                     tile_number = (self.tiles[-1].header.tile_number + 1
                                    if self.tiles else 0)
                     first_row = sum(tile.row_count for tile in self.tiles)
-                jsonb_rows = [jsonb_encode(document)
+                # one walk per document: JSONB bytes + mining items
+                sink = ItemSink(self.config.max_array_elements)
+                jsonb_rows = [jsonb_encode(document, sink=sink)
                               for document in documents]
                 tile = self.adopt_tile(build_tile(
                     documents, jsonb_rows, self.config,
                     tile_number, first_row,
-                    mine=self.format.extracts_columns))
+                    mine=self.format.extracts_columns,
+                    encoded=(sink.dictionary, sink.transactions)))
                 guard = append_guard() if callable(append_guard) \
                     else append_guard
                 if guard is not None:

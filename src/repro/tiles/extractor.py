@@ -3,13 +3,16 @@
 
 For every chunk of ``tile_size`` tuples the extractor
 
-1. collects the typed key paths of each tuple,
-2. mines frequent itemsets with FPGrowth above the extraction
-   threshold (60 % by default),
-3. extracts the union of the maximum itemsets — equivalently, every
-   (path, type) item whose frequency reaches the threshold — as typed
-   relational columns, choosing the most common primitive type when a
-   path occurs with several types,
+1. collects the typed key paths of each tuple (the loader hands them
+   over from its JSONB encoding walk),
+2. counts every (path, type) item; by downward closure the union of the
+   frequent itemsets above the extraction threshold (60 % by default)
+   is exactly the set of frequent single items, so no FPGrowth run is
+   needed here — itemset structure only matters for the reordering of
+   Section 3.2 (``repro.tiles.reorder``),
+3. extracts those frequent items as typed relational columns, choosing
+   the most common primitive type when a path occurs with several
+   types,
 4. recognizes date/time strings and materializes them as TIMESTAMP
    columns, and
 5. fills the tile header: statistics, key-path frequency database and
@@ -33,7 +36,6 @@ from repro.core.datetimes import parse_datetime_string
 from repro.core.jsonpath import KeyPath
 from repro.core.types import COLUMN_TYPE_FOR_JSON, ColumnType, JsonType
 from repro.mining.dictionary import ItemDictionary, encode_documents
-from repro.mining.fpgrowth import FPGrowth
 from repro.storage.column import ColumnBuilder
 from repro.tiles.header import ExtractedColumn, TileHeader
 from repro.tiles.tile import Tile
@@ -77,14 +79,13 @@ class TileSchema:
 
 
 def choose_schema(dictionary: ItemDictionary, num_rows: int,
-                  config: ExtractionConfig,
-                  frequent_items: Optional[set] = None) -> TileSchema:
+                  config: ExtractionConfig) -> TileSchema:
     """Decide which typed key paths become columns.
 
-    ``frequent_items`` is the union of the mined maximum itemsets; when
-    omitted, item frequencies from the dictionary are used directly
-    (the union of all frequent itemsets equals the set of frequent
-    single items by downward closure).
+    Section 3.1 extracts the union of the frequent itemsets; by downward
+    closure that union is the set of frequent single items, so the item
+    frequencies of the dictionary decide directly (``count >=
+    min_count``).
     """
     min_count = config.min_count(num_rows)
     candidates: Dict[KeyPath, List[Tuple[JsonType, int]]] = {}
@@ -93,8 +94,6 @@ def choose_schema(dictionary: ItemDictionary, num_rows: int,
         count = dictionary.counts[item_id]
         conflict_paths[path] = conflict_paths.get(path, 0) + count
         if jtype not in _EXTRACTABLE:
-            continue
-        if frequent_items is not None and item_id not in frequent_items:
             continue
         if count < min_count:
             continue
@@ -212,15 +211,16 @@ def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
     """Construct one tile from parsed documents + their JSONB bytes.
 
     When *schema* is given (Sinew's global schema, or a recomputation
-    after updates) the mining/decision steps are skipped and the fixed
-    schema is materialized.  ``mine=False`` additionally skips FPGrowth
-    (plain JSONB storage: no extraction, header only tracks row count).
+    after updates) the decision steps are skipped and the fixed schema
+    is materialized.  ``mine=False`` extracts nothing (plain JSONB
+    storage: the header only tracks key paths and row count).
     *timings* accumulates per-phase seconds ("mining", "extract") for
     the insertion-time breakdown of Figure 16.  *encoded* passes a
-    pre-computed (dictionary, transactions) pair so the loader does not
-    traverse every document twice when reordering already collected the
-    key paths.  *level* stamps the LSM level onto the header (0 for
-    freshly sealed tiles; compaction merges pass the next level).
+    pre-computed (dictionary, transactions) pair — the loader and
+    :meth:`Relation.flush_inserts` collect it while encoding the JSONB
+    rows — so the documents are not walked again here.  *level* stamps
+    the LSM level onto the header (0 for freshly sealed tiles;
+    compaction merges pass the next level).
     """
     num_rows = len(documents)
     header = TileHeader(tile_number, num_rows,
@@ -228,20 +228,16 @@ def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
                         level=level)
     started = time.perf_counter()
     if encoded is not None:
-        dictionary, transactions = encoded
+        dictionary = encoded[0]
     else:
-        dictionary, transactions = encode_documents(
+        dictionary, _transactions = encode_documents(
             documents, config.max_array_elements)
     header.key_counts = dictionary.key_counts()
     for path_text, count in header.key_counts.items():
         header.statistics.observe_key(path_text, count)
 
     if schema is None and mine:
-        miner = FPGrowth(config.min_count(num_rows), config.mining_budget)
-        frequent = miner.mine(transactions)
-        frequent_items = set().union(*frequent) if frequent else set()
-        schema = choose_schema(dictionary, num_rows, config,
-                               frequent_items=frequent_items)
+        schema = choose_schema(dictionary, num_rows, config)
         if config.detect_dates:
             _detect_datetime_columns(schema, documents, config)
     elif schema is None:
@@ -256,6 +252,9 @@ def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
         stats = header.statistics.column(column_meta.path)
         nullable = False
         conflicts = column_meta.has_type_conflicts
+        # hash each distinct value once (Section 4.6 sketches)
+        distinct: Dict[object, None] = {}
+        observed = 0
         for document in documents:
             raw = column_meta.path.lookup(document)
             value = _materialize_value(raw, column_meta)
@@ -266,7 +265,9 @@ def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
                 builder.append_null()
             else:
                 builder.append(value)
-                stats.observe(value)
+                distinct[value] = None
+                observed += 1
+        stats.observe_distinct(distinct, observed)
         materialized = ExtractedColumn(
             path=column_meta.path,
             json_type=column_meta.json_type,

@@ -105,9 +105,22 @@ MAX_MATCH_ITEMSETS = 64
 def match_tuples(
     transactions: Sequence[Sequence[int]], itemsets: Sequence[Itemset]
 ) -> List[Optional[Itemset]]:
-    """Step 3: the itemset that describes each tuple best (or None)."""
+    """Step 3: the itemset that describes each tuple best (or None).
+
+    The match depends on the transaction alone, and a partition holds
+    few distinct transactions (document types repeat), so each distinct
+    one is matched once."""
     matcher = ItemsetMatcher(itemsets)
-    return [matcher.match(transaction) for transaction in transactions]
+    memo: Dict[Tuple[int, ...], Optional[Itemset]] = {}
+    matches = []
+    for transaction in transactions:
+        key = tuple(transaction)
+        if key in memo:
+            match = memo[key]
+        else:
+            match = memo[key] = matcher.match(transaction)
+        matches.append(match)
+    return matches
 
 
 def assign_rows_to_tiles(

@@ -113,22 +113,28 @@ class TestEvictionSoak:
                  "user": {"id": i % 17}, "score": float(i) / 3}
                 for i in range(start, start + n)]
 
-    def test_soak(self, tmp_path, global_store):
+    def test_soak(self, tmp_path, global_store, monkeypatch):
         config = ExtractionConfig(tile_size=32, partition_size=2)
         db = Database(StorageFormat.TILES, config)
         relation = db.load_table("t", self.docs(0, 256))
         save_database(db, tmp_path / "store")  # handles become clean
 
         violations = []
+        enforce = global_store._enforce_locked
 
-        def watch(event, rel, payload):
-            if event == "evict":
-                if payload.pin_count > 0:
-                    violations.append(f"pinned tile evicted: {payload!r}")
-                if payload.dirty:
-                    violations.append(f"dirty tile evicted: {payload!r}")
+        def checked_enforce():
+            # inspect victims while the store lock is still held: evict
+            # events fire after it is released, when a concurrent pin
+            # may already have reloaded the handle
+            evicted = enforce()
+            for handle in evicted:
+                if handle.pin_count > 0:
+                    violations.append(f"pinned tile evicted: {handle!r}")
+                if handle.dirty:
+                    violations.append(f"dirty tile evicted: {handle!r}")
+            return evicted
 
-        relation.add_event_hook(watch)
+        monkeypatch.setattr(global_store, "_enforce_locked", checked_enforce)
         budget = int(max(h.disk_bytes for h in relation.tiles) * 3)
         global_store.set_budget(budget)
 
