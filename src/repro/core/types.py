@@ -10,7 +10,9 @@ materialized tile column can carry.
 from __future__ import annotations
 
 import enum
+import math
 import re
+from typing import Optional
 
 
 class JsonType(enum.IntEnum):
@@ -79,6 +81,13 @@ def is_numeric_string(text: str) -> bool:
     if not text or len(text) > 64:
         return False
     return _NUMERIC_STRING_RE.match(text) is not None
+
+
+def float_to_int(value: float) -> Optional[int]:
+    """``int(value)``, except that NaN and ±Infinity have no integer
+    value and become ``None`` (SQL NULL), as in the scan's vectorized
+    float-to-int64 cast."""
+    return int(value) if math.isfinite(value) else None
 
 
 def json_type_of(value: object) -> JsonType:

@@ -221,8 +221,7 @@ class Database:
             if requests:
                 lines.append(f"scan {source.alias}:")
                 for request in requests.values():
-                    lines.append(f"  {request.path} :: "
-                                 f"{request.target.name}")
+                    lines.append(f"  {request.path} :: {request.label}")
         if analyze:
             from repro.engine.morsels import pool_stats
 

@@ -10,11 +10,21 @@ join):
   directly when ``key`` is ``''``);
 * ``json_length(x -> 'arr')`` — element count;
 * ``lower`` / ``upper`` / ``coalesce``.
+
+The two JSON functions are *probes*: when their argument is a ``->``
+chain on a table's document column, the binder pushes the whole call
+into the scan as one access request (Section 4.2), and the scan
+answers it with a byte kernel over the JSONB value instead of
+decoding the array into Python (:data:`PROBES`).  The Python functions
+below define the semantics every path shares; the expressions only
+evaluate operands that are not scan accesses, such as derived-table
+columns.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -22,62 +32,93 @@ from repro.core.types import ColumnType
 from repro.engine.batch import Batch
 from repro.engine.expressions import Expression, Literal
 from repro.errors import SqlBindError
-from repro.storage.column import ColumnVector
+from repro.jsonb.access import JsonbValue, contains_probe
+from repro.storage.column import ColumnBuilder, ColumnVector
 
 
-class JsonContains(Expression):
-    def __init__(self, array_expr: Expression, key: str, value: object):
-        self.array_expr = array_expr
-        self.key = key
-        self.value = value
-        self.result_type = ColumnType.BOOL
+def json_contains(array: object, key: object,
+                  value: object) -> Optional[bool]:
+    """``json_contains`` over a decoded JSON value: NULL for SQL/JSON
+    null, False for a non-array, else whether any element matches."""
+    if array is None:
+        return None
+    if not isinstance(array, list):
+        return False
+    if key:
+        return any(isinstance(element, dict) and element.get(key) == value
+                   for element in array)
+    return any(element == value for element in array)
+
+
+def json_length(value: object) -> Optional[int]:
+    """``json_length`` over a decoded JSON value: the element count of
+    an array or object, NULL for anything else."""
+    return len(value) if isinstance(value, (list, dict)) else None
+
+
+@dataclass(frozen=True)
+class Probe:
+    """A JSON function the scan can evaluate as an access request.
+
+    A request's probe is the tuple ``(name, *literal_args)``;
+    ``jsonb(*literal_args)`` compiles the byte kernel applied to the
+    value at the request's path, ``python(value, *literal_args)`` is
+    the same function over a parsed value (raw-text format)."""
+
+    result_type: ColumnType
+    jsonb: Callable[..., Callable[[JsonbValue], object]]
+    python: Callable[..., object]
+    #: number of literal arguments after the array argument
+    arity: int
+    usage: str
+
+
+PROBES = {
+    "json_contains": Probe(ColumnType.BOOL, contains_probe, json_contains, 2,
+                           "json_contains(array, 'key', literal) expects "
+                           "literals"),
+    "json_length": Probe(ColumnType.INT64, lambda: JsonbValue.length,
+                         json_length, 0,
+                         "json_length(array) expects one argument"),
+}
+
+
+def probe_for(name: str, literals: Sequence[object]) -> Tuple[object, ...]:
+    """Validate the arguments after the array argument of a probe
+    function — all :class:`Literal` — and return the probe tuple."""
+    spec = PROBES[name]
+    if len(literals) != spec.arity or \
+            not all(isinstance(arg, Literal) for arg in literals):
+        raise SqlBindError(spec.usage)
+    return (name, *(arg.value for arg in literals))
+
+
+def probe_text(probe: Tuple[object, ...]) -> str:
+    """EXPLAIN rendering of a probe: ``json_contains('text', '#COVID')``."""
+    name, *args = probe
+    return f"{name}({', '.join(repr(arg) for arg in args)})"
+
+
+class ProbeCall(Expression):
+    """A probe function over an operand that is not a scan access (a
+    derived-table column, say): the Python definition, per row."""
+
+    def __init__(self, operand: Expression, probe: Tuple[object, ...]):
+        self.operand = operand
+        self.probe = probe
+        self.result_type = PROBES[probe[0]].result_type
 
     def children(self) -> Sequence[Expression]:
-        return (self.array_expr,)
+        return (self.operand,)
 
     def evaluate(self, batch: Batch) -> ColumnVector:
-        array_column = self.array_expr.evaluate(batch)
-        data = np.zeros(batch.length, dtype=bool)
-        for row in range(batch.length):
-            if array_column.null_mask[row]:
-                continue
-            array = array_column.data[row]
-            if not isinstance(array, list):
-                continue
-            for element in array:
-                if self.key:
-                    if isinstance(element, dict) and \
-                            element.get(self.key) == self.value:
-                        data[row] = True
-                        break
-                elif element == self.value:
-                    data[row] = True
-                    break
-        return ColumnVector(ColumnType.BOOL, data,
-                            array_column.null_mask.copy())
-
-
-class JsonLength(Expression):
-    def __init__(self, array_expr: Expression):
-        self.array_expr = array_expr
-        self.result_type = ColumnType.INT64
-
-    def children(self) -> Sequence[Expression]:
-        return (self.array_expr,)
-
-    def evaluate(self, batch: Batch) -> ColumnVector:
-        array_column = self.array_expr.evaluate(batch)
-        data = np.zeros(batch.length, dtype=np.int64)
-        nulls = array_column.null_mask.copy()
-        for row in range(batch.length):
-            if nulls[row]:
-                continue
-            value = array_column.data[row]
-            if isinstance(value, (list, dict)):
-                data[row] = len(value)
-            else:
-                nulls[row] = True
-        return ColumnVector(ColumnType.INT64, data, nulls)
+        name, *args = self.probe
+        function = PROBES[name].python
+        column = self.operand.evaluate(batch)
+        builder = ColumnBuilder(self.result_type)
+        for item, null in zip(column.data, column.null_mask):
+            builder.append(None if null else function(item, *args))
+        return builder.finish()
 
 
 class StringTransform(Expression):
@@ -126,16 +167,10 @@ class Coalesce(Expression):
 
 
 def bind_scalar_function(name: str, args: List[Expression]) -> Expression:
-    if name == "json_contains":
-        if len(args) != 3 or not isinstance(args[1], Literal) \
-                or not isinstance(args[2], Literal):
-            raise SqlBindError(
-                "json_contains(array, 'key', literal) expects literals")
-        return JsonContains(args[0], args[1].value, args[2].value)
-    if name == "json_length":
-        if len(args) != 1:
-            raise SqlBindError("json_length(array) expects one argument")
-        return JsonLength(args[0])
+    if name in PROBES:
+        if not args:
+            raise SqlBindError(PROBES[name].usage)
+        return ProbeCall(args[0], probe_for(name, args[1:]))
     if name in ("lower", "upper"):
         if len(args) != 1:
             raise SqlBindError(f"{name}(text) expects one argument")

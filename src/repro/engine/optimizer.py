@@ -336,7 +336,7 @@ class Planner:
     def _predicate_selectivity(self, source: ScanSource,
                                predicate: ex.Expression) -> float:
         stats = source.relation.statistics
-        paths = source.request_paths()
+        paths = source.value_paths()
         if isinstance(predicate, ex.Comparison):
             column, literal = _column_and_literal(predicate)
             if column is None:
@@ -381,7 +381,7 @@ class Planner:
             return max(1.0, item.cardinality)
         refs = list(key.referenced_columns())
         if len(refs) == 1:
-            path = item.source.request_paths().get(refs[0])
+            path = item.source.value_paths().get(refs[0])
             if path is not None and path != ROWID_PATH:
                 return max(1.0, item.source.relation.statistics.distinct(path))
             if path == ROWID_PATH:
@@ -583,7 +583,7 @@ class Planner:
         form ``access op literal``."""
         if not self.options.enable_zone_maps:
             return []
-        paths = source.request_paths()
+        paths = source.value_paths()
         prunes: List[RangePrune] = []
         for conjunct in filters:
             stack = [conjunct]
@@ -653,9 +653,7 @@ def _sample_batch(relation, source: ScanSource, rows: List[int]):
             data = np.array(rows, dtype=np.int64)
             columns[request.name] = ColumnVector(ColumnType.INT64, data)
             continue
-        builder = ColumnBuilder(
-            ColumnType.JSONB if request.target == ColumnType.JSONB
-            else request.target)
+        builder = ColumnBuilder(request.target)
         for row in rows:
             if relation.format == StorageFormat.JSON:
                 document = json.loads(relation.text_rows[row])

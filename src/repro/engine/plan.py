@@ -95,11 +95,12 @@ class ScanSource:
     requests: Dict[str, AccessRequest] = field(default_factory=dict)
     filters: List[Expression] = field(default_factory=list)
 
-    def request(self, path: KeyPath, target: ColumnType,
-                as_text: bool) -> ColumnRef:
+    def request(self, path: KeyPath, target: ColumnType, as_text: bool,
+                probe: Optional[Tuple[object, ...]] = None) -> ColumnRef:
         """Register (or reuse) an access request; returns the
         placeholder column reference (Section 4.2's placeholders)."""
-        request = AccessRequest.make(self.alias, path, target, as_text)
+        request = AccessRequest.make(self.alias, path, target, as_text,
+                                     probe)
         self.requests.setdefault(request.name, request)
         result_type = (ColumnType.FLOAT64 if target == ColumnType.DECIMAL
                        else target)
@@ -107,6 +108,14 @@ class ScanSource:
 
     def request_paths(self) -> Dict[str, KeyPath]:
         return {name: request.path for name, request in self.requests.items()}
+
+    def value_paths(self) -> Dict[str, KeyPath]:
+        """:meth:`request_paths` without probes: a probe's column holds
+        a function of the value at its path, so the path's statistics
+        and zone maps say nothing about it (tile skipping still holds:
+        an absent path makes the probe NULL)."""
+        return {name: request.path for name, request in self.requests.items()
+                if request.probe is None}
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Table scans with access-expression push-down (Sections 4.2-4.5, 4.8).
 
 The scan receives *access requests* — the (key path, requested type,
-as-text) triples that the query uses on this table — and resolves each
-request per tile:
+as-text) triples that the query uses on this table, optionally with a
+JSON function *probe* applied to the value — and resolves each request
+per tile:
 
 * an extracted column of a compatible type streams out directly (cast
   rewriting, Section 4.3: the requested type picks the cheapest
@@ -13,6 +14,7 @@ request per tile:
   per tuple (Section 3.4);
 * everything else is a per-tuple JSONB traversal (or a full text parse
   for the raw JSON format) — the expensive path the paper measures.
+  Probes always take it and run their byte kernel on the value found.
 
 Tiles whose header proves a null-rejected path cannot occur are skipped
 entirely (Section 4.8).
@@ -50,14 +52,15 @@ import numpy as np
 
 from repro.core.datetimes import parse_datetime_string
 from repro.core.jsonpath import KeyPath
-from repro.core.types import ColumnType
+from repro.core.types import ColumnType, float_to_int
 from repro.engine.batch import Batch
 from repro.engine.expressions import BoolAnd, Expression
+from repro.engine.functions import PROBES, probe_text
 from repro.engine.morsels import Morsel, canonical_chop, run_ordered
 from repro.jsonb.access import JsonbValue
 from repro.jsonb.shred import ShredPlan, compile_paths, shred_jsonb, \
     shred_python
-from repro.storage.column import ColumnBuilder, ColumnVector
+from repro.storage.column import ColumnBuilder, ColumnVector, fits_int64
 from repro.storage.formats import StorageFormat
 from repro.storage.relation import Relation
 from repro.storage.tile_cache import GLOBAL_TILE_CACHE, make_key
@@ -74,13 +77,30 @@ class AccessRequest:
     target: ColumnType
     as_text: bool
     name: str
+    #: a JSON function applied to the value at *path* inside the scan,
+    #: ``(function name, *literal args)`` (``functions.PROBES``);
+    #: *target* is then the function's result type.  Probes never read
+    #: an extracted column: they run on the JSONB bytes (or the parsed
+    #: text) of every tuple.
+    probe: Optional[Tuple[object, ...]] = None
 
     @staticmethod
     def make(alias: str, path: KeyPath, target: ColumnType,
-             as_text: bool) -> "AccessRequest":
+             as_text: bool,
+             probe: Optional[Tuple[object, ...]] = None) -> "AccessRequest":
         marker = "text" if as_text else "json"
-        name = f"{alias}${path}::{target.name}${marker}"
-        return AccessRequest(path, target, as_text, name)
+        name = f"{alias}${path}::{_label(target, probe)}${marker}"
+        return AccessRequest(path, target, as_text, name, probe)
+
+    @property
+    def label(self) -> str:
+        """What the access yields, as EXPLAIN shows it: the requested
+        type, or the probe call."""
+        return _label(self.target, self.probe)
+
+
+def _label(target: ColumnType, probe: Optional[Tuple[object, ...]]) -> str:
+    return target.name if probe is None else probe_text(probe)
 
 
 @dataclass
@@ -420,7 +440,7 @@ class TableScan:
                                  tile.first_row + stop, dtype=np.int64)
                 resolved[request.name] = ColumnVector(ColumnType.INT64, data)
                 continue
-            column = tile.column(request.path)
+            column = None if request.probe else tile.column(request.path)
             direct = None
             if column is not None:
                 meta = tile.header.columns[request.path]
@@ -610,7 +630,7 @@ class TableScan:
                                                counters, selection)
         keys = {request.name: make_key(self.relation.name, tile.uid,
                                        request.path, request.target,
-                                       request.as_text)
+                                       request.as_text, request.probe)
                 for request in requests}
         resolved: Dict[str, ColumnVector] = {}
         missing: List[AccessRequest] = []
@@ -666,11 +686,8 @@ class TableScan:
             counters.fallback_rows_skipped += \
                 ((stop - start) - len(row_indices)) * len(requests)
         counters.fallback_lookups += len(row_indices) * len(requests)
-        builders = {
-            request.name: ColumnBuilder(
-                ColumnType.JSONB if request.target == ColumnType.JSONB
-                else request.target)
-            for request in requests}
+        builders = {request.name: ColumnBuilder(request.target)
+                    for request in requests}
         rows = tile.jsonb_rows
         if not self.multipath_shred:
             # ablation baseline: one full document traversal per path
@@ -817,6 +834,8 @@ def _patch_slot(vector: ColumnVector, local: int,
     typed = _typed_from_jsonb(value, request)
     if typed is None:
         return
+    if vector.type == ColumnType.INT64 and not fits_int64(typed):
+        return  # out of int64 range stays NULL, as in ColumnBuilder
     vector.data[local] = typed
     vector.null_mask[local] = False
 
@@ -878,7 +897,10 @@ _JSONB_GETTERS = {
 
 def _jsonb_getter(request: AccessRequest):
     """The per-value conversion the fallback loops hoist out of the
-    row loop."""
+    row loop: a typed getter, or the compiled byte kernel of a probe."""
+    if request.probe:
+        name, *args = request.probe
+        return PROBES[name].jsonb(*args)
     return _JSONB_GETTERS.get(request.target, JsonbValue.as_text)
 
 
@@ -886,26 +908,27 @@ def _typed_from_jsonb(value: Optional[JsonbValue],
                       request: AccessRequest) -> object:
     if value is None:
         return None
-    return _JSONB_GETTERS.get(request.target, JsonbValue.as_text)(value)
+    return _jsonb_getter(request)(value)
 
 
 def _typed_from_python(raw: object, request: AccessRequest) -> object:
     """Coercion used by the raw-text format (after a full parse)."""
     if raw is None:
         return None
+    if request.probe:
+        name, *args = request.probe
+        return PROBES[name].python(raw, *args)
     target = request.target
     if target == ColumnType.JSONB:
         return raw
     if target == ColumnType.INT64:
-        if isinstance(raw, bool):
-            return int(raw)
-        if isinstance(raw, (int, float)):
-            return int(raw)
+        if isinstance(raw, float):
+            return float_to_int(raw)
         try:
             return int(raw)
         except (TypeError, ValueError):
             try:
-                return int(float(raw))
+                return float_to_int(float(raw))
             except (TypeError, ValueError):
                 return None
     if target in (ColumnType.FLOAT64, ColumnType.DECIMAL):
@@ -928,6 +951,6 @@ def _typed_from_python(raw: object, request: AccessRequest) -> object:
         return json.dumps(raw, separators=(",", ":"))
     if isinstance(raw, bool):
         return "true" if raw else "false"
-    if isinstance(raw, float) and raw == int(raw):
+    if isinstance(raw, float) and raw.is_integer():
         return str(int(raw))
     return str(raw)

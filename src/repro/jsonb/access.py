@@ -4,19 +4,25 @@
 key lookup binary-searches the sorted offset table (O(log n)); array
 indexing reads one offset (O(1)).  The typed getters implement the cast
 rewriting of Section 4.3: ``x->>'k'::BigInt`` reads the integer payload
-directly instead of materializing text and parsing it back.
+directly instead of materializing text and parsing it back.  The same
+holds for the JSON functions the scan evaluates as probes:
+:meth:`JsonbValue.length` reads a container header and
+:func:`contains_probe` compares array elements without decoding them
+into Python.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterator, Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 from repro.core.datetimes import parse_datetime_string
 from repro.core.jsonpath import KeyPath
-from repro.core.types import JsonType
+from repro.core.types import JsonType, float_to_int
 from repro.jsonb import format as fmt
 from repro.jsonb.decoder import decode_value, skip_value
+
+_NULL_HEADER = fmt.make_header(fmt.TYPE_LITERAL, fmt.LITERAL_NULL)
 
 _JSON_TYPE_BY_ID = {
     fmt.TYPE_INT: JsonType.INT,
@@ -50,7 +56,7 @@ class JsonbValue:
         return _JSON_TYPE_BY_ID[type_id]
 
     def is_null(self) -> bool:
-        return self.buf[self.pos] == fmt.make_header(fmt.TYPE_LITERAL, fmt.LITERAL_NULL)
+        return self.buf[self.pos] == _NULL_HEADER
 
     # ------------------------------------------------------------------
     # navigation (the `->` operator)
@@ -72,28 +78,10 @@ class JsonbValue:
         return current
 
     def _object_get(self, key: str) -> Optional["JsonbValue"]:
-        buf, pos = self.buf, self.pos
-        type_id, info = fmt.split_header(buf[pos])
-        if type_id != fmt.TYPE_OBJECT:
+        if self.buf[self.pos] >> 5 != fmt.TYPE_OBJECT:
             return None
-        width = fmt.OFFSET_WIDTHS[info & 0x3]
-        count, pos = fmt.read_compact_uint(buf, pos + 1)
-        table = pos
-        slot_area = pos + count * width
-        target = key.encode("utf-8")
-        lo, hi = 0, count - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            slot = slot_area + fmt.read_offset(buf, table + mid * width, width)
-            key_len, key_pos = fmt.read_compact_uint(buf, slot)
-            candidate = buf[key_pos : key_pos + key_len]
-            if candidate == target:
-                return JsonbValue(buf, key_pos + key_len)
-            if candidate < target:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return None
+        found = _member_pos(self.buf, self.pos, key.encode("utf-8"))
+        return None if found < 0 else JsonbValue(self.buf, found)
 
     def _array_at(self, index: int) -> Optional["JsonbValue"]:
         buf, pos = self.buf, self.pos
@@ -112,11 +100,19 @@ class JsonbValue:
 
     def __len__(self) -> int:
         """Element count of an object or array (0 for scalars)."""
-        type_id, _ = fmt.split_header(self.buf[self.pos])
-        if type_id not in (fmt.TYPE_OBJECT, fmt.TYPE_ARRAY):
-            return 0
-        count, _ = fmt.read_compact_uint(self.buf, self.pos + 1)
-        return count
+        return self.length() or 0
+
+    def length(self) -> Optional[int]:
+        """``json_length``: the element count of an object or array,
+        read from the container header; ``None`` for scalars and JSON
+        null."""
+        if self.buf[self.pos] >> 5 not in (fmt.TYPE_OBJECT, fmt.TYPE_ARRAY):
+            return None
+        return fmt.read_compact_uint(self.buf, self.pos + 1)[0]
+
+    def contains(self, key: object, value: object) -> Optional[bool]:
+        """``json_contains`` on the bytes (see :func:`contains_probe`)."""
+        return contains_probe(key, value)(self)
 
     def iter_items(self) -> Iterator[Tuple[Optional[str], "JsonbValue"]]:
         """Forward-iterate the slots of an object (key, value) or array
@@ -164,8 +160,10 @@ class JsonbValue:
         if type_id == fmt.TYPE_INT:
             return str(self.as_python())
         if type_id == fmt.TYPE_FLOAT:
+            # integral values print as integers, NaN / ±Infinity as
+            # 'nan' / 'inf' / '-inf' — the extracted-column rendering
             value = self.as_python()
-            return repr(int(value)) if value == int(value) else repr(value)
+            return repr(int(value)) if value.is_integer() else repr(value)
         return json.dumps(self.as_python(), separators=(",", ":"))
 
     # ------------------------------------------------------------------
@@ -179,13 +177,13 @@ class JsonbValue:
                 return info
             return fmt.read_int_payload(self.buf, self.pos + 1, info - 7)
         if type_id == fmt.TYPE_FLOAT:
-            return int(self.as_python())
+            return float_to_int(self.as_python())
         if type_id == fmt.TYPE_NUMSTR:
             text = self.as_python()
             try:
                 return int(text)
             except ValueError:
-                return int(float(text))
+                return float_to_int(float(text))
         if type_id == fmt.TYPE_STRING:
             try:
                 return int(self.as_python())
@@ -241,3 +239,98 @@ class JsonbValue:
 def jsonb_get_path(buf: bytes, path: KeyPath) -> Optional[JsonbValue]:
     """Convenience root-level path lookup."""
     return JsonbValue(buf, 0).get_path(path)
+
+
+def _member_pos(buf: bytes, pos: int, key: bytes) -> int:
+    """Binary-search the sorted slots of the object at *pos* for the
+    UTF-8 *key* (Section 5.4); the position of the member's value, or
+    -1 when the key is absent."""
+    width = fmt.OFFSET_WIDTHS[buf[pos] & 0x3]
+    count, table = fmt.read_compact_uint(buf, pos + 1)
+    slot_area = table + count * width
+    lo, hi = 0, count - 1
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        slot = slot_area + fmt.read_offset(buf, table + mid * width, width)
+        key_len, key_pos = fmt.read_compact_uint(buf, slot)
+        candidate = buf[key_pos : key_pos + key_len]
+        if candidate == key:
+            return key_pos + key_len
+        if candidate < key:
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return -1
+
+
+def _string_payload(buf: bytes, pos: int) -> Tuple[int, int]:
+    """``(start, end)`` of the UTF-8 payload of the STRING / NUMSTR
+    value at *pos*."""
+    info = buf[pos] & 0x1F
+    if info <= fmt.MAX_INLINE_STRLEN:
+        return pos + 1, pos + 1 + info
+    start = pos + 1 + fmt.OFFSET_WIDTHS[info - 28]
+    return start, start + int.from_bytes(buf[pos + 1 : start], "little")
+
+
+def contains_probe(key: object, value: object
+                   ) -> Callable[[JsonbValue], Optional[bool]]:
+    """Compile ``json_contains(array, key, value)`` into a kernel over
+    JSONB views, with the key and a string needle encoded once.
+
+    The kernel answers what ``repro.engine.functions.json_contains``
+    answers for the decoded value — ``None`` for JSON null, ``False``
+    for a non-array, else whether an element (``key == ''``) or an
+    object element's member *key* (missing reads as ``None``) equals
+    *value* under Python ``==`` — but decodes only the compared values,
+    and none at all when the type settles the comparison.  A string
+    needle first searches the buffer from the array's first element on:
+    STRING and NUMSTR payloads are stored as verbatim UTF-8 (Section
+    5.1), so when the needle's bytes occur nowhere there, no element
+    holds an equal string and none is visited.  The search runs to the
+    end of the buffer rather than of the array: finding the array's end
+    costs a walk down its last element, and a hit past the array only
+    costs the exact element scan that follows.
+    """
+    member = key.encode("utf-8") if isinstance(key, str) else None
+    needle = value.encode("utf-8") if isinstance(value, str) else None
+    # a scalar needle never equals a container, so those stay undecoded
+    scalar = not isinstance(value, (list, dict))
+
+    def equals(buf: bytes, pos: int) -> bool:
+        type_id = buf[pos] >> 5
+        if type_id == fmt.TYPE_STRING or type_id == fmt.TYPE_NUMSTR:
+            if needle is None:
+                return False
+            start, end = _string_payload(buf, pos)
+            return buf[start:end] == needle
+        if needle is not None or (
+                scalar and type_id in (fmt.TYPE_OBJECT, fmt.TYPE_ARRAY)):
+            return False
+        return decode_value(buf, pos)[0] == value
+
+    def probe(view: JsonbValue) -> Optional[bool]:
+        buf, pos = view.buf, view.pos
+        header = buf[pos]
+        if header >> 5 != fmt.TYPE_ARRAY:
+            return None if header == _NULL_HEADER else False
+        width = fmt.OFFSET_WIDTHS[header & 0x3]
+        count, table = fmt.read_compact_uint(buf, pos + 1)
+        slot_area = table + count * width
+        if needle is not None and buf.find(needle, slot_area) < 0:
+            return False
+        for index in range(count):
+            element = slot_area + fmt.read_offset(buf, table + index * width,
+                                                  width)
+            if not key:
+                if equals(buf, element):
+                    return True
+            elif buf[element] >> 5 == fmt.TYPE_OBJECT:
+                # a non-string key never names a member: always missing
+                found = -1 if member is None else \
+                    _member_pos(buf, element, member)
+                if (value is None) if found < 0 else equals(buf, found):
+                    return True
+        return False
+
+    return probe

@@ -57,6 +57,9 @@ DOC_COLUMN = "data"
 
 _AGG_FUNCS = {"count", "sum", "avg", "min", "max"}
 
+_LITERAL_NODES = (ast.NumberLit, ast.StringLit, ast.NullLit, ast.BoolLit,
+                  ast.DateLit)
+
 
 class _DocRef(ex.Expression):
     """Bind-time marker: a bare reference to a table's document column,
@@ -542,7 +545,23 @@ class Binder:
         raise SqlBindError(f"cannot bind {type(node).__name__}")
 
     def _bind_function(self, node: ast.FuncCall, scope: _Scope) -> ex.Expression:
-        from repro.engine.functions import bind_scalar_function
+        from repro.engine.functions import (PROBES, bind_scalar_function,
+                                            probe_for)
+        chain = node.args[0] if node.args else None
+        if node.name in PROBES and isinstance(chain, ast.JsonAccess) \
+                and not chain.as_text:
+            # push the call into the scan as one access request that a
+            # byte kernel answers (Section 4.2 applied to a predicate,
+            # as cast rewriting is in 4.3).  Literals bind without side
+            # effects; anything else fails here, before the chain
+            # registers a request.
+            probe = probe_for(node.name, [
+                self._bind_expr(arg, scope)
+                if isinstance(arg, _LITERAL_NODES) else None
+                for arg in node.args[1:]])
+            source, path = self._access_path(chain, scope)
+            return source.request(path, PROBES[node.name].result_type,
+                                  as_text=False, probe=probe)
         args = [self._bind_expr(arg, scope) for arg in node.args]
         return bind_scalar_function(node.name, args)
 
@@ -655,8 +674,9 @@ class Binder:
         assert isinstance(node, ast.JsonAccess)
         return self._bind_json_access(node, scope, None)
 
-    def _bind_json_access(self, node: ast.JsonAccess, scope: _Scope,
-                          cast_target: Optional[ColumnType]) -> ex.Expression:
+    def _access_path(self, node: ast.JsonAccess,
+                     scope: _Scope) -> Tuple[ScanSource, KeyPath]:
+        """The scan and key path an access chain reads."""
         steps: List[Union[str, int]] = []
         current: ast.Node = node
         while isinstance(current, ast.JsonAccess):
@@ -670,8 +690,11 @@ class Binder:
         if not isinstance(base, _DocRef):
             raise SqlBindError(
                 "JSON access operators require a table's document column")
-        path = KeyPath(tuple(steps))
-        source = base.source
+        return base.source, KeyPath(tuple(steps))
+
+    def _bind_json_access(self, node: ast.JsonAccess, scope: _Scope,
+                          cast_target: Optional[ColumnType]) -> ex.Expression:
+        source, path = self._access_path(node, scope)
         if not node.as_text:
             target = cast_target or ColumnType.JSONB
             if target == ColumnType.JSONB:

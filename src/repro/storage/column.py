@@ -145,6 +145,11 @@ class ColumnVector:
         return self.data.tobytes() + np.packbits(self.null_mask).tobytes()
 
 
+def fits_int64(value: int) -> bool:
+    """Whether an integer is representable in an INT64 column."""
+    return -(2**63) <= value < 2**63
+
+
 class ColumnBuilder:
     """Row-at-a-time builder for a :class:`ColumnVector`."""
 
@@ -176,7 +181,7 @@ class ColumnBuilder:
     def _coerce(self, value: object) -> object:
         if self.type == ColumnType.INT64:
             coerced = int(value)
-            if not -(2**63) <= coerced < 2**63:
+            if not fits_int64(coerced):
                 raise OverflowError("value exceeds int64")
             return coerced
         if self.type in (ColumnType.FLOAT64, ColumnType.DECIMAL):

@@ -6,7 +6,7 @@ document in a tile for one key path.  Columnar-document-store work
 (Alkowaileet & Carey) observes that the *decoded columnar
 representation* is the asset worth keeping — so we cache the finished
 :class:`~repro.storage.column.ColumnVector` per
-``(table, tile uid, key path, target type, as_text)`` and serve
+``(table, tile uid, key path, target type, as_text, probe)`` and serve
 slices of it to every later query, sharing across the server's
 concurrent connections.
 
@@ -28,12 +28,14 @@ from repro.storage.column import ColumnVector
 
 _DEFAULT_CAPACITY_MB = 64.0
 
-CacheKey = Tuple[str, int, Hashable, object, bool]
+CacheKey = Tuple[str, int, Hashable, object, bool, Hashable]
 
 
 def make_key(table: str, tile_uid: int, path: Hashable, target: object,
-             as_text: bool) -> CacheKey:
-    return (table, tile_uid, path, target, as_text)
+             as_text: bool, probe: Hashable = None) -> CacheKey:
+    """*probe* is the access request's probe tuple: two probes on one
+    path (different needles, say) resolve to different columns."""
+    return (table, tile_uid, path, target, as_text, probe)
 
 
 def _vector_bytes(vector: ColumnVector) -> int:

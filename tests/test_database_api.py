@@ -49,6 +49,11 @@ class TestDatabase:
                           "where t.data->>'b' = 'x'")
         assert "a :: INT64" in text
         assert "b :: STRING" in text
+        # a pushed-down function shows its call, not its result type
+        text = db.explain("select count(*) as n from t where "
+                          "json_contains(t.data->'c'->'d', 'e', '#f')")
+        assert "c.d :: json_contains('e', '#f')" in text
+        assert ":: BOOL" not in text
 
     def test_default_format_applied(self):
         db = Database(StorageFormat.JSONB, CONFIG)
@@ -111,6 +116,14 @@ class TestScalarFunctions:
         with pytest.raises(SqlBindError):
             db.sql("select count(*) as n from t x where "
                    "json_contains(x.data->'tags', x.data->>'name', 'y')")
+
+    def test_json_length_of_scalars_and_objects(self, db):
+        result = db.sql("select x.data->>'id'::int as id, "
+                        "json_length(x.data->'name') as s, "
+                        "json_length(x.data->'tags'->0) as o "
+                        "from t x order by id")
+        assert result.rows == [(1, None, 1), (2, None, 1), (3, None, None),
+                               (4, None, None)]
 
 
 class TestResultApi:
