@@ -69,7 +69,8 @@ def _describe(node, analyze: bool = False) -> str:
                 text += f"  [levels: {levels}]"
         return text
     if isinstance(node, op.HashJoinOp):
-        return (f"HashJoin [{node.kind.value}] on "
+        null_aware = ", null-aware" if node.null_aware else ""
+        return (f"HashJoin [{node.kind.value}{null_aware}] on "
                 f"{len(node.left_keys)} key(s)"
                 + (", residual" if node.residual is not None else "")
                 + _kernel_stats(node, analyze))

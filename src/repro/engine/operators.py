@@ -157,6 +157,12 @@ class HashJoinOp(Operator):
 
     For LEFT joins the left child is the probe/outer side, so the
     optimizer must put the preserved side on the left.
+
+    A *null_aware* ANTI join is ``NOT IN (subquery)`` under SQL's
+    three-valued logic: an empty build side keeps every probe row, a
+    build side holding a NULL key keeps none (each comparison is NULL
+    or FALSE), and otherwise a probe row with a NULL key is dropped.
+    A plain ANTI join (``NOT EXISTS``) keeps every unmatched row.
     """
 
     def __init__(self, left: Operator, right: Operator,
@@ -165,7 +171,8 @@ class HashJoinOp(Operator):
                  kind: JoinKind = JoinKind.INNER,
                  residual: Optional[Expression] = None,
                  right_schema: Optional[Dict[str, ColumnType]] = None,
-                 enable_kernels: bool = False):
+                 enable_kernels: bool = False,
+                 null_aware: bool = False):
         if len(left_keys) != len(right_keys) or not left_keys:
             raise ExecutionError("join needs matching, non-empty key lists")
         self.left = left
@@ -178,6 +185,7 @@ class HashJoinOp(Operator):
         #: for LEFT joins when the build side is empty
         self.right_schema = right_schema
         self.enable_kernels = enable_kernels
+        self.null_aware = null_aware and kind == JoinKind.ANTI
         #: kernel_rows / fallback_rows for EXPLAIN ANALYZE (merged into
         #: the query result's counters by the executor)
         self.counters = ScanCounters()
@@ -192,6 +200,10 @@ class HashJoinOp(Operator):
         build = concat_batches(list(self.right.batches()))
         if build is None and self.kind in (JoinKind.INNER, JoinKind.SEMI):
             return
+        if self.null_aware and build is not None and any(
+                key.evaluate(build).null_mask.any()
+                for key in self.right_keys):
+            return  # x NOT IN (..., NULL, ...) is never true
         build_index = _BuildIndex(build, self.right_keys,
                                   enable_kernels=self.enable_kernels,
                                   counters=self.counters) if build else None
@@ -220,6 +232,9 @@ class HashJoinOp(Operator):
                     match_counts[matched] = 1
                 keep = (match_counts > 0 if self.kind == JoinKind.SEMI
                         else match_counts == 0)
+                if self.null_aware:
+                    for key in keys:
+                        keep &= ~key.null_mask
                 if keep.any():
                     yield probe.filter(keep)
                 continue

@@ -123,7 +123,8 @@ class Planner:
                 tree, inner, subquery.outer_keys,
                 subquery.inner_keys, subquery.kind,
                 residual=subquery.residual,
-                enable_kernels=self.options.enable_kernels))
+                enable_kernels=self.options.enable_kernels,
+                null_aware=subquery.null_aware))
 
         if raw:
             return tree

@@ -139,6 +139,8 @@ class SubqueryFilter:
     ``raw=True`` (EXISTS) joins against the block's un-projected join
     tree so correlated residuals can reference any inner placeholder;
     ``raw=False`` (IN) joins against the block's projected output.
+    ``null_aware`` marks ``NOT IN``, whose anti join follows SQL NULL
+    semantics (``HashJoinOp``); ``NOT EXISTS`` leaves it off.
     """
 
     kind: JoinKind  # SEMI or ANTI
@@ -147,6 +149,7 @@ class SubqueryFilter:
     inner_keys: List[Expression]
     residual: Optional[Expression] = None
     raw: bool = True
+    null_aware: bool = False
 
 
 @dataclass

@@ -17,15 +17,20 @@ per tile:
   Probes always take it and run their byte kernel on the value found.
 
 Tiles whose header proves a null-rejected path cannot occur are skipped
-entirely (Section 4.8).
+entirely (Section 4.8).  Inside a tile that is scanned, the header's
+row spans (DESIGN.md §5i) bound the fallback: a path absent from the
+tile becomes an all-NULL vector without opening a document, and a
+fallback group decodes only the rows inside the union span of its
+paths.
 
 All fallback sites shred *every* requested path of a tuple in one pass
 over its binary representation (``repro.jsonb.shred``, Sinew/Dremel
 style) instead of walking the document once per path; the
 ``multipath_shred`` switch restores the per-path traversal for
 ablation.  Counter semantics are independent of the switch:
-``fallback_lookups`` counts *logical* path resolutions (tuples ×
-paths), so Table-5-style numbers are comparable between modes, while
+``fallback_lookups`` counts (tuple, path) resolutions that visit the
+binary, ``header_nulls`` those the row spans answered NULL instead, so
+Table-5-style numbers are comparable between modes, while
 ``shred_passes`` / ``shred_paths`` expose the physical walk sharing.
 
 Late materialization (DESIGN.md §9): when the pushed-down predicate
@@ -60,7 +65,8 @@ from repro.engine.morsels import Morsel, canonical_chop, run_ordered
 from repro.jsonb.access import JsonbValue
 from repro.jsonb.shred import ShredPlan, compile_paths, shred_jsonb, \
     shred_python
-from repro.storage.column import ColumnBuilder, ColumnVector, fits_int64
+from repro.storage.column import ColumnBuilder, ColumnVector, fits_int64, \
+    null_vector
 from repro.storage.formats import StorageFormat
 from repro.storage.relation import Relation
 from repro.storage.tile_cache import GLOBAL_TILE_CACHE, make_key
@@ -115,7 +121,13 @@ class ScanCounters:
     tiles_total: int = 0
     tiles_skipped: int = 0
     rows_scanned: int = 0
+    #: (tuple, path) resolutions that visited a tuple's JSONB / text
     fallback_lookups: int = 0
+    #: (tuple, path) resolutions answered NULL from the tile header's
+    #: row spans without a JSONB visit (DESIGN.md §5i): the path is
+    #: absent from the tile, or the tuple lies outside the union span
+    #: of its fallback group
+    header_nulls: int = 0
     #: (tile, access) resolutions served entirely from the JSONB/text
     #: fallback — no extracted column existed for the requested path.
     #: The maintenance subsystem reads this as direct evidence that a
@@ -434,6 +446,12 @@ class TableScan:
         resolved: Dict[str, Optional[ColumnVector]] = {}
         fallback: List[AccessRequest] = []
         conflicts: List[Tuple[AccessRequest, ColumnVector, np.ndarray]] = []
+        # row spans ride on the skipping gate: the same header trust,
+        # the same formats (DESIGN.md §5i)
+        header = tile.header if (self.enable_skipping and
+                                 self.relation.format.supports_skipping) \
+            else None
+        span_lo, span_hi = tile.row_count, 0
         for request in self.requests:
             if request.path == ROWID_PATH:
                 data = np.arange(tile.first_row + start,
@@ -447,6 +465,16 @@ class TableScan:
                 direct = self._convert_column(column, meta, request,
                                               start, stop)
             if direct is None:
+                if header is not None:
+                    first, end = header.span_of(request.path)
+                    if first >= end:
+                        # absent from the tile: NULL without a decode
+                        resolved[request.name] = null_vector(
+                            request.target, stop - start)
+                        counters.header_nulls += stop - start
+                        continue
+                    span_lo = min(span_lo, first)
+                    span_hi = max(span_hi, end)
                 resolved[request.name] = None  # keeps the column order
                 fallback.append(request)
                 continue
@@ -464,6 +492,7 @@ class TableScan:
                                           direct.null_mask)
                     conflicts.append((request, direct, stored_nulls))
             resolved[request.name] = direct
+        span = (span_lo, span_hi) if header is not None else None
         if self.late_materialization and fallback and self.predicates:
             # late materialization (DESIGN.md §9): filter on the cheap
             # directly-resolved columns first, decode the fallback only
@@ -475,12 +504,12 @@ class TableScan:
             early, late = self._split_predicates(resolved)
             if early and not conflicts:
                 return self._resolve_tile_late(tile, start, stop, counters,
-                                               resolved, fallback,
+                                               resolved, fallback, span,
                                                early, late)
             counters.latemat_declines += 1
         if fallback:
             resolved.update(self._fallback_group(tile, fallback, start,
-                                                 stop, counters))
+                                                 stop, counters, span=span))
         if conflicts:
             self._patch_conflicts(tile, conflicts, start, counters)
         return self._apply_predicate(Batch(resolved, stop - start))
@@ -508,6 +537,7 @@ class TableScan:
                            counters: ScanCounters,
                            resolved: Dict[str, Optional[ColumnVector]],
                            fallback: List[AccessRequest],
+                           span: Optional[Tuple[int, int]],
                            early: List[Expression],
                            late: List[Expression]) -> Batch:
         """Selection-vector scan of one tile slice: early conjuncts run
@@ -527,7 +557,8 @@ class TableScan:
             keep &= verdict.data.astype(bool) & ~verdict.null_mask
         selection = None if keep.all() else np.flatnonzero(keep)
         decoded = self._fallback_group(tile, fallback, start, stop,
-                                       counters, selection=selection)
+                                       counters, selection=selection,
+                                       span=span)
         if selection is None:
             columns = {name: (decoded[name] if vector is None else vector)
                        for name, vector in resolved.items()}
@@ -616,18 +647,20 @@ class TableScan:
     def _fallback_group(self, tile: Tile, requests: List[AccessRequest],
                         start: int, stop: int,
                         counters: ScanCounters,
-                        selection: Optional[np.ndarray] = None) \
+                        selection: Optional[np.ndarray] = None,
+                        span: Optional[Tuple[int, int]] = None) \
             -> Dict[str, ColumnVector]:
         """*selection* (slice-local row offsets, or ``None`` for all)
         is the late-materialization selection vector: only selected
         tuples are decoded.  The cache path ignores it for *storing* —
         a miss still decodes the full tile so cache keys stay
         selection-independent — and applies it when slicing out the
-        result."""
+        result.  *span* is the union row span of the requests' paths
+        (``None``: the whole tile); rows outside it are NULL."""
         counters.fallback_tiles += len(requests)
         if not self.use_cache:
             return self._decode_fallback_group(tile, requests, start, stop,
-                                               counters, selection)
+                                               counters, selection, span)
         keys = {request.name: make_key(self.relation.name, tile.uid,
                                        request.path, request.target,
                                        request.as_text, request.probe)
@@ -651,7 +684,8 @@ class TableScan:
             # every later slice (this query or any concurrent one) is
             # a cache hit
             decoded = self._decode_fallback_group(tile, missing, 0,
-                                                  tile.row_count, counters)
+                                                  tile.row_count, counters,
+                                                  span=span)
             GLOBAL_TILE_CACHE.store_many(
                 (keys[name], vector) for name, vector in decoded.items())
             resolved.update(decoded)
@@ -670,24 +704,38 @@ class TableScan:
                                requests: List[AccessRequest],
                                start: int, stop: int,
                                counters: ScanCounters,
-                               selection: Optional[np.ndarray] = None) \
+                               selection: Optional[np.ndarray] = None,
+                               span: Optional[Tuple[int, int]] = None) \
             -> Dict[str, ColumnVector]:
         """Resolve a group of fallback requests over one tuple range.
 
-        ``fallback_lookups`` counts logical (tuple, path) resolutions —
-        identical whichever physical strategy runs below.  With a
-        *selection*, only the selected tuples count (the spared ones go
-        to ``fallback_rows_skipped``): the decode genuinely never
-        touches them."""
+        Only the run of tuples inside *span* (the union row span of the
+        requests' paths) is visited; the tuples before and after it are
+        NULL by construction of the span and are padded in bulk.
+        ``fallback_lookups`` counts the visited (tuple, path) pairs,
+        ``header_nulls`` the padded ones — identical whichever physical
+        strategy runs below.  With a *selection*, only the selected
+        tuples count (the spared ones go to ``fallback_rows_skipped``):
+        the decode genuinely never touches them."""
+        lo, hi = span if span is not None else (start, stop)
         if selection is None:
-            row_indices: Sequence[int] = range(start, stop)
+            first = min(max(start, lo), stop)
+            end = max(min(stop, hi), first)
+            run: Sequence[int] = range(first, end)
+            before, after = first - start, stop - end
         else:
-            row_indices = [start + int(offset) for offset in selection]
             counters.fallback_rows_skipped += \
-                ((stop - start) - len(row_indices)) * len(requests)
-        counters.fallback_lookups += len(row_indices) * len(requests)
+                ((stop - start) - len(selection)) * len(requests)
+            # the selection is sorted: the in-span run is one slice
+            cut = np.searchsorted(selection, (lo - start, hi - start))
+            run = (selection[cut[0]:cut[1]] + start).tolist()
+            before, after = int(cut[0]), len(selection) - int(cut[1])
+        counters.fallback_lookups += len(run) * len(requests)
+        counters.header_nulls += (before + after) * len(requests)
         builders = {request.name: ColumnBuilder(request.target)
                     for request in requests}
+        for builder in builders.values():
+            builder.extend_nulls(before)
         rows = tile.jsonb_rows
         if not self.multipath_shred:
             # ablation baseline: one full document traversal per path
@@ -695,21 +743,22 @@ class TableScan:
                 append = builders[request.name].append
                 getter = _jsonb_getter(request)
                 path = request.path
-                for row in row_indices:
+                for row in run:
                     value = JsonbValue(rows[row]).get_path(path)
                     append(None if value is None else getter(value))
-            return {name: builder.finish()
-                    for name, builder in builders.items()}
-        plan = self._plan_for(tuple(sorted({r.path for r in requests})))
-        slots = [(plan.slots[request.path], _jsonb_getter(request),
-                  builders[request.name].append) for request in requests]
-        for row in row_indices:
-            values = shred_jsonb(plan, rows[row])
-            for slot, getter, append in slots:
-                value = values[slot]
-                append(None if value is None else getter(value))
-        counters.shred_passes += len(row_indices)
-        counters.shred_paths += len(row_indices) * len(plan)
+        else:
+            plan = self._plan_for(tuple(sorted({r.path for r in requests})))
+            slots = [(plan.slots[request.path], _jsonb_getter(request),
+                      builders[request.name].append) for request in requests]
+            for row in run:
+                values = shred_jsonb(plan, rows[row])
+                for slot, getter, append in slots:
+                    value = values[slot]
+                    append(None if value is None else getter(value))
+            counters.shred_passes += len(run)
+            counters.shred_paths += len(run) * len(plan)
+        for builder in builders.values():
+            builder.extend_nulls(after)
         return {name: builder.finish() for name, builder in builders.items()}
 
     def _patch_conflicts(self, tile: Tile,

@@ -10,7 +10,8 @@ The binder performs, in one pass, the plan rewrites the paper describes:
   typed access directly instead of materializing text (disable with
   ``QueryOptions.enable_cast_rewriting=False`` to measure the
   overhead);
-* **decorrelation**: EXISTS / IN become semi/anti-join filters,
+* **decorrelation**: EXISTS / IN become semi/anti-join filters (NOT IN
+  a null-aware one, per SQL's three-valued logic),
   correlated scalar aggregates become grouped derived tables joined on
   their correlation keys, and uncorrelated scalar subqueries are left
   for the planner to evaluate eagerly.
@@ -299,7 +300,7 @@ class Binder:
         return SubqueryFilter(
             kind=kind, block=inner_block, outer_keys=[outer_key],
             inner_keys=[ex.ColumnRef(name, expr.result_type)],
-            residual=None, raw=False,
+            residual=None, raw=False, null_aware=kind == JoinKind.ANTI,
         )
 
     def _bind_scalar_comparison(self, op: str, other: ast.Node,

@@ -145,6 +145,15 @@ class ColumnVector:
         return self.data.tobytes() + np.packbits(self.null_mask).tobytes()
 
 
+def null_vector(column_type: ColumnType, length: int) -> ColumnVector:
+    """The all-NULL vector a :class:`ColumnBuilder` finishes to after
+    *length* :meth:`~ColumnBuilder.append_null` calls (same type, same
+    values under the mask)."""
+    data = np.full(length, _ZERO_FOR_TYPE[column_type],
+                   dtype=dtype_for(column_type))
+    return ColumnVector(column_type, data, np.ones(length, dtype=bool))
+
+
 def fits_int64(value: int) -> bool:
     """Whether an integer is representable in an INT64 column."""
     return -(2**63) <= value < 2**63
@@ -177,6 +186,12 @@ class ColumnBuilder:
     def append_null(self) -> None:
         self._values.append(_ZERO_FOR_TYPE[self.type])
         self._nulls.append(True)
+
+    def extend_nulls(self, count: int) -> None:
+        """*count* :meth:`append_null` calls at once."""
+        if count > 0:
+            self._values.extend([_ZERO_FOR_TYPE[self.type]] * count)
+            self._nulls.extend([True] * count)
 
     def _coerce(self, value: object) -> object:
         if self.type == ColumnType.INT64:

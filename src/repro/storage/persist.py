@@ -280,7 +280,7 @@ def _tile_payload_meta(tile: Tile, blobs: _BlobWriter) -> dict:
             "datetime": meta.is_datetime,
             "vector": _column_meta(column, blobs),
         })
-    return {
+    tile_meta = {
         "tile_number": header.tile_number,
         "row_count": header.row_count,
         "first_row": tile.first_row,
@@ -301,6 +301,18 @@ def _tile_payload_meta(tile: Tile, blobs: _BlobWriter) -> dict:
                          for path, entries in header.block_bounds.items()},
         "rows": blobs.add(_encode_rows(tile.jsonb_rows)),
     }
+    if header.leaf_spans is not None:
+        # leaf row spans (DESIGN.md §5i), grouped by span as
+        # [first, end, steps, steps, ...] (most paths of a tile share
+        # one span): raw step lists, not path text, so keys with dots
+        # or empty keys round-trip; container spans are re-derived at
+        # load
+        groups: Dict[Tuple[int, int], list] = {}
+        for path, span in header.leaf_spans.items():
+            groups.setdefault(span, []).append(list(path.steps))
+        tile_meta["spans"] = [[first, end, *paths]
+                              for (first, end), paths in groups.items()]
+    return tile_meta
 
 
 def _tile_meta(tile, blobs: _BlobWriter) -> dict:
@@ -340,6 +352,12 @@ def _restore_tile_header(meta: dict, blobs) -> TileHeader:
     header.block_bounds_rows = int(meta.get("block_rows", 0))
     for path_text, entries in (meta.get("block_bounds") or {}).items():
         header.block_bounds[KeyPath.parse(path_text)] = entries
+    # files written without row spans leave them None: those tiles
+    # decode every row, as before spans existed
+    if "spans" in meta:
+        header.set_leaf_spans({KeyPath(tuple(steps)): (first, end)
+                               for first, end, *paths in meta["spans"]
+                               for steps in paths})
     return header
 
 

@@ -7,7 +7,7 @@ JSON text format keeps the original strings instead and re-parses on
 access.
 
 Updates (Section 4.7) patch extracted column values in place, register
-new key paths in the tile's bloom filter, and trigger a tile
+new key paths in the tile's bloom filter and row spans, and trigger a tile
 recomputation once the majority of its tuples no longer match the
 extracted schema.
 """
@@ -351,11 +351,16 @@ class Relation:
             return
         handle = self.tile_of_row(row_id)
         local = row_id - handle.first_row
+        new_paths = [path for path, _jtype in collect_key_paths(
+            new_document, self.config.max_array_elements)]
         with handle.pinned() as tile:
             # the payload is about to diverge from its on-disk segment:
             # a dirty handle is never evicted, so the patch can't be
             # lost to a reload of stale bytes
             handle.mark_dirty()
+            # widen the row spans before the new bytes are visible, so
+            # a concurrent scan never answers a new path NULL from them
+            tile.header.widen_spans(new_paths, local)
             tile.jsonb_rows[local] = jsonb_encode(new_document)
             # the only in-place tile mutation in the system: resolved
             # fallback columns cached for this tile are now stale
@@ -387,8 +392,7 @@ class Relation:
             # every access path of the new document must be visible to
             # skipping, otherwise changed tiles could be skipped
             # incorrectly
-            for path, _jtype in collect_key_paths(
-                    new_document, self.config.max_array_elements):
+            for path in new_paths:
                 if path not in tile.columns:
                     tile.header.record_unextracted(path)
 

@@ -15,8 +15,8 @@ For every chunk of ``tile_size`` tuples the extractor
    types,
 4. recognizes date/time strings and materializes them as TIMESTAMP
    columns, and
-5. fills the tile header: statistics, key-path frequency database and
-   the bloom filter of non-extracted paths.
+5. fills the tile header: statistics, key-path frequency database, the
+   bloom filter of non-extracted paths and the row span of every path.
 
 Values that do not match the extracted type stay NULL in the column and
 remain reachable through the per-tuple JSONB fallback, preserving JSON
@@ -37,7 +37,7 @@ from repro.core.jsonpath import KeyPath
 from repro.core.types import COLUMN_TYPE_FOR_JSON, ColumnType, JsonType
 from repro.mining.dictionary import ItemDictionary, encode_documents
 from repro.storage.column import ColumnBuilder
-from repro.tiles.header import ExtractedColumn, TileHeader
+from repro.tiles.header import ExtractedColumn, Span, TileHeader, merge_span
 from repro.tiles.tile import Tile
 
 
@@ -200,6 +200,40 @@ def _block_bounds(vector, block_rows: int, num_rows: int) -> List[Optional[list]
     return entries
 
 
+def _first_rows(transactions: Sequence[Sequence[int]], rows: Sequence[int],
+                num_items: int) -> List[int]:
+    """For each item id, the first row of *rows* (in that order) whose
+    transaction holds it; stops as soon as every item has been seen."""
+    found = [0] * num_items
+    unseen = set(range(num_items))
+    for row in rows:
+        hit = unseen.intersection(transactions[row])
+        if hit:
+            for item_id in hit:
+                found[item_id] = row
+            unseen -= hit
+            if not unseen:
+                break
+    return found
+
+
+def leaf_spans(dictionary: ItemDictionary,
+               transactions: Sequence[Sequence[int]]) -> Dict[KeyPath, Span]:
+    """Row span ``[first, end)`` of every non-root key path in a tile's
+    (dictionary, transactions) pair — one forward and one backward scan
+    over the transactions the tile build already holds, each stopping
+    once every item has been seen.  Types of one path share its span."""
+    num_items = len(dictionary)
+    count = len(transactions)
+    first = _first_rows(transactions, range(count), num_items)
+    last = _first_rows(transactions, range(count - 1, -1, -1), num_items)
+    spans: Dict[KeyPath, Span] = {}
+    for (path, _jtype), item_id in dictionary.items():
+        if path.steps:
+            merge_span(spans, path, (first[item_id], last[item_id] + 1))
+    return spans
+
+
 def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
                config: ExtractionConfig, tile_number: int, first_row: int,
                schema: Optional[TileSchema] = None,
@@ -228,10 +262,14 @@ def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
                         level=level)
     started = time.perf_counter()
     if encoded is not None:
-        dictionary = encoded[0]
+        dictionary, transactions = encoded
     else:
-        dictionary, _transactions = encode_documents(
+        dictionary, transactions = encode_documents(
             documents, config.max_array_elements)
+    if config.max_array_elements > 0:
+        # with a zero cap a non-empty array records no item at all, so
+        # "not recorded" would no longer mean "absent"
+        header.set_leaf_spans(leaf_spans(dictionary, transactions))
     header.key_counts = dictionary.key_counts()
     for path_text, count in header.key_counts.items():
         header.statistics.observe_key(path_text, count)

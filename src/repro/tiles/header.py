@@ -6,17 +6,54 @@ types (the type-conflict flag needed for correct fallback accesses),
 whether nulls are possible, the key-path frequency database that seeded
 itemset mining, and a bloom filter over the paths that were *not*
 extracted (used by tile skipping, Section 4.8).
+
+Row spans (DESIGN.md §5i) extend what the header has seen from "which
+paths" to "which rows": every key path maps to the half-open range
+``[first, end)`` of tile rows that contain it, so a scan decodes only
+that range and answers an absent path NULL without opening a document.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.jsonpath import KeyPath
 from repro.core.types import ColumnType, JsonType
 from repro.stats.bloom import BloomFilter
 from repro.stats.table_stats import TileStatistics
+
+Span = Tuple[int, int]
+
+#: the span of a path no row of the tile contains
+EMPTY_SPAN: Span = (0, 0)
+
+
+def fold_spans(leaf_spans: Dict[KeyPath, Span]) -> Dict[KeyPath, Span]:
+    """Leaf spans plus every proper, non-root ancestor, whose span is
+    the union of its descendants' spans.  The item dictionary records
+    only leaves and empty containers, so a container's own rows are
+    exactly the rows of the leaves below it."""
+    spans = dict(leaf_spans)
+    for path, span in leaf_spans.items():
+        _merge_into_ancestors(spans, path, span)
+    return spans
+
+
+def _merge_into_ancestors(spans: Dict[KeyPath, Span], path: KeyPath,
+                          span: Span) -> None:
+    steps = path.steps
+    for depth in range(len(steps) - 1, 0, -1):
+        merge_span(spans, KeyPath(steps[:depth]), span)
+
+
+def merge_span(spans: Dict[KeyPath, Span], path: KeyPath, span: Span) -> None:
+    """Widen ``spans[path]`` to cover *span* (min / max of the ends)."""
+    old = spans.get(path)
+    if old is None:
+        spans[path] = span
+    elif span[0] < old[0] or span[1] > old[1]:
+        spans[path] = (min(old[0], span[0]), max(old[1], span[1]))
 
 
 @dataclass
@@ -67,6 +104,59 @@ class TileHeader:
         #: rows per bound-block (the extraction config's ``tile_size``
         #: at build time); 0 means no block bounds were recorded
         self.block_bounds_rows: int = 0
+        #: row span ``[first, end)`` of every recorded (non-root) leaf
+        #: path — what persists — and of those leaves plus their
+        #: container ancestors (:func:`fold_spans`) — what scans read.
+        #: ``None`` for tiles restored from files written without
+        #: spans: every path then spans the whole tile.
+        self.leaf_spans: Optional[Dict[KeyPath, Span]] = None
+        self.spans: Optional[Dict[KeyPath, Span]] = None
+
+    def set_leaf_spans(self, leaf_spans: Dict[KeyPath, Span]) -> None:
+        self.leaf_spans = leaf_spans
+        self.spans = fold_spans(leaf_spans)
+
+    def widen_spans(self, paths: Iterable[KeyPath], row: int) -> None:
+        """Row *row* now contains *paths* (an in-place update): widen
+        their spans and their ancestors'.  Spans never shrink — a
+        stale-wide span only costs decode work, never a wrong NULL."""
+        if self.spans is None:
+            return
+        span = (row, row + 1)
+        for path in paths:
+            if path.steps:
+                merge_span(self.leaf_spans, path, span)
+                merge_span(self.spans, path, span)
+                _merge_into_ancestors(self.spans, path, span)
+
+    def span_of(self, path: KeyPath) -> Span:
+        """Rows ``[first, end)`` outside which no row contains *path*.
+
+        An exact entry is returned as is.  A missing path with an array
+        step outside ``[0, max_array_elements)`` was never recorded (the
+        key-path collection stops at the cap, and negative steps count
+        from the end), so it takes its nearest recorded ancestor's span
+        — the rule :meth:`may_contain` follows.  Any other missing path
+        occurs in no row; the root path is the whole tile.
+        """
+        spans = self.spans
+        if spans is None:
+            return 0, self.row_count
+        span = spans.get(path)
+        if span is not None:
+            return span
+        cap = self.max_array_elements
+        if path.steps and not any(
+                isinstance(step, int) and not 0 <= step < cap
+                for step in path.steps):
+            return EMPTY_SPAN
+        current = path
+        while current.steps:
+            current = current.parent()
+            span = spans.get(current)
+            if span is not None:
+                return span
+        return 0, self.row_count
 
     def add_column(self, column: ExtractedColumn) -> None:
         self.columns[column.path] = column

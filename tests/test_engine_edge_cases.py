@@ -89,8 +89,69 @@ class TestNullTorture:
         result = db.sql(
             "select count(*) as n from t x where x.data->>'v'::int not in "
             "(select k.data->>'k'::int from keys k)")
-        # NULL probes keep NOT-EXISTS semantics: they survive
-        assert result.scalar() == 4
+        # SQL semantics: NULL NOT IN (1) is NULL, so the three NULL
+        # probes are dropped; only v = 2 survives (NOT EXISTS would
+        # keep the NULL probes — see TestNotInNullSemantics)
+        assert result.scalar() == 1
+
+
+class TestNotInNullSemantics:
+    """``x NOT IN (subquery)`` is a null-aware anti join; ``NOT EXISTS``
+    keeps plain anti-join semantics."""
+
+    def run(self, a, b, sql):
+        results = []
+        for storage in (StorageFormat.TILES, StorageFormat.JSONB):
+            for kernels in (True, False):
+                db = make_db(a, storage)
+                db.load_table("b", b)
+                results.append(db.sql(sql, QueryOptions(
+                    enable_kernels=kernels)).rows)
+        assert all(rows == results[0] for rows in results)
+        return results[0]
+
+    NOT_IN = ("select t.data->>'x'::int as x from t t where "
+              "t.data->>'x'::int not in (select b.data->>'y'::int as y "
+              "from b b{where}) order by x")
+
+    def test_null_in_subquery_rejects_every_row(self):
+        rows = self.run([{"x": 1}, {"x": 2}, {"x": 3}],
+                        [{"y": 1}, {"z": 5}],
+                        self.NOT_IN.format(where=""))
+        assert rows == []
+
+    def test_null_probe_rejected_when_subquery_non_empty(self):
+        rows = self.run([{"x": 1}, {"x": 2}, {"w": 3}],
+                        [{"y": 1}, {"y": 5}],
+                        self.NOT_IN.format(where=""))
+        assert rows == [(2,)]
+
+    def test_empty_subquery_keeps_every_row(self):
+        rows = self.run([{"x": 1}, {"x": 2}, {"w": 3}],
+                        [{"y": 1}, {"y": 5}],
+                        self.NOT_IN.format(
+                            where=" where b.data->>'y'::int > 100"))
+        assert rows == [(1,), (2,), (None,)]
+
+    def test_not_exists_keeps_null_probes(self):
+        rows = self.run(
+            [{"x": 1}, {"x": 2}, {"w": 3}], [{"y": 1}, {"z": 5}],
+            "select t.data->>'x'::int as x from t t where not exists ("
+            "select b.data->>'y' from b b where "
+            "b.data->>'y'::int = t.data->>'x'::int) order by x")
+        assert rows == [(2,), (None,)]
+
+    def test_explain_marks_the_join(self):
+        db = make_db([{"x": 1}])
+        db.load_table("b", [{"y": 1}])
+        assert "HashJoin [anti, null-aware]" in db.explain(
+            self.NOT_IN.format(where=""))
+
+    def test_in_is_unchanged(self):
+        rows = self.run([{"x": 1}, {"x": 2}, {"w": 3}],
+                        [{"y": 1}, {"z": 5}],
+                        self.NOT_IN.format(where="").replace("not in", "in"))
+        assert rows == [(1,)]
 
 
 class TestDuplicatesAndCollisions:

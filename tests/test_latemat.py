@@ -139,7 +139,12 @@ class TestTpchLatemat:
 
 def _selective_db(num_rows=512, tile_size=128):
     """Every row has an extracted int ``k`` plus four paths that stay
-    below the 60 % threshold in rotation, forcing fallback decodes."""
+    below the 60 % threshold in rotation, forcing fallback decodes.
+
+    Reordering is off: §3.2 would group each ``fb*`` key into a tile of
+    its own, where the header's row spans answer the other three keys
+    NULL without any decode — nothing would be left for the selection
+    vector to spare.  In load order every ``fb*`` key spans each tile."""
     rows = []
     for i in range(num_rows):
         doc = {"k": i, "v": float(i) / 4}
@@ -147,7 +152,8 @@ def _selective_db(num_rows=512, tile_size=128):
         doc[f"fb{i % 4}"] = f"payload-{i}"
         rows.append(doc)
     db = Database(StorageFormat.TILES,
-                  ExtractionConfig(tile_size=tile_size, partition_size=4))
+                  ExtractionConfig(tile_size=tile_size, partition_size=4,
+                                   enable_reordering=False))
     db.load_table("t", rows)
     return db
 
