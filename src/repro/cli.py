@@ -161,21 +161,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "out to their .jtile segments and "
                              "re-read on demand (default: unlimited, "
                              "or REPRO_MEMORY_MB; 0 = unlimited)")
-    parser.add_argument("--no-shred", action="store_true",
-                        help="resolve fallback paths one traversal per "
-                             "path instead of the single-pass "
-                             "multi-path shredder (ablation; also "
-                             "REPRO_MULTIPATH_SHRED=0)")
     parser.add_argument("--no-kernels", action="store_true",
                         help="disable the vectorized batch kernels "
                              "(group-by/join/sort) and run the "
                              "per-tuple reference paths instead "
                              "(ablation; also REPRO_KERNELS=0)")
-    parser.add_argument("--no-latemat", action="store_true",
-                        help="disable late materialization and always "
-                             "decode fallback columns for every row "
-                             "of a surviving tile "
-                             "(ablation; also REPRO_LATEMAT=0)")
     parser.add_argument("--checkpoint-interval", type=float, default=60.0,
                         metavar="SECONDS",
                         help="periodic checkpoint cadence (0 disables)")
@@ -244,9 +234,7 @@ def serve_main(argv: List[str], out, role: str = "server") -> int:
             parallelism=args.workers,
             cache_mb=args.cache_mb,
             memory_mb=args.memory_mb,
-            multipath_shred=not args.no_shred,
             enable_kernels=not args.no_kernels,
-            late_materialization=not args.no_latemat,
             checkpoint_interval=args.checkpoint_interval or None,
             maintenance=args.maintenance or args.lsm,
             maintenance_config=maintenance_config,

@@ -120,8 +120,7 @@ def vector_to_arrow(vector: ColumnVector, pa=None):
 
 def relation_to_arrow(relation,
                       paths: Optional[List[Tuple[KeyPath,
-                                                 ColumnType]]] = None,
-                      options=None):
+                                                 ColumnType]]] = None):
     """Export *relation* as a ``pyarrow.Table``.
 
     *paths* defaults to :func:`default_export_paths`; pass an explicit
@@ -138,9 +137,7 @@ def relation_to_arrow(relation,
     names = [request.name for request in requests]
     scan = TableScan(relation, requests,
                      batch_rows=max(1, relation.config.tile_size),
-                     enable_skipping=False,
-                     multipath_shred=(options.enable_multipath_shred
-                                      if options is not None else True))
+                     enable_skipping=False)
     record_batches = []
     for batch in scan.batches():
         arrays = [vector_to_arrow(batch.column(name), pa)

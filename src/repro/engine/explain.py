@@ -47,16 +47,14 @@ def _describe(node, analyze: bool = False) -> str:
         if node.range_prunes:
             prunes = f", zone maps on " \
                      f"{sorted({str(p.path) for p in node.range_prunes})}"
-        predicate = ", filtered" if node.predicate is not None else ""
+        predicate = ", filtered" if node.predicates else ""
         workers = (f", parallelism={node.parallelism}"
                    if node.parallelism > 1 else "")
         cache = ", cached" if node.use_cache else ""
-        shred = ", shredded" if node.multipath_shred else ""
-        latemat = ", late-materialized" if node.late_materialization else ""
         text = (f"TableScan {node.relation.name} "
                 f"[{node.relation.format.value}] "
                 f"({len(node.requests)} accesses{predicate}{skips}{prunes}"
-                f"{workers}{cache}{shred}{latemat})")
+                f"{workers}{cache})")
         if analyze:
             stats = ", ".join(f"{name}={value}" for name, value
                               in node.counters.as_dict().items())

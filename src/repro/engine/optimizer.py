@@ -561,15 +561,12 @@ class Planner:
                 source.relation,
                 list(source.requests.values()),
                 predicates=list(item.filters),
-                late_materialization=(
-                    self.options.enable_late_materialization),
                 skip_paths=sorted(item.skip_paths),
                 range_prunes=self._range_prunes(source, item.filters),
                 enable_skipping=self.options.enable_skipping,
                 batch_rows=self.options.batch_rows,
                 parallelism=self.options.parallelism,
                 use_cache=self.options.tile_cache,
-                multipath_shred=self.options.enable_multipath_shred,
             )
             self.scans.append(scan)
             return scan

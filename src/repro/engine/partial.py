@@ -237,14 +237,12 @@ def _fragment_scan(planner: Planner, source: ScanSource,
         source.relation,
         list(source.requests.values()),
         predicates=item.filters + list(extra_predicates),
-        late_materialization=options.enable_late_materialization,
         skip_paths=sorted(item.skip_paths),
         range_prunes=planner._range_prunes(source, item.filters),
         enable_skipping=options.enable_skipping,
         batch_rows=options.batch_rows,
         parallelism=1,  # chunk tasks parallelize instead
         use_cache=options.tile_cache,
-        multipath_shred=options.enable_multipath_shred,
     )
 
 

@@ -26,28 +26,10 @@ def _default_tile_cache() -> bool:
         "1", "true", "yes", "on")
 
 
-def _default_multipath_shred() -> bool:
-    """On unless ``REPRO_MULTIPATH_SHRED`` disables it (benchmarks
-    ablate the single-pass shredder against per-path traversal)."""
-    raw = os.environ.get("REPRO_MULTIPATH_SHRED", "")
-    if not raw:
-        return True
-    return raw.lower() in ("1", "true", "yes", "on")
-
-
 def _default_kernels() -> bool:
     """On unless ``REPRO_KERNELS`` disables it (differential tests and
     benchmarks ablate the batch kernels against the per-tuple paths)."""
     raw = os.environ.get("REPRO_KERNELS", "")
-    if not raw:
-        return True
-    return raw.lower() in ("1", "true", "yes", "on")
-
-
-def _default_latemat() -> bool:
-    """On unless ``REPRO_LATEMAT`` disables it (differential tests
-    ablate the selection-vector scan against eager materialization)."""
-    raw = os.environ.get("REPRO_LATEMAT", "")
     if not raw:
         return True
     return raw.lower() in ("1", "true", "yes", "on")
@@ -212,22 +194,11 @@ class QueryOptions:
     #: share resolved fallback columns across queries through the
     #: process-wide LRU (server default; embedded opt-in).
     tile_cache: bool = field(default_factory=_default_tile_cache)
-    #: resolve all of a tuple's fallback paths in one JSONB walk
-    #: (Sinew/Dremel-style shredding) instead of one traversal per
-    #: path; off reproduces the per-path baseline for ablation.
-    enable_multipath_shred: bool = field(
-        default_factory=_default_multipath_shred)
     #: batch kernels (engine/kernels.py): vectorized generic GROUP BY,
     #: composite/string-key join probe, lexsort ORDER BY.  Off runs the
     #: per-tuple reference paths; results are bit-identical either way
     #: (the differential suite asserts it).
     enable_kernels: bool = field(default_factory=_default_kernels)
-    #: late materialization (DESIGN.md §9): evaluate extracted-only
-    #: filter conjuncts first and decode fallback/JSONB columns only
-    #: for the surviving rows; per-tile decline keeps results
-    #: bit-identical to eager materialization either way.
-    enable_late_materialization: bool = field(
-        default_factory=_default_latemat)
     #: plan-fragment execution (DESIGN.md §10): route partial-capable
     #: blocks through the two-phase fragment IR even on a single node,
     #: where the exchange is an in-process pass-through.  Off runs the

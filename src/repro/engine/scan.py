@@ -25,22 +25,19 @@ paths.
 
 All fallback sites shred *every* requested path of a tuple in one pass
 over its binary representation (``repro.jsonb.shred``, Sinew/Dremel
-style) instead of walking the document once per path; the
-``multipath_shred`` switch restores the per-path traversal for
-ablation.  Counter semantics are independent of the switch:
-``fallback_lookups`` counts (tuple, path) resolutions that visit the
-binary, ``header_nulls`` those the row spans answered NULL instead, so
-Table-5-style numbers are comparable between modes, while
-``shred_passes`` / ``shred_paths`` expose the physical walk sharing.
+style) instead of walking the document once per path.
+``fallback_lookups`` counts the (tuple, path) resolutions that visit
+the binary (Table-5-style), ``header_nulls`` those the row spans
+answered NULL instead, while ``shred_passes`` / ``shred_paths`` expose
+the physical walk sharing.
 
-Late materialization (DESIGN.md §9): when the pushed-down predicate
-splits into conjuncts that only touch directly-resolved (extracted)
-columns and conjuncts that need the fallback, the scan evaluates the
-cheap conjuncts first and decodes fallback columns only for the rows
-that survive.  The contract is bit-identical-or-decline: a tile whose
-slice needs Section 3.4 conflict patching, or whose predicate has no
-extracted-only conjunct, falls back to full materialization for that
-tile (counted in ``latemat_declines``).  With late materialization on,
+Late materialization (DESIGN.md §9): every tile slice is one
+selection-vector scan.  The directly-resolved (extracted) columns are
+resolved and their Section 3.4 conflicts patched, the conjuncts that
+only touch them run first, fallback columns are decoded only for the
+rows that survive, and the remaining conjuncts run on the completed
+batch.  A slice with no extracted-only conjunct is the degenerate case:
+every row is decoded once and every conjunct applied once.
 ``fallback_lookups`` counts the *selected* tuples only — the rows the
 selection vector spared are in ``fallback_rows_skipped``.
 """
@@ -59,7 +56,7 @@ from repro.core.datetimes import parse_datetime_string
 from repro.core.jsonpath import KeyPath
 from repro.core.types import ColumnType, float_to_int
 from repro.engine.batch import Batch
-from repro.engine.expressions import BoolAnd, Expression
+from repro.engine.expressions import Expression
 from repro.engine.functions import PROBES, probe_text
 from repro.engine.morsels import Morsel, canonical_chop, run_ordered
 from repro.jsonb.access import JsonbValue
@@ -166,11 +163,6 @@ class ScanCounters:
     #: selection vector avoided: rows the cheap extracted-column
     #: conjuncts already rejected were never shredded.
     fallback_rows_skipped: int = 0
-    #: tiles where late materialization was requested but declined —
-    #: the slice needed Section 3.4 conflict patching, or no conjunct
-    #: was evaluable on extracted columns alone (full materialization
-    #: ran instead; results are identical either way).
-    latemat_declines: int = 0
     #: build-side rows shipped by a broadcast-join exchange (DESIGN.md
     #: §10): the merged build relation's row count times the number of
     #: shards it was broadcast to.  0 for single-node and gather runs.
@@ -228,41 +220,25 @@ class TableScan:
     formats), resolving the access requests."""
 
     def __init__(self, relation: Relation, requests: Sequence[AccessRequest],
-                 predicate: Optional[Expression] = None,
+                 predicates: Sequence[Expression] = (),
                  skip_paths: Sequence[KeyPath] = (),
                  range_prunes: Sequence[RangePrune] = (),
                  enable_skipping: bool = True,
                  batch_rows: int = 4096,
                  parallelism: int = 1,
-                 use_cache: bool = False,
-                 multipath_shred: bool = True,
-                 predicates: Optional[Sequence[Expression]] = None,
-                 late_materialization: bool = False):
+                 use_cache: bool = False):
         self.relation = relation
         self.requests = list(requests)
         #: pushed-down predicate as an ANDed conjunct list — the unit
-        #: the late-materialization split works on.  ``predicate`` (a
-        #: single folded tree) is kept for callers that build one
-        #: expression; both spellings evaluate identically (Kleene AND
-        #: keep-masks intersect).
-        if predicates is not None:
-            self.predicates: List[Expression] = list(predicates)
-            folded = None
-            for conjunct in self.predicates:
-                folded = conjunct if folded is None else BoolAnd(folded,
-                                                                 conjunct)
-            self.predicate = folded
-        else:
-            self.predicate = predicate
-            self.predicates = [] if predicate is None else [predicate]
-        self.late_materialization = late_materialization
+        #: the late-materialization split works on (Kleene AND
+        #: keep-masks intersect, so conjunct order is immaterial)
+        self.predicates: List[Expression] = list(predicates)
         self.skip_paths = list(skip_paths)
         self.range_prunes = list(range_prunes)
         self.enable_skipping = enable_skipping
         self.batch_rows = batch_rows
         self.parallelism = max(1, parallelism)
         self.use_cache = use_cache
-        self.multipath_shred = multipath_shred
         self.counters = ScanCounters()
         self._counters_lock = threading.Lock()
         #: ``level -> tiles scanned`` histogram filled at morsel
@@ -279,8 +255,6 @@ class TableScan:
         folds row-local residuals in here; keep-mask intersection makes
         the order immaterial)."""
         self.predicates.append(conjunct)
-        self.predicate = conjunct if self.predicate is None else BoolAnd(
-            self.predicate, conjunct)
 
     # ------------------------------------------------------------------
     # morsel enumeration + dispatch
@@ -341,15 +315,16 @@ class TableScan:
         worker thread (counters fold under a lock)."""
         local = ScanCounters()
         if morsel.tile is None:
-            batch = self._apply_predicate(
-                self._resolve_text(morsel.start, morsel.stop, local))
+            batch = _filter_batch(
+                self._resolve_text(morsel.start, morsel.stop, local),
+                self.predicates)
         else:
             # pin for the duration of the morsel: the payload cannot be
             # evicted while its columns are being sliced (the produced
             # batch keeps the underlying arrays alive by reference, so
             # eviction after unpin is safe).  _resolve_tile applies the
-            # pushed predicates itself — the late-materialization path
-            # needs them *before* the fallback columns exist.
+            # pushed predicates itself — the early conjuncts run
+            # *before* the fallback columns exist.
             with morsel.tile.pinned(local) as tile:
                 batch = self._resolve_tile(tile, morsel.start,
                                            morsel.stop, local)
@@ -429,20 +404,21 @@ class TableScan:
                 return True
         return False
 
-    def _apply_predicate(self, batch: Batch) -> Batch:
-        if self.predicate is None or batch.length == 0:
-            return batch
-        verdict = self.predicate.evaluate(batch)
-        keep = verdict.data.astype(bool) & ~verdict.null_mask
-        if keep.all():
-            return batch
-        return batch.filter(keep)
-
     # ------------------------------------------------------------------
     # resolution per tile
 
     def _resolve_tile(self, tile: Tile, start: int, stop: int,
                       counters: ScanCounters) -> Batch:
+        """Selection-vector scan of one tile slice (DESIGN.md §9):
+        resolve the direct columns, patch their Section 3.4 conflicts,
+        run the conjuncts evaluable on them alone (*early*), decode the
+        fallback columns for the surviving rows only, and run the other
+        conjuncts (*late*) on the completed batch.  Keep-mask
+        intersection over conjuncts equals evaluating their Kleene AND,
+        and each row's shred is independent of its neighbours, so the
+        surviving rows and every column value do not depend on the
+        split; an empty early set decodes every row once."""
+        total = stop - start
         resolved: Dict[str, Optional[ColumnVector]] = {}
         fallback: List[AccessRequest] = []
         conflicts: List[Tuple[AccessRequest, ColumnVector, np.ndarray]] = []
@@ -470,8 +446,8 @@ class TableScan:
                     if first >= end:
                         # absent from the tile: NULL without a decode
                         resolved[request.name] = null_vector(
-                            request.target, stop - start)
-                        counters.header_nulls += stop - start
+                            request.target, total)
+                        counters.header_nulls += total
                         continue
                     span_lo = min(span_lo, first)
                     span_hi = max(span_hi, end)
@@ -492,27 +468,34 @@ class TableScan:
                                           direct.null_mask)
                     conflicts.append((request, direct, stored_nulls))
             resolved[request.name] = direct
-        span = (span_lo, span_hi) if header is not None else None
-        if self.late_materialization and fallback and self.predicates:
-            # late materialization (DESIGN.md §9): filter on the cheap
-            # directly-resolved columns first, decode the fallback only
-            # for surviving rows.  Decline to the eager path — full
-            # materialization, identical results — when the slice needs
-            # conflict patching (a cheap conjunct must never see an
-            # unpatched outlier NULL) or when no conjunct is evaluable
-            # on extracted columns alone.
-            early, late = self._split_predicates(resolved)
-            if early and not conflicts:
-                return self._resolve_tile_late(tile, start, stop, counters,
-                                               resolved, fallback, span,
-                                               early, late)
-            counters.latemat_declines += 1
-        if fallback:
-            resolved.update(self._fallback_group(tile, fallback, start,
-                                                 stop, counters, span=span))
+        # patched before the split, so an early conjunct never sees an
+        # unpatched outlier NULL
         if conflicts:
             self._patch_conflicts(tile, conflicts, start, counters)
-        return self._apply_predicate(Batch(resolved, stop - start))
+        early, late = self._split_predicates(resolved)
+        keep = None
+        if early:
+            direct_batch = Batch({name: vector for name, vector
+                                  in resolved.items() if vector is not None},
+                                 total)
+            keep = np.ones(total, dtype=bool)
+            for conjunct in early:
+                keep &= _keep_mask(conjunct, direct_batch)
+            if keep.all():
+                keep = None
+        selection = None if keep is None else np.flatnonzero(keep)
+        decoded: Dict[str, ColumnVector] = {}
+        if fallback:
+            span = (span_lo, span_hi) if header is not None else None
+            decoded = self._fallback_group(tile, fallback, start, stop,
+                                           counters, selection=selection,
+                                           span=span)
+        columns = {name: (decoded[name] if vector is None
+                          else vector if keep is None
+                          else vector.filter(keep))
+                   for name, vector in resolved.items()}
+        batch = Batch(columns, total if selection is None else len(selection))
+        return _filter_batch(batch, late)
 
     def _split_predicates(
             self, resolved: Dict[str, Optional[ColumnVector]]
@@ -532,50 +515,6 @@ class TableScan:
             else:
                 late.append(conjunct)
         return early, late
-
-    def _resolve_tile_late(self, tile: Tile, start: int, stop: int,
-                           counters: ScanCounters,
-                           resolved: Dict[str, Optional[ColumnVector]],
-                           fallback: List[AccessRequest],
-                           span: Optional[Tuple[int, int]],
-                           early: List[Expression],
-                           late: List[Expression]) -> Batch:
-        """Selection-vector scan of one tile slice: early conjuncts run
-        on the direct columns, the selection they produce gates the
-        fallback decode, late conjuncts run on the completed batch.
-        Keep-mask intersection over conjuncts equals evaluating the
-        folded Kleene AND, and the per-row shred is independent of its
-        neighbours — so the surviving rows, their order and every
-        column value are bit-identical to the eager path."""
-        total = stop - start
-        direct_batch = Batch({name: vector for name, vector
-                              in resolved.items() if vector is not None},
-                             total)
-        keep = np.ones(total, dtype=bool)
-        for conjunct in early:
-            verdict = conjunct.evaluate(direct_batch)
-            keep &= verdict.data.astype(bool) & ~verdict.null_mask
-        selection = None if keep.all() else np.flatnonzero(keep)
-        decoded = self._fallback_group(tile, fallback, start, stop,
-                                       counters, selection=selection,
-                                       span=span)
-        if selection is None:
-            columns = {name: (decoded[name] if vector is None else vector)
-                       for name, vector in resolved.items()}
-            batch = Batch(columns, total)
-        else:
-            columns = {name: (decoded[name] if vector is None
-                              else vector.filter(keep))
-                       for name, vector in resolved.items()}
-            batch = Batch(columns, len(selection))
-        for conjunct in late:
-            if batch.length == 0:
-                break
-            verdict = conjunct.evaluate(batch)
-            keep_late = verdict.data.astype(bool) & ~verdict.null_mask
-            if not keep_late.all():
-                batch = batch.filter(keep_late)
-        return batch
 
     def _convert_column(self, column: ColumnVector, meta, request,
                         start: int, stop: int) -> Optional[ColumnVector]:
@@ -711,12 +650,12 @@ class TableScan:
 
         Only the run of tuples inside *span* (the union row span of the
         requests' paths) is visited; the tuples before and after it are
-        NULL by construction of the span and are padded in bulk.
+        NULL by construction of the span and are padded in bulk.  Each
+        visited tuple is shredded once for all the requests' paths.
         ``fallback_lookups`` counts the visited (tuple, path) pairs,
-        ``header_nulls`` the padded ones — identical whichever physical
-        strategy runs below.  With a *selection*, only the selected
-        tuples count (the spared ones go to ``fallback_rows_skipped``):
-        the decode genuinely never touches them."""
+        ``header_nulls`` the padded ones.  With a *selection*, only the
+        selected tuples count (the spared ones go to
+        ``fallback_rows_skipped``): the decode never touches them."""
         lo, hi = span if span is not None else (start, stop)
         if selection is None:
             first = min(max(start, lo), stop)
@@ -737,26 +676,16 @@ class TableScan:
         for builder in builders.values():
             builder.extend_nulls(before)
         rows = tile.jsonb_rows
-        if not self.multipath_shred:
-            # ablation baseline: one full document traversal per path
-            for request in requests:
-                append = builders[request.name].append
-                getter = _jsonb_getter(request)
-                path = request.path
-                for row in run:
-                    value = JsonbValue(rows[row]).get_path(path)
-                    append(None if value is None else getter(value))
-        else:
-            plan = self._plan_for(tuple(sorted({r.path for r in requests})))
-            slots = [(plan.slots[request.path], _jsonb_getter(request),
-                      builders[request.name].append) for request in requests]
-            for row in run:
-                values = shred_jsonb(plan, rows[row])
-                for slot, getter, append in slots:
-                    value = values[slot]
-                    append(None if value is None else getter(value))
-            counters.shred_passes += len(run)
-            counters.shred_paths += len(run) * len(plan)
+        plan = self._plan_for(tuple(sorted({r.path for r in requests})))
+        slots = [(plan.slots[request.path], _jsonb_getter(request),
+                  builders[request.name].append) for request in requests]
+        for row in run:
+            values = shred_jsonb(plan, rows[row])
+            for slot, getter, append in slots:
+                value = values[slot]
+                append(None if value is None else getter(value))
+        counters.shred_passes += len(run)
+        counters.shred_paths += len(run) * len(plan)
         for builder in builders.values():
             builder.extend_nulls(after)
         return {name: builder.finish() for name, builder in builders.items()}
@@ -769,23 +698,13 @@ class TableScan:
         when the *stored* extracted value is NULL (a type outlier).
         All conflicted requests of the tile patch in one pass: each
         outlier tuple is shredded once for every conflicted path."""
-        for _request, _vector, stored_nulls in conflicts:
-            counters.fallback_lookups += int(np.count_nonzero(stored_nulls))
-        if not self.multipath_shred or len(conflicts) == 1:
-            for request, vector, stored_nulls in conflicts:
-                path = request.path
-                for local in np.flatnonzero(stored_nulls):
-                    value = JsonbValue(
-                        tile.jsonb_rows[start + int(local)]).get_path(path)
-                    _patch_slot(vector, int(local), value, request)
-            return
         plan = self._plan_for(tuple(sorted({r.path for r, _v, _n
                                             in conflicts})))
         needed = np.zeros(len(conflicts[0][2]), dtype=bool)
         for _request, _vector, stored_nulls in conflicts:
+            counters.fallback_lookups += int(np.count_nonzero(stored_nulls))
             needed |= stored_nulls
-        for local in np.flatnonzero(needed):
-            local = int(local)
+        for local in np.flatnonzero(needed).tolist():
             values = shred_jsonb(plan, tile.jsonb_rows[start + local])
             counters.shred_passes += 1
             for request, vector, stored_nulls in conflicts:
@@ -798,9 +717,8 @@ class TableScan:
                       counters: ScanCounters) -> Batch:
         # Raw text storage (PostgreSQL `json` / Hyper): the full-parse
         # cost the paper's JSON competitor pays.  Each document is
-        # parsed *once* per scan and shared by every access request;
-        # with shredding on, the parsed value is walked once for all
-        # requested paths too.
+        # parsed *once* per scan and shared by every access request,
+        # and the parsed value is walked once for all requested paths.
         rows = self.relation.text_rows or []
         chunk = rows[start:stop]
         counters.rows_scanned += len(chunk)
@@ -819,25 +737,36 @@ class TableScan:
         counters.fallback_tiles += len(requests)
         builders = {request.name: ColumnBuilder(request.target)
                     for request in requests}
-        if self.multipath_shred:
-            plan = self._plan_for(tuple(sorted({r.path for r in requests})))
-            slots = [(plan.slots[request.path], request,
-                      builders[request.name].append) for request in requests]
-            for row in chunk:
-                values = shred_python(plan, json.loads(row))
-                for slot, request, append in slots:
-                    append(_typed_from_python(values[slot], request))
-            counters.shred_passes += len(chunk)
-            counters.shred_paths += len(chunk) * len(plan)
-        else:
-            for row in chunk:
-                document = json.loads(row)
-                for request in requests:
-                    builders[request.name].append(_typed_from_python(
-                        request.path.lookup(document), request))
+        plan = self._plan_for(tuple(sorted({r.path for r in requests})))
+        slots = [(plan.slots[request.path], request,
+                  builders[request.name].append) for request in requests]
+        for row in chunk:
+            values = shred_python(plan, json.loads(row))
+            for slot, request, append in slots:
+                append(_typed_from_python(values[slot], request))
+        counters.shred_passes += len(chunk)
+        counters.shred_paths += len(chunk) * len(plan)
         for name, builder in builders.items():
             columns[name] = builder.finish()
         return Batch(columns, len(chunk))
+
+
+def _keep_mask(conjunct: Expression, batch: Batch) -> np.ndarray:
+    """Rows where *conjunct* is TRUE (Kleene: NULL and FALSE drop)."""
+    verdict = conjunct.evaluate(batch)
+    return verdict.data.astype(bool) & ~verdict.null_mask
+
+
+def _filter_batch(batch: Batch, conjuncts: Sequence[Expression]) -> Batch:
+    """Apply ANDed *conjuncts* one at a time, each to the rows the
+    previous ones kept."""
+    for conjunct in conjuncts:
+        if batch.length == 0:
+            break
+        keep = _keep_mask(conjunct, batch)
+        if not keep.all():
+            batch = batch.filter(keep)
+    return batch
 
 
 def _int64_to_text(data: np.ndarray) -> np.ndarray:

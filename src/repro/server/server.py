@@ -97,9 +97,7 @@ class JsonTilesServer:
                  parallelism: int = 1,
                  cache_mb: float = 64.0,
                  memory_mb: Optional[float] = None,
-                 multipath_shred: Optional[bool] = None,
                  enable_kernels: Optional[bool] = None,
-                 late_materialization: Optional[bool] = None,
                  checkpoint_interval: Optional[float] = None,
                  maintenance: bool = False,
                  maintenance_config: Optional[MaintenanceConfig] = None,
@@ -125,19 +123,10 @@ class JsonTilesServer:
         self.default_options = QueryOptions(
             parallelism=self.parallelism,
             tile_cache=cache_mb > 0)
-        if multipath_shred is not None:
-            # None keeps the QueryOptions default (on, or the
-            # REPRO_MULTIPATH_SHRED override)
-            self.default_options.enable_multipath_shred = multipath_shred
         if enable_kernels is not None:
             # None keeps the QueryOptions default (on, or the
             # REPRO_KERNELS override)
             self.default_options.enable_kernels = enable_kernels
-        if late_materialization is not None:
-            # None keeps the QueryOptions default (on, or the
-            # REPRO_LATEMAT override)
-            self.default_options.enable_late_materialization = \
-                late_materialization
         self.checkpoint_interval = checkpoint_interval
         #: online maintenance (DESIGN.md §6d): tile health, §3.2
         #: reordering and re-extraction as a background asyncio task

@@ -757,7 +757,7 @@ class Relation:
             return 1.0 if not tile.header.columns else 0.0
         return len(tile.header.columns) / len(tile.header.key_counts)
 
-    def to_arrow(self, paths=None, options=None):
+    def to_arrow(self, paths=None):
         """Export the relation as a ``pyarrow.Table`` (zero-copy for
         fixed-width columns; see ``repro.engine.arrow_export``).
 
@@ -772,7 +772,7 @@ class Relation:
         from repro.engine.arrow_export import relation_to_arrow
 
         self.flush_inserts()
-        return relation_to_arrow(self, paths=paths, options=options)
+        return relation_to_arrow(self, paths=paths)
 
     def describe(self) -> str:
         lines = [f"relation {self.name}: {self.row_count} rows, "

@@ -1,0 +1,48 @@
+"""Reference variants of the one fallback scan path, for differentials.
+
+The scan has one physical path; these context managers swap a single
+step of it for the reference that step must equal, leaving everything
+around it — extracted columns, row spans, conflict patching, selection
+vectors and the counters — the scan's own:
+
+* :func:`per_path_walk` replaces the single-pass shredder with one
+  ``JsonbValue(row).get_path(path)`` traversal per (tuple, path), and
+  ``KeyPath.lookup`` on the parsed document for the raw-text format;
+* :func:`all_conjuncts_late` makes every pushed-down conjunct *late*:
+  no selection vector is built, every row of a tile slice is decoded
+  and the conjuncts filter the completed batch (eager materialization).
+"""
+
+import contextlib
+
+import pytest
+
+from repro.engine import scan
+from repro.jsonb.access import JsonbValue
+
+
+def _jsonb_per_path(plan, buffer):
+    return [JsonbValue(buffer).get_path(path) for path in plan.paths]
+
+
+def _python_per_path(plan, document):
+    return [path.lookup(document) for path in plan.paths]
+
+
+@contextlib.contextmanager
+def per_path_walk(enabled=True):
+    """Swap in the per-path walk (a no-op when *enabled* is false, so
+    callers can draw the variant as a parameter)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if enabled:
+            patch.setattr(scan, "shred_jsonb", _jsonb_per_path)
+            patch.setattr(scan, "shred_python", _python_per_path)
+        yield
+
+
+@contextlib.contextmanager
+def all_conjuncts_late():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scan.TableScan, "_split_predicates",
+                      lambda self, resolved: ([], list(self.predicates)))
+        yield

@@ -167,33 +167,42 @@ def databases():
     return out
 
 
+def run_sql(db, sql, **options):
+    """Run *sql*; with ``tile_cache`` on, from an empty cache (a miss
+    decodes whole tiles, the selection applies to the cached vectors)."""
+    GLOBAL_TILE_CACHE.clear()
+    try:
+        return db.sql(sql, QueryOptions(**options))
+    finally:
+        GLOBAL_TILE_CACHE.clear()
+
+
 class TestSqlDifferential:
-    @pytest.mark.parametrize("shred", [True, False])
+    @pytest.mark.parametrize("cache", [True, False])
     @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
-    def test_select_matches_python(self, databases, fmt, shred):
-        options = QueryOptions(enable_multipath_shred=shred,
-                               tile_cache=False)
+    def test_select_matches_python(self, databases, fmt, cache):
         columns = ", ".join(f"{sql} as c{i}"
                             for i, (sql, _f) in enumerate(PROBE_SQL))
-        result = databases[fmt].sql(
+        result = run_sql(
+            databases[fmt],
             f"select x.data->>'id'::int as id, {columns} from t x "
-            f"order by id", options)
+            f"order by id", tile_cache=cache)
         expected = [(doc["id"], *(reference(doc)
                                   for _sql, reference in PROBE_SQL))
                     for doc in DOCS]
         assert result.rows == expected
 
-    @pytest.mark.parametrize("shred", [True, False])
+    @pytest.mark.parametrize("cache", [True, False])
     @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
-    def test_filter_with_extracted_conjunct(self, databases, fmt, shred):
+    def test_filter_with_extracted_conjunct(self, databases, fmt, cache):
         # the extracted conjunct runs first (late materialization); the
         # probe only sees the surviving rows.  Plan-time sampling
         # evaluates the probe on sampled documents too.
-        options = QueryOptions(enable_multipath_shred=shred,
-                               tile_cache=False, enable_sampling=True)
-        result = databases[fmt].sql(
+        result = run_sql(
+            databases[fmt],
             "select count(*) as n from t x where x.data->>'id'::int > 40 "
-            "and json_contains(x.data->'arr', 'k', 'y')", options)
+            "and json_contains(x.data->'arr', 'k', 'y')",
+            tile_cache=cache, enable_sampling=True)
         assert result.scalar() == sum(
             1 for doc in DOCS if doc["id"] > 40
             and json_contains(doc.get("arr"), "k", "y"))

@@ -1,14 +1,16 @@
 """Differential suite for late materialization (DESIGN.md §9).
 
 The selection-vector scan must be invisible in results: every query of
-the twitter / yelp / TPC-H workloads returns bit-identical rows with
-``enable_late_materialization`` on vs off, serial and parallel, with
-LSM compaction forced on vs left off.  The counters prove the path
-actually engaged (``fallback_rows_skipped`` > 0 on selective queries
-that project fallback paths) or declined honestly
-(``latemat_declines`` with type-conflicted columns).  Block-granular
-zone maps (``blocks_pruned``) are exercised on LSM-merged tiles, the
-shape where a single tile spans many canonical-chop blocks.
+the twitter / yelp / TPC-H workloads returns bit-identical rows as
+planned and with every conjunct forced late — the empty-early-set case
+of the same scan, where every row is decoded and then filtered
+(``tests/reference_scans.py``) — serial and parallel, with LSM
+compaction forced on vs left off.  The counters prove the selection
+vector actually engaged (``fallback_rows_skipped`` > 0 on selective
+queries that project fallback paths), including on tiles with
+type-conflicted columns.  Block-granular zone maps (``blocks_pruned``)
+are exercised on LSM-merged tiles, the shape where a single tile spans
+many canonical-chop blocks.
 """
 
 import struct
@@ -28,6 +30,7 @@ from repro.storage.persist import open_database, save_database
 from repro.workloads import twitter, yelp
 from repro.workloads.tpch import TPCH_QUERIES
 from repro.workloads.tpch import make_database as make_tpch
+from tests.reference_scans import all_conjuncts_late
 
 CONFIG = ExtractionConfig(tile_size=128, partition_size=4)
 
@@ -48,14 +51,14 @@ def assert_bit_identical(reference, candidate, context=""):
 
 
 def run_on_off(db, sql, batch_rows=64, parallelism=1, **kwargs):
-    """Execute with late materialization on and off; rows must match
-    bit for bit.  Returns ``(on, off)`` for counter assertions."""
-    on = db.sql(sql, QueryOptions(enable_late_materialization=True,
-                                  batch_rows=batch_rows,
-                                  parallelism=parallelism, **kwargs))
-    off = db.sql(sql, QueryOptions(enable_late_materialization=False,
-                                   batch_rows=batch_rows,
-                                   parallelism=parallelism, **kwargs))
+    """Execute as planned (*on*) and with every conjunct late (*off*);
+    rows must match bit for bit.  Returns ``(on, off)`` for counter
+    assertions."""
+    options = QueryOptions(batch_rows=batch_rows, parallelism=parallelism,
+                           **kwargs)
+    on = db.sql(sql, options)
+    with all_conjuncts_late():
+        off = db.sql(sql, options)
     assert_bit_identical(off, on, sql)
     return on, off
 
@@ -77,7 +80,7 @@ def force_compact(relation, config=None):
 
 
 # ----------------------------------------------------------------------
-# workload differentials: latemat on vs off x parallelism x LSM
+# workload differentials: planned vs all-late x parallelism x LSM
 
 
 class TestYelpLatemat:
@@ -134,7 +137,7 @@ class TestTpchLatemat:
 
 
 # ----------------------------------------------------------------------
-# counters: the path engages, skips work, and declines honestly
+# counters: the selection vector engages and skips work
 
 
 def _selective_db(num_rows=512, tile_size=128):
@@ -174,7 +177,6 @@ class TestCounters:
         assert on.counters.fallback_rows_skipped > 0
         assert on.counters.fallback_lookups < off.counters.fallback_lookups
         assert off.counters.fallback_rows_skipped == 0
-        assert on.counters.latemat_declines == 0
 
     def test_unselective_predicate_skips_nothing(self):
         db = _selective_db()
@@ -194,47 +196,51 @@ class TestCounters:
 
         GLOBAL_TILE_CACHE.clear()
         db = _selective_db()
-        first = db.sql(SELECTIVE_SQL, QueryOptions(
-            enable_late_materialization=True, tile_cache=True,
-            batch_rows=4096))
+        cached = QueryOptions(tile_cache=True, batch_rows=4096)
+        first = db.sql(SELECTIVE_SQL, cached)
         assert first.counters.fallback_rows_skipped == 0
         assert first.counters.cache_misses > 0
-        second = db.sql(SELECTIVE_SQL, QueryOptions(
-            enable_late_materialization=True, tile_cache=True,
-            batch_rows=4096))
+        second = db.sql(SELECTIVE_SQL, cached)
         assert second.counters.cache_hits > 0
         assert_bit_identical(first, second)
-        eager = db.sql(SELECTIVE_SQL, QueryOptions(
-            enable_late_materialization=False, batch_rows=4096))
+        with all_conjuncts_late():
+            eager = db.sql(SELECTIVE_SQL, QueryOptions(tile_cache=False,
+                                                       batch_rows=4096))
         assert_bit_identical(eager, second)
         GLOBAL_TILE_CACHE.clear()
 
-    def test_conflict_columns_decline(self):
-        # `k` is int in most rows but a string in some: a slice that
-        # needs Section 3.4 conflict patching declines per tile (other
-        # tiles may still run late) — and the results still match the
-        # eager path exactly
+    def test_conflicted_tiles_run_the_selection_vector(self):
+        # `k` is int in most rows but a string in every tenth: each
+        # tile's `k` column is Section 3.4-conflicted.  The conflicts
+        # are patched before the early conjunct runs, so `fb1` is
+        # decoded only for the rows with k < 20 (a scan decoding every
+        # row does 276 lookups: 26 patches + 250 in-span rows)
         rows = []
         for i in range(256):
             doc = {"k": str(i) if i % 10 == 0 else i}
             doc[f"fb{i % 4}"] = i
             rows.append(doc)
-        db = Database(StorageFormat.TILES, CONFIG)
+        db = Database(StorageFormat.TILES,
+                      ExtractionConfig(tile_size=128, partition_size=4,
+                                       enable_reordering=False))
         db.load_table("t", rows)
-        on, _off = run_on_off(
+        on, off = run_on_off(
             db, "select t.data->>'k'::int as k, t.data->>'fb1'::int as b "
                 "from t t where t.data->>'k'::int < 20 order by k",
-            batch_rows=4096)
-        assert on.counters.latemat_declines > 0
+            batch_rows=4096, tile_cache=False)
+        assert on.rows == [(i, i if i % 4 == 1 else None)
+                           for i in range(20)]
+        assert off.counters.fallback_lookups == 276
+        assert on.counters.fallback_rows_skipped > 0
+        assert on.counters.fallback_lookups < 276
 
     def test_no_early_conjunct_declines(self):
         # the only conjunct references a fallback path: nothing can run
-        # early, the tile declines to full materialization
+        # early, so every row of the tile is decoded
         db = _selective_db(128)
         on, _off = run_on_off(
             db, "select t.data->>'k'::int as k from t t "
                 "where t.data->>'fb0' = 'payload-4'", batch_rows=4096)
-        assert on.counters.latemat_declines > 0
         assert on.counters.fallback_rows_skipped == 0
 
 
@@ -264,7 +270,7 @@ class TestBlockPruning:
                "from t t where t.data->>'k'::int < 20 order by k")
         on, off = run_on_off(db, sql, batch_rows=64)
         assert on.counters.blocks_pruned > 0
-        assert off.counters.blocks_pruned > 0  # pruning is latemat-free
+        assert off.counters.blocks_pruned > 0  # pruning needs no split
         assert len(on.rows) == 20
         # pruned rows never count as scanned
         assert on.counters.rows_scanned < 512

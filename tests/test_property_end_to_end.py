@@ -17,6 +17,7 @@ from repro.engine.batch import concat_batches
 from repro.engine.scan import AccessRequest, TableScan
 from repro.storage import StorageFormat, load_documents
 from repro.tiles import ExtractionConfig
+from tests.reference_scans import per_path_walk
 
 # documents with a controlled vocabulary so paths collide across
 # documents (exercising extraction) but types and presence vary
@@ -43,11 +44,13 @@ TARGETS = [ColumnType.INT64, ColumnType.FLOAT64, ColumnType.STRING,
            ColumnType.BOOL]
 
 
-def scan_values(relation, path, target, multipath_shred=True):
+def scan_values(relation, path, target, per_path=False):
+    """One access over *relation*; *per_path* swaps the shredder for
+    one document walk per (tuple, path)."""
     request = AccessRequest.make("t", path, target, as_text=True)
-    scan = TableScan(relation, [request], enable_skipping=True,
-                     multipath_shred=multipath_shred)
-    batch = concat_batches(list(scan.batches()))
+    with per_path_walk(per_path):
+        scan = TableScan(relation, [request], enable_skipping=True)
+        batch = concat_batches(list(scan.batches()))
     if batch is None:
         return []
     return batch.column(request.name).to_list()
@@ -57,21 +60,19 @@ class TestTilesEqualJsonb:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(document_strategy, min_size=1, max_size=40),
            st.booleans(), st.booleans())
-    def test_every_access_identical(self, documents, shred_tiles,
-                                    shred_jsonb):
+    def test_every_access_identical(self, documents, walk_tiles,
+                                    walk_jsonb):
         tiles = load_documents("t", documents, StorageFormat.TILES, CONFIG)
         jsonb = load_documents("t", documents, StorageFormat.JSONB, CONFIG)
         for path in PATHS:
             for target in TARGETS:
-                # the shredder toggle is drawn per example: every
-                # on/off pairing of both representations must agree
-                left = scan_values(tiles, path, target,
-                                   multipath_shred=shred_tiles)
-                right = scan_values(jsonb, path, target,
-                                    multipath_shred=shred_jsonb)
+                # shredder vs per-path walk is drawn per example: every
+                # pairing of both representations must agree
+                left = scan_values(tiles, path, target, per_path=walk_tiles)
+                right = scan_values(jsonb, path, target, per_path=walk_jsonb)
                 # reordering permutes rows: compare as multisets
                 assert _multiset(_norm(left)) == _multiset(_norm(right)), \
-                    (str(path), target, shred_tiles, shred_jsonb)
+                    (str(path), target, walk_tiles, walk_jsonb)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(document_strategy, min_size=1, max_size=40))
@@ -81,11 +82,11 @@ class TestTilesEqualJsonb:
         jsonb = load_documents("t", documents, StorageFormat.JSONB, CONFIG)
         requests = [AccessRequest.make("t", path, ColumnType.STRING,
                                        as_text=True) for path in PATHS]
-        scan = TableScan(jsonb, requests, multipath_shred=True)
+        scan = TableScan(jsonb, requests)
         batch = concat_batches(list(scan.batches()))
         for request, path in zip(requests, PATHS):
             single = scan_values(jsonb, path, ColumnType.STRING,
-                                 multipath_shred=False)
+                                 per_path=True)
             assert batch.column(request.name).to_list() == single, \
                 str(path)
 

@@ -34,6 +34,7 @@ from repro.tiles.header import EMPTY_SPAN, TileHeader, fold_spans
 from repro.workloads import hackernews, twitter, yelp
 from repro.workloads.tpch import TPCH_QUERIES
 from repro.workloads.tpch import make_database as make_tpch
+from tests.reference_scans import all_conjuncts_late, per_path_walk
 
 # a cap of 2 puts array slots 2.. above it with tiny documents
 CAP = 2
@@ -236,9 +237,10 @@ class TestTilesEqualJsonb:
 
 
 class TestAccounting:
-    """With late materialization and the tile cache off, the spans move
-    (tuple, path) resolutions from JSONB visits to header NULLs and
-    change nothing else: the sum equals the visits without spans."""
+    """With every conjunct late (no selection vector) and the tile cache
+    off, the spans move (tuple, path) resolutions from JSONB visits to
+    header NULLs and change nothing else: the sum equals the visits
+    without spans."""
 
     @pytest.mark.parametrize("name", ["tpch", "twitter", "yelp"])
     def test_lookups_plus_header_nulls_equal_unspanned_lookups(self, name):
@@ -247,11 +249,11 @@ class TestAccounting:
         unspanned = make(StorageFormat.TILES)
         for relation in set(unspanned.tables.values()):
             _drop_spans(relation)
-        options = QueryOptions(enable_late_materialization=False,
-                               tile_cache=False)
+        options = QueryOptions(tile_cache=False)
         for query, text in queries.items():
-            with_spans = spanned.sql(text, options)
-            without = unspanned.sql(text, options)
+            with all_conjuncts_late():
+                with_spans = spanned.sql(text, options)
+                without = unspanned.sql(text, options)
             assert with_spans.rows == without.rows, query
             got, base = with_spans.counters, without.counters
             assert base.header_nulls == 0, query
@@ -268,9 +270,10 @@ class TestAccounting:
                                        ColumnType.INT64, True)
                     for text in ("f0", "f1", "f2", "absent")]
         results = []
-        for multipath in (True, False):
-            scan = TableScan(relation, requests, multipath_shred=multipath)
-            batch = concat_batches(list(scan.batches()))
+        for per_path in (False, True):
+            with per_path_walk(per_path):
+                scan = TableScan(relation, requests)
+                batch = concat_batches(list(scan.batches()))
             results.append((
                 [batch.column(r.name).to_list() for r in requests],
                 scan.counters.fallback_lookups, scan.counters.header_nulls))

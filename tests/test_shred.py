@@ -5,9 +5,9 @@ optimisation: for every buffer and every path set, slot *i* of the
 shred result equals ``jsonb_get_path(buf, plan.paths[i])`` (and the
 parsed-JSON twin equals ``KeyPath.lookup``).  On top of that the scan
 counters pin the Table-5-comparable accounting: ``fallback_lookups``
-counts logical (tuple, path) resolutions identically with the shredder
-on or off, while ``shred_passes`` / ``shred_paths`` expose the
-physical sharing.
+counts logical (tuple, path) resolutions identically to a per-path
+walk (``tests/reference_scans.py``), while ``shred_passes`` /
+``shred_paths`` expose the physical sharing.
 """
 
 import json
@@ -22,6 +22,7 @@ from repro.jsonb import encode, jsonb_get_path
 from repro.jsonb.shred import compile_paths, shred_jsonb, shred_python
 from repro.storage import StorageFormat, load_documents
 from repro.tiles import ExtractionConfig
+from tests.reference_scans import per_path_walk
 
 
 def parse(*texts):
@@ -127,22 +128,23 @@ K_PATHS = [("u.id", ColumnType.INT64), ("u.name", ColumnType.STRING),
            ("score", ColumnType.FLOAT64), ("tags[0]", ColumnType.STRING)]
 
 
-def _scan_counters(multipath_shred, rows=100,
+def _scan_counters(per_path=False, rows=100,
                    storage_format=StorageFormat.JSONB):
     docs = [{"u": {"id": i, "name": f"n{i}"}, "score": i / 2.0,
              "tags": ["a", "b"]} for i in range(rows)]
     relation = load_documents("t", docs, storage_format, CONFIG)
     requests = [AccessRequest.make("t", KeyPath.parse(p), target, True)
                 for p, target in K_PATHS]
-    scan = TableScan(relation, requests, multipath_shred=multipath_shred)
-    batch = concat_batches(list(scan.batches()))
+    with per_path_walk(per_path):
+        scan = TableScan(relation, requests)
+        batch = concat_batches(list(scan.batches()))
     return scan.counters, batch
 
 
 class TestCounterSemantics:
     def test_fallback_lookups_identical_both_modes(self):
-        on, batch_on = _scan_counters(True)
-        off, batch_off = _scan_counters(False)
+        on, batch_on = _scan_counters()
+        off, batch_off = _scan_counters(per_path=True)
         # logical accounting: tuples x paths, regardless of physics
         assert on.fallback_lookups == 100 * len(K_PATHS)
         assert off.fallback_lookups == on.fallback_lookups
@@ -151,18 +153,19 @@ class TestCounterSemantics:
                 batch_off.column(name).to_list()
 
     def test_shred_counters_expose_sharing(self):
-        on, _ = _scan_counters(True)
+        on, _ = _scan_counters()
         assert on.shred_passes == 100
         assert on.shred_paths == 100 * len(K_PATHS)
-        off, _ = _scan_counters(False)
-        assert off.shred_passes == 0
-        assert off.shred_paths == 0
 
     def test_text_format_counts_the_same(self):
-        on, _ = _scan_counters(True, storage_format=StorageFormat.JSON)
-        off, _ = _scan_counters(False, storage_format=StorageFormat.JSON)
+        on, batch_on = _scan_counters(storage_format=StorageFormat.JSON)
+        off, batch_off = _scan_counters(per_path=True,
+                                        storage_format=StorageFormat.JSON)
         assert on.fallback_lookups == off.fallback_lookups == \
             100 * len(K_PATHS)
+        for name in batch_on.columns:
+            assert batch_on.column(name).to_list() == \
+                batch_off.column(name).to_list()
         assert on.shred_passes == 100
         assert on.shred_paths == 100 * len(K_PATHS)
 
