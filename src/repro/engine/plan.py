@@ -8,10 +8,11 @@ filters, left joins, grouping, aggregation and presentation clauses.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.core.env import env_flag
 from repro.core.jsonpath import KeyPath
 from repro.core.types import ColumnType
 from repro.engine.expressions import ColumnRef, Expression
@@ -21,36 +22,9 @@ from repro.engine.scan import AccessRequest
 from repro.storage.relation import Relation
 
 
-def _default_tile_cache() -> bool:
-    return os.environ.get("REPRO_TILE_CACHE", "").lower() in (
-        "1", "true", "yes", "on")
-
-
-def _default_kernels() -> bool:
-    """On unless ``REPRO_KERNELS`` disables it (differential tests and
-    benchmarks ablate the batch kernels against the per-tuple paths)."""
-    raw = os.environ.get("REPRO_KERNELS", "")
-    if not raw:
-        return True
-    return raw.lower() in ("1", "true", "yes", "on")
-
-
-def _default_fragments() -> bool:
-    """On unless ``REPRO_FRAGMENTS`` disables it (differential tests
-    ablate the fragment executor against the fused operator tree)."""
-    raw = os.environ.get("REPRO_FRAGMENTS", "")
-    if not raw:
-        return True
-    return raw.lower() in ("1", "true", "yes", "on")
-
-
-def _default_distjoin() -> bool:
-    """On unless ``REPRO_DISTJOIN`` disables it (the coordinator then
-    answers every join through the gather fallback)."""
-    raw = os.environ.get("REPRO_DISTJOIN", "")
-    if not raw:
-        return True
-    return raw.lower() in ("1", "true", "yes", "on")
+def _env_default(key: str, default: bool):
+    """``default_factory`` for a switch read from *key* at construction."""
+    return field(default_factory=partial(env_flag, key, default))
 
 
 def alias_of_column(name: str) -> str:
@@ -192,24 +166,26 @@ class QueryOptions:
     #: serial engine).  Results are bit-identical at any setting.
     parallelism: int = field(default_factory=_default_parallelism)
     #: share resolved fallback columns across queries through the
-    #: process-wide LRU (server default; embedded opt-in).
-    tile_cache: bool = field(default_factory=_default_tile_cache)
+    #: process-wide LRU (server default; embedded opt-in via
+    #: ``REPRO_TILE_CACHE``).
+    tile_cache: bool = _env_default("REPRO_TILE_CACHE", False)
     #: batch kernels (engine/kernels.py): vectorized generic GROUP BY,
-    #: composite/string-key join probe, lexsort ORDER BY.  Off runs the
-    #: per-tuple reference paths; results are bit-identical either way
-    #: (the differential suite asserts it).
-    enable_kernels: bool = field(default_factory=_default_kernels)
+    #: composite/string-key join probe, lexsort ORDER BY.  Off
+    #: (``REPRO_KERNELS=0``) runs the per-tuple reference paths; results
+    #: are bit-identical either way (the differential suite asserts it).
+    enable_kernels: bool = _env_default("REPRO_KERNELS", True)
     #: plan-fragment execution (DESIGN.md §10): route partial-capable
     #: blocks through the two-phase fragment IR even on a single node,
-    #: where the exchange is an in-process pass-through.  Off runs the
-    #: fused operator tree; results are bit-identical either way.
-    enable_fragments: bool = field(default_factory=_default_fragments)
+    #: where the exchange is an in-process pass-through.  Off
+    #: (``REPRO_FRAGMENTS=0``) runs the fused operator tree; results are
+    #: bit-identical either way.
+    enable_fragments: bool = _env_default("REPRO_FRAGMENTS", True)
     #: shard-side broadcast joins (DESIGN.md §10): the coordinator may
     #: broadcast a small join build side to every shard and merge only
-    #: partial results.  Off (or any declined plan) falls back to the
-    #: gather path; results are bit-identical either way.
-    enable_distributed_joins: bool = field(
-        default_factory=_default_distjoin)
+    #: partial results.  Off (``REPRO_DISTJOIN=0``, or any declined
+    #: plan) falls back to the gather path; results are bit-identical
+    #: either way.
+    enable_distributed_joins: bool = _env_default("REPRO_DISTJOIN", True)
     #: ceiling on the estimated global build-side cardinality a
     #: broadcast join will ship; larger build sides decline to gather
     #: (the topology file may override this per cluster).

@@ -14,7 +14,9 @@ Planning is header-only: candidate runs come from the level stamps and
 the run's merge *gain* is predicted from the headers' key-path
 frequency databases (``combined_key_counts``), so a planner cycle never
 faults a paged-out payload in.  The merge itself is
-:meth:`repro.storage.relation.Relation.compact_tiles`; it preserves row
+:meth:`repro.storage.relation.Relation.compact_tiles`, an entry point
+over the relation's one tile-rewrite primitive (``_rewrite``, shared
+with recomputation and §3.2 reorganization); it preserves row
 order (the output is the concatenation of the inputs), which keeps
 global row ids, morsel spans and the cluster's canonical block layout
 intact — this is why cluster shards may compact even though §3.2
@@ -24,27 +26,10 @@ reordering is forced off for them.
 from __future__ import annotations
 
 import dataclasses
-import os
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro.core.env import env_flag, env_value
 from repro.mining.dictionary import combined_key_counts
-
-
-def _env(env: Mapping[str, str], key: str, cast, default):
-    raw = env.get(key)
-    if raw is None or raw == "":
-        return default
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        return default
-
-
-def _env_bool(env: Mapping[str, str], key: str, default: bool) -> bool:
-    raw = env.get(key)
-    if raw is None or raw == "":
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off")
 
 
 @dataclasses.dataclass
@@ -67,12 +52,11 @@ class LsmConfig:
                  **overrides) -> "LsmConfig":
         """Build a config from ``REPRO_LSM_*`` variables; keyword
         *overrides* (e.g. from CLI flags) win over the environment."""
-        env = os.environ if env is None else env
         fields = {
-            "enabled": _env_bool(env, "REPRO_LSM", False),
-            "fanout": max(2, _env(env, "REPRO_LSM_FANOUT", int, 4)),
-            "max_level": max(0, _env(env, "REPRO_LSM_MAX_LEVEL", int, 2)),
-            "min_gain_columns": _env(env, "REPRO_LSM_MIN_GAIN", int, 0),
+            "enabled": env_flag("REPRO_LSM", False, env),
+            "fanout": max(2, env_value("REPRO_LSM_FANOUT", int, 4, env)),
+            "max_level": max(0, env_value("REPRO_LSM_MAX_LEVEL", int, 2, env)),
+            "min_gain_columns": env_value("REPRO_LSM_MIN_GAIN", int, 0, env),
         }
         fields.update({key: value for key, value in overrides.items()
                        if value is not None})

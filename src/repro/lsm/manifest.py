@@ -7,9 +7,9 @@ are in flight.  The manifest is the read-side contract: an immutable
 snapshot of ``relation.tiles`` stamped with the epoch at which it was
 taken.  Readers enumerate *one* manifest for the whole operation and
 therefore always see either the pre-merge tiles or the post-merge tile,
-never a torn mixture; every tiles-list mutation (seal, recompute,
-reorganize, compact) bumps the relation's epoch and invalidates the
-cached snapshot.
+never a torn mixture; every tiles-list mutation (a seal or a tile
+rewrite) bumps the relation's epoch and invalidates the cached
+snapshot.
 
 Payload lifetime rides the existing machinery, not the manifest: a
 morsel pins its tile while resolving it, and the append guard (the
@@ -37,30 +37,15 @@ class LevelManifest:
     epoch: int
     tiles: Tuple[object, ...]
 
-    def __len__(self) -> int:
-        return len(self.tiles)
-
-    def __iter__(self):
-        return iter(self.tiles)
-
-    @property
-    def row_count(self) -> int:
-        return sum(tile.row_count for tile in self.tiles)
-
-    def levels(self) -> Dict[int, List[object]]:
-        """Tiles grouped by level, preserving row order within each."""
-        grouped: Dict[int, List[object]] = {}
-        for tile in self.tiles:
-            grouped.setdefault(tile.header.level, []).append(tile)
-        return grouped
-
     def level_report(self) -> Dict[int, Dict[str, object]]:
         """Per-level occupancy from resident headers only (never faults
         a paged-out payload in): tile count, rows, bytes and the
-        extracted fraction — the metric the tentpole's acceptance
-        criterion compares across levels."""
+        extracted fraction compared across levels."""
+        grouped: Dict[int, List[object]] = {}
+        for tile in self.tiles:
+            grouped.setdefault(tile.header.level, []).append(tile)
         report: Dict[int, Dict[str, object]] = {}
-        for level, tiles in sorted(self.levels().items()):
+        for level, tiles in sorted(grouped.items()):
             extracted = sum(len(tile.header.columns) for tile in tiles)
             seen = sum(len(tile.header.key_counts) for tile in tiles)
             report[level] = {

@@ -7,11 +7,13 @@ Each cycle it asks the planner for at most ``max_actions_per_cycle``
 actions and executes them under the same guards the foreground path
 uses:
 
-* reorganizations and recomputations splice rebuilt tiles in under the
+* reorganizations, recomputations and merges are one tile rewrite
+  (``Relation._rewrite``) that splices rebuilt tiles in under the
   caller-provided *append guard* (the server's per-table writer lock),
-  so a concurrent scan never observes a half-swapped tiles list;
-* tile-cache invalidation rides on the fresh-uid path — a rebuilt tile
-  has a new uid, the replaced one's cache entries are dropped eagerly;
+  so a concurrent scan never observes a half-swapped tiles list, and
+  drops the replaced tiles' cache entries before the swap;
+* every rewrite reports whether it committed: a lost race or a run
+  that no longer exists is journaled and counted as a ``noop``;
 * with *backpressure* wired (server: in-flight query count), a
   saturated pool skips the cycle entirely — maintenance yields to
   foreground work by construction;
@@ -141,11 +143,6 @@ class MaintenanceDaemon:
                 self._trackers[name] = tracker
             return tracker
 
-    def _guard(self, name: str):
-        if self._append_guard_for is None:
-            return None
-        return self._append_guard_for(name)
-
     # ------------------------------------------------------------------
     # the cycle
 
@@ -185,7 +182,8 @@ class MaintenanceDaemon:
                  tables: Mapping[str, Relation]) -> dict:
         relation = tables[action.table]
         tracker = self._tracker(action.table, relation)
-        guard = self._guard(action.table)
+        guard = None if self._append_guard_for is None \
+            else self._append_guard_for(action.table)
         if self.journal is not None:
             self.journal.log("begin", action)
         status, detail = "done", None
@@ -196,25 +194,18 @@ class MaintenanceDaemon:
                 # when reordering finds the identity order
                 tracker.note_reorg_attempt(action.target,
                                            self.config.reorg_cooldown_cycles)
+                counter = "reorders"
                 changed = relation.reorganize_partition(
                     action.target, append_guard=guard)
-                if changed:
-                    self._bump("reorders")
-                else:
-                    status = "noop"
-                    self._bump("noops")
             elif action.kind is ActionKind.RECOMPUTE_TILE:
+                counter = "recomputes"
                 tile = tile_by_number(relation, action.target)
-                if tile is None:
-                    status = "noop"
-                    self._bump("noops")
-                else:
-                    relation.recompute_tile(tile, append_guard=guard)
-                    self._bump("recomputes")
+                changed = tile is not None and relation.recompute_tile(
+                    tile, append_guard=guard)
             elif action.kind is ActionKind.COMPACT_BUFFER:
+                counter, changed = "compactions", True
                 relation.flush_inserts(append_guard=guard)
-                self._bump("compactions")
-            elif action.kind is ActionKind.COMPACT_TILES:
+            else:  # ActionKind.COMPACT_TILES
                 # re-derive the run from live state: after a crash the
                 # recovered action re-runs against whatever survived —
                 # old tiles (the merge repeats) or the merged tile (the
@@ -222,13 +213,14 @@ class MaintenanceDaemon:
                 # replay lands on "either old or new, never both"
                 lsm_config = getattr(relation, "lsm_config", None)
                 fanout = lsm_config.fanout if lsm_config is not None else 4
+                counter = "merges"
                 changed = relation.compact_tiles(action.target, fanout,
                                                  append_guard=guard)
-                if changed:
-                    self._bump("merges")
-                else:
-                    status = "noop"
-                    self._bump("noops")
+            if changed:
+                self._bump(counter)
+            else:
+                status = "noop"
+                self._bump("noops")
         except Exception as exc:  # the daemon must survive any action
             status, detail = "error", f"{type(exc).__name__}: {exc}"
             self._bump("errors")

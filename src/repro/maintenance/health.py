@@ -4,10 +4,11 @@
 A :class:`HealthTracker` observes one relation through two channels:
 
 * **storage events** (:meth:`Relation.add_event_hook`): tile seals,
-  in-place updates, tile recomputations, partition reorganizations and
-  LSM compaction merges maintain sticky per-partition counters
+  in-place updates and tile rewrites (recomputation, partition
+  reorganization, LSM merge) maintain sticky per-partition counters
   (updates, rows since the last reorganization, reorder attempts,
-  cooldown);
+  cooldown), keyed by list-position partition
+  (:meth:`Relation.partition_of`);
 * **scan totals** (PR 2's mergeable ScanCounters, folded into
   ``Relation.scan_totals`` by the engine): the delta of
   ``fallback_tiles`` over ``tiles_scanned`` between refreshes is the
@@ -32,7 +33,6 @@ import threading
 from typing import Dict, List
 
 from repro.storage.relation import Relation
-from repro.tiles.tile import Tile
 
 
 @dataclasses.dataclass
@@ -41,10 +41,9 @@ class PartitionHealth:
 
     ``extraction`` is the row-weighted mean of the member tiles'
     extracted fraction; ``attempts`` counts reorder attempts since the
-    partition's content last changed (seal / recompute reset it — the
-    satellite fix that keeps recomputed partitions re-eligible);
-    ``cooldown`` is the number of planner cycles to skip before the
-    next attempt.
+    partition's content last changed (a seal or a re-mining rewrite
+    resets it, so the partition becomes re-eligible); ``cooldown`` is
+    the number of planner cycles to skip before the next attempt.
     """
 
     partition: int
@@ -61,17 +60,8 @@ class PartitionHealth:
     evictions: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "partition": self.partition,
-            "tiles": self.tiles,
-            "rows": self.rows,
-            "extraction": round(self.extraction, 4),
-            "updates": self.updates,
-            "rows_since_reorg": self.rows_since_reorg,
-            "attempts": self.attempts,
-            "cooldown": self.cooldown,
-            "evictions": self.evictions,
-        }
+        return dict(dataclasses.asdict(self),
+                    extraction=round(self.extraction, 4))
 
 
 class HealthTracker:
@@ -94,68 +84,48 @@ class HealthTracker:
     # event feed
 
     def _record_locked(self, partition: int) -> PartitionHealth:
-        record = self._partitions.get(partition)
-        if record is None:
-            record = PartitionHealth(partition)
-            self._partitions[partition] = record
-        return record
-
-    def _partition_of(self, tile: Tile) -> int:
-        size = max(1, self.relation.config.partition_size)
-        return tile.header.tile_number // size
+        return self._partitions.setdefault(partition,
+                                           PartitionHealth(partition))
 
     def _on_event(self, event: str, relation: Relation,
                   payload: object) -> None:
+        if event == "rewrite":
+            with self._lock:
+                # the inputs' update history describes no live tile
+                for tile in payload["inputs"]:
+                    self._tile_updates.pop(tile.header.tile_number, None)
+                for partition in payload["partitions"]:
+                    record = self._record_locked(partition)
+                    record.updates = 0
+                    if payload["reordered"]:
+                        record.rows_since_reorg = 0
+                    else:
+                        # re-mined content: re-eligible for Section 3.2
+                        # reordering instead of staying "attempted"
+                        record.attempts = 0
+                        record.cooldown = 0
+            return
+        # seal / update / evict: payload is the TileHandle (header
+        # always resident)
+        partition = relation.partition_of(payload)
         with self._lock:
+            if event == "evict":
+                self._evictions += 1
+            if event == "update":
+                number = payload.header.tile_number
+                self._tile_updates[number] = \
+                    self._tile_updates.get(number, 0) + 1
+            if partition is None:
+                return  # the tile already left the relation
+            record = self._record_locked(partition)
             if event == "seal":
-                record = self._record_locked(self._partition_of(payload))
                 record.rows_since_reorg += payload.row_count
                 # fresh content: the partition may be reorderable again
                 record.attempts = 0
             elif event == "update":
-                number = payload.header.tile_number
-                self._tile_updates[number] = \
-                    self._tile_updates.get(number, 0) + 1
-                self._record_locked(self._partition_of(payload)).updates += 1
-            elif event == "recompute":
-                # a recomputed tile changed its partition's content, so
-                # the partition must become re-eligible for Section 3.2
-                # reordering instead of staying pinned "attempted"
-                self._tile_updates.pop(payload.header.tile_number, None)
-                record = self._record_locked(self._partition_of(payload))
-                record.attempts = 0
-                record.cooldown = 0
-                record.updates = 0
-            elif event == "compact":
-                # an LSM merge rewrote a run of tiles into one: the
-                # inputs' update history describes no live tile any
-                # more, and the merged tile's partition changed content
-                # so it becomes re-eligible for §3.2 reordering
-                for number in payload.get("inputs", ()):
-                    self._tile_updates.pop(number, None)
-                record = self._record_locked(
-                    self._partition_of(payload["tile"]))
-                record.attempts = 0
-                record.cooldown = 0
-                record.updates = 0
-            elif event == "reorganize":
-                record = self._record_locked(int(payload))
-                record.rows_since_reorg = 0
-                record.updates = 0
+                record.updates += 1
             elif event == "evict":
-                # the tile store paged this tile's payload out; payload
-                # is the TileHandle (header always resident)
-                self._evictions += 1
-                self._record_locked(self._partition_of(payload)) \
-                    .evictions += 1
-        if event == "reorganize":
-            # the partition's tiles were rebuilt: their update history
-            # no longer describes any live tile
-            numbers = [tile.header.tile_number
-                       for tile in relation.partition_tiles(int(payload))]
-            with self._lock:
-                for number in numbers:
-                    self._tile_updates.pop(number, None)
+                record.evictions += 1
 
     # ------------------------------------------------------------------
     # scan signal

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import os
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from repro.core.env import env_flag, env_value
 from repro.maintenance.health import HealthTracker
 from repro.storage.relation import Relation
 from repro.tiles.tile import Tile
@@ -65,23 +65,6 @@ class MaintenanceAction:
                    int(raw["target"]), float(raw.get("score", 0.0)))
 
 
-def _env(env: Mapping[str, str], key: str, cast, default):
-    raw = env.get(key)
-    if raw is None or raw == "":
-        return default
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        return default
-
-
-def _env_bool(env: Mapping[str, str], key: str, default: bool) -> bool:
-    raw = env.get(key)
-    if raw is None or raw == "":
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off")
-
-
 @dataclasses.dataclass
 class MaintenanceConfig:
     """Thresholds of the maintenance policy (see DESIGN.md §6d)."""
@@ -119,25 +102,24 @@ class MaintenanceConfig:
                  **overrides) -> "MaintenanceConfig":
         """Build a config from ``REPRO_MAINT_*`` variables; keyword
         *overrides* (e.g. from CLI flags) win over the environment."""
-        env = os.environ if env is None else env
         fields = {
-            "enabled": _env_bool(env, "REPRO_MAINT_ENABLED", True),
-            "interval_s": _env(env, "REPRO_MAINT_INTERVAL", float, 1.0),
-            "min_extraction": _env(env, "REPRO_MAINT_MIN_EXTRACTION",
-                                   float, None),
-            "max_actions_per_cycle": _env(env, "REPRO_MAINT_MAX_ACTIONS",
-                                          int, 4),
-            "reorg_cooldown_cycles": _env(env, "REPRO_MAINT_COOLDOWN",
-                                          int, 8),
-            "max_reorg_attempts": _env(env, "REPRO_MAINT_MAX_ATTEMPTS",
-                                       int, 2),
-            "recompute_update_fraction": _env(
-                env, "REPRO_MAINT_RECOMPUTE_FRACTION", float, 0.25),
-            "compact_idle_cycles": _env(env, "REPRO_MAINT_COMPACT_IDLE",
-                                        int, 2),
-            "backpressure_active_queries": _env(
-                env, "REPRO_MAINT_BACKPRESSURE", int, 4),
-            "allow_reordering": _env_bool(env, "REPRO_MAINT_REORDER", True),
+            "enabled": env_flag("REPRO_MAINT_ENABLED", True, env),
+            "interval_s": env_value("REPRO_MAINT_INTERVAL", float, 1.0, env),
+            "min_extraction": env_value("REPRO_MAINT_MIN_EXTRACTION",
+                                        float, None, env),
+            "max_actions_per_cycle": env_value("REPRO_MAINT_MAX_ACTIONS",
+                                               int, 4, env),
+            "reorg_cooldown_cycles": env_value("REPRO_MAINT_COOLDOWN",
+                                               int, 8, env),
+            "max_reorg_attempts": env_value("REPRO_MAINT_MAX_ATTEMPTS",
+                                            int, 2, env),
+            "recompute_update_fraction": env_value(
+                "REPRO_MAINT_RECOMPUTE_FRACTION", float, 0.25, env),
+            "compact_idle_cycles": env_value("REPRO_MAINT_COMPACT_IDLE",
+                                             int, 2, env),
+            "backpressure_active_queries": env_value(
+                "REPRO_MAINT_BACKPRESSURE", int, 4, env),
+            "allow_reordering": env_flag("REPRO_MAINT_REORDER", True, env),
         }
         fields.update({key: value for key, value in overrides.items()
                        if value is not None})
@@ -216,13 +198,12 @@ class MaintenancePlanner:
                 reorder_partitions.add(health.partition)
 
         if relation.format.extracts_columns:
-            partition_size = max(1, relation.config.partition_size)
             for number, updates in sorted(tracker.tile_updates().items()):
-                if number // partition_size in reorder_partitions:
-                    continue  # the reorder rebuilds this tile anyway
                 tile = tile_by_number(relation, number)
                 if tile is None or tile.row_count == 0:
                     continue
+                if relation.partition_of(tile) in reorder_partitions:
+                    continue  # the reorder rebuilds this tile anyway
                 if updates < config.recompute_update_fraction * tile.row_count:
                     continue
                 actions.append(MaintenanceAction(
@@ -237,10 +218,10 @@ class MaintenancePlanner:
         if lsm_config is not None and lsm_config.enabled:
             from repro.lsm import plan_compactions
 
-            partition_size = max(1, relation.config.partition_size)
             for candidate in plan_compactions(relation, lsm_config):
-                if candidate.start_number // partition_size \
-                        in reorder_partitions:
+                head = tile_by_number(relation, candidate.start_number)
+                if head is None \
+                        or relation.partition_of(head) in reorder_partitions:
                     continue  # the reorder rebuilds these tiles anyway
                 actions.append(MaintenanceAction(
                     ActionKind.COMPACT_TILES, name,

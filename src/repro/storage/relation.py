@@ -25,20 +25,32 @@ from repro.errors import StorageError
 from repro.jsonb import decode as jsonb_decode
 from repro.jsonb import encode as jsonb_encode
 from repro.lsm.manifest import LevelManifest
-from repro.mining.dictionary import ItemSink
+from repro.mining.dictionary import (
+    ItemSink,
+    encode_documents,
+    subset_dictionary,
+)
 from repro.stats.table_stats import TableStatistics
 from repro.storage.formats import StorageFormat
 from repro.storage.tile_cache import GLOBAL_TILE_CACHE
 from repro.storage.tilestore import GLOBAL_TILE_STORE, TileHandle
 from repro.tiles.extractor import ExtractionConfig, build_tile
 from repro.tiles.extractor import _materialize_value  # shared coercion
+from repro.tiles.reorder import apply_order, reorder_transactions
 from repro.tiles.tile import Tile
 
-#: test hook: called between building a merged tile and committing the
-#: manifest swap in :meth:`Relation.compact_tiles`.  Crash-recovery
-#: tests raise from here to model a process dying mid-merge; must stay
-#: ``None`` in production.
-_COMPACT_COMMIT_BARRIER = None
+#: test hook ``(relation, old_tiles, new_tiles)``: called between
+#: building a rewrite's output tiles and committing the splice in
+#: :meth:`Relation._rewrite` (recompute, reorganize and compaction
+#: alike).  Crash-recovery tests raise from here to model a process
+#: dying mid-rewrite; must stay ``None`` in production.
+_REWRITE_COMMIT_BARRIER = None
+
+
+def _same_tiles(left, right) -> bool:
+    """Two tile sequences hold the same handles, by identity."""
+    return len(left) == len(right) and all(
+        now is then for now, then in zip(left, right))
 
 
 class Relation:
@@ -79,9 +91,9 @@ class Relation:
         #: callbacks ``(relation, tile)`` fired after a tile is sealed
         self._seal_hooks: List[Callable[["Relation", TileHandle], None]] = []
         #: callbacks ``(event, relation, payload)`` fired on storage
-        #: reorganization events ("seal", "update", "recompute",
-        #: "reorganize", and "evict" when the tile store pages a tile
-        #: out); the maintenance health tracker subscribes.
+        #: reorganization events ("seal", "update", "rewrite", and
+        #: "evict" when the tile store pages a tile out); the
+        #: maintenance health tracker subscribes.
         #: Hooks must never raise into the foreground path — exceptions
         #: are swallowed.
         self._event_hooks: List[Callable[[str, "Relation", object], None]] = []
@@ -283,10 +295,10 @@ class Relation:
         """Subscribe to storage reorganization events.  *hook* receives
         ``(event, relation, payload)`` where event is one of ``"seal"``
         (payload: the new tile), ``"update"`` (payload: the patched
-        tile), ``"recompute"`` (payload: the rebuilt tile) and
-        ``"reorganize"`` (payload: the partition index), ``"compact"``
-        (payload: a dict with the merged tile, its level and the input
-        tile numbers) and ``"evict"`` (payload: the paged-out
+        tile), ``"rewrite"`` (payload: a dict with the replaced
+        ``inputs``, the spliced-in ``outputs``, the ``partitions`` the
+        outputs landed in and whether the run was ``reordered`` — see
+        :meth:`_rewrite`) and ``"evict"`` (payload: the paged-out
         handle)."""
         if hook not in self._event_hooks:
             self._event_hooks.append(hook)
@@ -404,58 +416,11 @@ class Relation:
             if count > handle.row_count // 2:
                 self.recompute_tile(handle)
 
-    def recompute_tile(self, tile: TileHandle, append_guard=None) -> None:
-        """Re-run extraction for one tile after heavy updates.
-
-        *append_guard* (same contract as in :meth:`flush_inserts`) is
-        held around the instant the rebuilt tile replaces the stale one,
-        so a concurrent scan never observes a half-swapped tiles list.
-        Relation statistics are rebuilt from scratch — ``absorb_tile``
-        accumulates, so re-absorbing the rebuilt tile into the old
-        aggregate would double-count its rows.
-
-        The stale tile is pinned only while its JSONB heap is read; the
-        expensive mining/extraction runs against plain byte strings, so
-        the residency budget sees at most one extra resident tile.
-        """
-        with tile.pinned() as payload:
-            jsonb_rows = list(payload.jsonb_rows)
-        documents = [jsonb_decode(row) for row in jsonb_rows]
-        rebuilt = self.adopt_tile(build_tile(
-            documents, jsonb_rows, self.config,
-            tile.tile_number, tile.first_row,
-            mine=self.format.extracts_columns))
-        guard = append_guard() if callable(append_guard) else append_guard
-        with (guard if guard is not None else nullcontext()):
-            with self._buffer_lock:
-                try:
-                    index = self.tiles.index(tile)
-                except ValueError:
-                    return  # replaced concurrently; nothing left to do
-                self.tiles[index] = rebuilt
-                self._rebuild_statistics_locked()
-                self._bump_manifest_locked()
-        self._outlier_counts.pop(tile.tile_number, None)
-        # the rebuilt tile has a fresh uid; entries of the replaced one
-        # can never be served again, so reclaim their memory (and the
-        # replaced handle's residency charge) eagerly — retired, not
-        # discarded, so a scan holding an older manifest snapshot can
-        # still pin the replaced payload
-        GLOBAL_TILE_CACHE.invalidate_tile(tile.uid)
-        GLOBAL_TILE_STORE.retire(tile)
-        # a recomputed tile changes its partition's content: the
-        # maintenance health tracker resets the partition's record so
-        # it becomes re-eligible for Section 3.2 reordering
-        self._fire_event("recompute", rebuilt)
-
-    def _rebuild_statistics_locked(self) -> None:
-        """Recompute :class:`TableStatistics` from the current tiles.
-        Callers hold ``_buffer_lock`` (the tiles list must be stable)."""
-        statistics = TableStatistics()
-        for tile in self.tiles:
-            statistics.absorb_tile(tile.header.tile_number,
-                                   tile.header.statistics)
-        self.statistics = statistics
+    def recompute_tile(self, tile: TileHandle, append_guard=None) -> bool:
+        """Re-run mining and extraction for one tile after heavy
+        updates.  Returns False when *tile* is no longer live or the
+        splice lost a race (:meth:`_rewrite`)."""
+        return self._rewrite([tile], append_guard=append_guard)
 
     # ------------------------------------------------------------------
     # partitions (Section 3.2) — maintenance works partition-at-a-time
@@ -473,92 +438,35 @@ class Relation:
         with self._buffer_lock:
             return list(self.tiles[index * size : (index + 1) * size])
 
+    def partition_of(self, tile: TileHandle) -> Optional[int]:
+        """Partition index of a live tile: its list position over the
+        partition size, the numbering :meth:`partition_tiles` uses (tile
+        numbers stop being dense once a merge folds a run into one
+        tile).  ``None`` once the tile left the relation."""
+        with self._buffer_lock:
+            for position, live in enumerate(self.tiles):
+                if live is tile:
+                    return position // max(1, self.config.partition_size)
+        return None
+
     def reorganize_partition(self, index: int, append_guard=None) -> bool:
         """Re-run Section 3.2 tuple reordering across one sealed
-        partition, then rebuild its tiles with full mining/extraction.
+        partition and rebuild its tiles (:meth:`_rewrite`).
 
-        Returns True when the partition's tiles were replaced, False
-        when nothing changed: identity order (reordering found no
-        improvement), fewer than two sealed tiles, a format without
-        per-tile local schemas, or a relation with array children
-        (their ``_parent_row`` links would dangle after a permutation).
-
-        Concurrency contract: optimistic.  The expensive
-        decode/mine/extract work runs without any relation lock, so
-        concurrent scans and seals proceed; the rebuilt tiles are
-        spliced in atomically under *append_guard* (the server passes
-        its per-table writer lock) after verifying — by identity — that
-        no concurrent recompute replaced a tile of the partition in the
-        meantime (sealers only ever append past it).  On a lost race
-        the method gives up and returns False; the caller retries in a
-        later cycle.  Concurrent in-place ``update`` calls on the
-        partition must be excluded by the caller — the server exposes
-        no update command, and the embedded daemon reorganizes between
-        foreground operations.
+        False when nothing changed: identity order, fewer than two
+        tiles, a format without per-tile schemas, array children (their
+        ``_parent_row`` links would dangle after a permutation), or a
+        lost race.  The caller excludes concurrent in-place ``update``
+        calls on the partition (the server has no update command; the
+        embedded daemon runs between foreground operations).
         """
-        from repro.mining.dictionary import encode_documents, subset_dictionary
-        from repro.tiles.reorder import apply_order, reorder_transactions
-
         if not self.format.uses_local_schemas or self.children:
             return False
-        size = self.config.partition_size
-        lo = index * size
         old_tiles = self.partition_tiles(index)
         if len(old_tiles) < 2:
             return False
-        occupancy = [tile.row_count for tile in old_tiles]
-        # pin one tile at a time while draining its JSONB heap — the
-        # byte strings stay alive by reference, so the reorder itself
-        # runs unpinned and the budget never needs the whole partition
-        # resident at once
-        jsonb_rows: List[bytes] = []
-        for handle in old_tiles:
-            with handle.pinned() as payload:
-                jsonb_rows.extend(payload.jsonb_rows)
-        documents = [jsonb_decode(row) for row in jsonb_rows]
-        dictionary, transactions = encode_documents(
-            documents, self.config.max_array_elements)
-        order = reorder_transactions(transactions, self.config,
-                                     occupancy=occupancy)
-        if order == list(range(len(order))):
-            return False
-        documents = apply_order(documents, order)
-        jsonb_rows = apply_order(jsonb_rows, order)
-        transactions = apply_order(transactions, order)
-        rebuilt: List[TileHandle] = []
-        offset = 0
-        for old, count in zip(old_tiles, occupancy):
-            encoded = subset_dictionary(
-                dictionary, transactions[offset : offset + count])
-            rebuilt.append(self.adopt_tile(build_tile(
-                documents[offset : offset + count],
-                jsonb_rows[offset : offset + count],
-                self.config, old.tile_number, old.first_row,
-                encoded=encoded)))
-            offset += count
-        guard = append_guard() if callable(append_guard) else append_guard
-        with (guard if guard is not None else nullcontext()):
-            with self._buffer_lock:
-                current = self.tiles[lo : lo + len(old_tiles)]
-                if len(current) != len(old_tiles) or any(
-                        now is not then
-                        for now, then in zip(current, old_tiles)):
-                    return False  # lost the race: retry in a later cycle
-                self.tiles[lo : lo + len(old_tiles)] = rebuilt
-                self._bump_manifest_locked()
-                # relation statistics are NOT rebuilt: a reorganization
-                # permutes rows within the partition, so the relation's
-                # multiset of (path, value) pairs — everything the
-                # aggregate describes — is unchanged.  (Per-tile zone
-                # maps were rebuilt fresh inside build_tile.)  A full
-                # rebuild here would grind O(tiles) histogram merges
-                # inside the write-locked splice on every cycle.
-        for old in old_tiles:
-            self._outlier_counts.pop(old.tile_number, None)
-            GLOBAL_TILE_CACHE.invalidate_tile(old.uid)
-            GLOBAL_TILE_STORE.retire(old)
-        self._fire_event("reorganize", index)
-        return True
+        return self._rewrite(old_tiles, reorder=True,
+                             append_guard=append_guard)
 
     # ------------------------------------------------------------------
     # leveled compaction (repro.lsm; DESIGN.md §8)
@@ -566,29 +474,16 @@ class Relation:
     def compact_tiles(self, start_number: int, count: int,
                       append_guard=None) -> bool:
         """Merge *count* adjacent same-level tiles starting at the tile
-        numbered *start_number* into one tile of the next level,
-        re-mining frequent itemsets over the union of their documents.
+        numbered *start_number* into one next-level tile, re-mining over
+        the union of their documents (:meth:`_rewrite`).
 
-        Returns True when the merge committed, False on a no-op: the
-        run no longer exists (tiles were rebuilt, merged or renumbered
-        since planning — the crash-recovery replay path relies on this
-        being a clean no-op), mismatched levels, or a lost race.
-
+        False on a no-op: the run no longer exists (the crash-recovery
+        replay path relies on this), mismatched levels, or a lost race.
         Row order is preserved — the merged tile is the concatenation
         of its inputs — so global row ids, morsel spans, child
         ``_parent_row`` links and the cluster's canonical block layout
-        are untouched.  This is why compaction is safe on cluster
-        shards even though §3.2 reordering is forced off for them.
-
-        Concurrency contract: optimistic, like
-        :meth:`reorganize_partition`.  The expensive decode/mine/build
-        runs without any relation lock; the splice happens under
-        *append_guard* + ``_buffer_lock`` after re-verifying every
-        input by identity.  Inside the guarded section, *before* the
-        manifest swap commits, every input's resolved-column cache
-        entries and TileStore residency are invalidated by uid — the
-        same hole class as seal/recompute: a stale cached column must
-        never be servable once the merged tile is visible.
+        are untouched; this is why shards may compact even though §3.2
+        reordering is forced off for them.
         """
         if self.text_rows is not None or count < 2:
             return False
@@ -596,68 +491,130 @@ class Relation:
             start = next((index for index, tile in enumerate(self.tiles)
                           if tile.header.tile_number == start_number),
                          None)
-            if start is None:
-                return False
-            old_tiles = list(self.tiles[start : start + count])
-        if len(old_tiles) < count:
-            return False
-        level = old_tiles[0].header.level
-        if any(tile.header.level != level for tile in old_tiles):
+            old_tiles = [] if start is None \
+                else list(self.tiles[start : start + count])
+        if len(old_tiles) < count \
+                or len({tile.header.level for tile in old_tiles}) != 1:
             return False  # the run dissolved (e.g. a concurrent merge)
+        return self._rewrite(old_tiles, merge=True,
+                             append_guard=append_guard)
+
+    # ------------------------------------------------------------------
+    # the tile-rewrite primitive (recompute, reorganize, compaction;
+    # DESIGN.md §6d / §8)
+
+    def _rewrite(self, old_tiles: List[TileHandle], *, reorder: bool = False,
+                 merge: bool = False, append_guard=None) -> bool:
+        """Replace the adjacent run *old_tiles* by freshly mined tiles;
+        True when they were spliced in (DESIGN.md §6d).
+
+        Each output keeps its input's tile number, first row and level:
+        one output per input, or with *merge* one tile at ``level + 1``.
+        *reorder* first permutes the run's documents by Section 3.2
+        reordering; the identity order is a no-op.
+
+        Optimistic: everything up to the splice runs without a relation
+        lock.  The splice, under *append_guard* (see
+        :meth:`flush_inserts`) + ``_buffer_lock``, commits only if the
+        tiles list is, by identity, still the entry snapshot plus an
+        appended tail (sealers only append); anything else is a lost
+        race.  The inputs' cached columns and residency are dropped
+        before the swap, while the guard still excludes readers.
+
+        Statistics are rebuilt, never patched (a rewrite may change
+        which columns, and so which sketches, exist): the snapshot with
+        the run swapped in is absorbed before the guard, the appended
+        tail under it.  ``absorb_tile`` runs in list order either way,
+        so this equals a full rebuild at O(tiles sealed meanwhile)
+        write-locked cost.
+        """
+        with self._buffer_lock:
+            snapshot = list(self.tiles)
+        start = next((index for index, tile in enumerate(snapshot)
+                      if tile is old_tiles[0]), -1)
+        stop = start + len(old_tiles)
+        if start < 0 or not _same_tiles(snapshot[start:stop], old_tiles):
+            return False  # replaced since the caller picked the run
         # pin one input at a time while draining its JSONB heap — the
         # byte strings stay alive by reference, so mining/extraction
         # run unpinned and the residency budget never needs the whole
-        # run resident at once (reorganize's discipline).  The drained
-        # payloads are retained so retiring the inputs below never has
-        # to reload one that was evicted in the meantime.
+        # run resident at once.  The drained payloads are retained so
+        # retiring the inputs never has to reload an evicted one.
         jsonb_rows: List[bytes] = []
-        retained: Dict[int, object] = {}
+        payloads: List[Tile] = []
         for handle in old_tiles:
             with handle.pinned() as payload:
                 jsonb_rows.extend(payload.jsonb_rows)
-                retained[id(handle)] = payload
+                payloads.append(payload)
         documents = [jsonb_decode(row) for row in jsonb_rows]
-        merged = self.adopt_tile(build_tile(
-            documents, jsonb_rows, self.config,
-            old_tiles[0].tile_number, old_tiles[0].first_row,
-            mine=self.format.extracts_columns, level=level + 1))
-        if _COMPACT_COMMIT_BARRIER is not None:
-            # crash-injection point for recovery tests: the merged tile
-            # exists but the manifest still points at the old run
-            _COMPACT_COMMIT_BARRIER(self, old_tiles, merged)
+        transactions = None
+        if reorder:
+            dictionary, transactions = encode_documents(
+                documents, self.config.max_array_elements)
+            order = reorder_transactions(
+                transactions, self.config,
+                occupancy=[tile.row_count for tile in old_tiles])
+            if order == list(range(len(order))):
+                return False
+            documents = apply_order(documents, order)
+            jsonb_rows = apply_order(jsonb_rows, order)
+            transactions = apply_order(transactions, order)
+        if merge:
+            head = old_tiles[0]
+            slots = [(head, len(documents), head.header.level + 1)]
+        else:
+            slots = [(tile, tile.row_count, tile.header.level)
+                     for tile in old_tiles]
+        new_tiles: List[TileHandle] = []
+        offset = 0
+        for old, count, level in slots:
+            rows = slice(offset, offset + count)
+            encoded = None if transactions is None \
+                else subset_dictionary(dictionary, transactions[rows])
+            new_tiles.append(self.adopt_tile(build_tile(
+                documents[rows], jsonb_rows[rows], self.config,
+                old.tile_number, old.first_row,
+                mine=self.format.extracts_columns, encoded=encoded,
+                level=level)))
+            offset += count
+        statistics = TableStatistics()
+        for tile in snapshot[:start] + new_tiles + snapshot[stop:]:
+            statistics.absorb_tile(tile.header.tile_number,
+                                   tile.header.statistics)
+        if _REWRITE_COMMIT_BARRIER is not None:
+            # crash-injection point for recovery tests: the outputs
+            # exist but the tiles list still holds the inputs
+            _REWRITE_COMMIT_BARRIER(self, old_tiles, new_tiles)
         guard = append_guard() if callable(append_guard) else append_guard
         with (guard if guard is not None else nullcontext()):
             with self._buffer_lock:
-                try:
-                    index = self.tiles.index(old_tiles[0])
-                except ValueError:
+                if not _same_tiles(self.tiles[: len(snapshot)], snapshot):
                     return False  # lost the race: retry in a later cycle
-                current = self.tiles[index : index + count]
-                if len(current) != count or any(
-                        now is not then
-                        for now, then in zip(current, old_tiles)):
-                    return False
-                # satellite fix: invalidate the inputs' cached columns
-                # and residency BEFORE the swap commits — the guard
-                # excludes readers, so nothing can repopulate between
-                # here and the splice, and no stale entry survives into
-                # the post-merge world.  retire (not discard) keeps
-                # each input's payload alive for scans that enumerated
-                # an older manifest snapshot and pin it after the swap.
-                for old in old_tiles:
+                for tile in self.tiles[len(snapshot):]:
+                    statistics.absorb_tile(tile.header.tile_number,
+                                           tile.header.statistics)
+                # retire (not discard) keeps each input's payload alive
+                # for scans that enumerated an older manifest snapshot
+                # and pin it after the swap
+                for old, payload in zip(old_tiles, payloads):
                     GLOBAL_TILE_CACHE.invalidate_tile(old.uid)
-                    GLOBAL_TILE_STORE.retire(old, retained.get(id(old)))
-                self.tiles[index : index + count] = [merged]
-                self._rebuild_statistics_locked()
+                    GLOBAL_TILE_STORE.retire(old, payload)
+                self.tiles[start:stop] = new_tiles
+                self.statistics = statistics
                 self._bump_manifest_locked()
-                self.lsm_counters["merges"] += 1
-                self.lsm_counters["docs_rewritten"] += len(documents)
-                self.lsm_counters["bytes_written"] += merged.nbytes
+                if merge:
+                    self.lsm_counters["merges"] += 1
+                    self.lsm_counters["docs_rewritten"] += len(documents)
+                    self.lsm_counters["bytes_written"] += new_tiles[0].nbytes
         for old in old_tiles:
             self._outlier_counts.pop(old.tile_number, None)
-        self._fire_event("compact", {
-            "tile": merged, "level": level + 1,
-            "inputs": [tile.header.tile_number for tile in old_tiles]})
+        size = max(1, self.config.partition_size)
+        self._fire_event("rewrite", {
+            "inputs": old_tiles, "outputs": new_tiles,
+            "partitions": list(range(start // size,
+                                     (start + len(new_tiles) - 1) // size
+                                     + 1)),
+            "reordered": reorder})
         return True
 
     # ------------------------------------------------------------------

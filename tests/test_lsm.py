@@ -437,10 +437,10 @@ class TestCrashRecovery:
         expected = db.sql(self.QUERY).rows
         before = list(relation.tiles)
 
-        def explode(rel, old_tiles, merged):
+        def explode(rel, old_tiles, new_tiles):
             raise RuntimeError("simulated crash before manifest commit")
 
-        monkeypatch.setattr(relation_module, "_COMPACT_COMMIT_BARRIER",
+        monkeypatch.setattr(relation_module, "_REWRITE_COMMIT_BARRIER",
                             explode)
         daemon = self._daemon(tmp_path, relation)
         daemon.config.max_actions_per_cycle = 8
@@ -454,7 +454,7 @@ class TestCrashRecovery:
         assert daemon.journal.pending() == []
 
         # lifting the barrier, the next cycle completes the merges
-        monkeypatch.setattr(relation_module, "_COMPACT_COMMIT_BARRIER",
+        monkeypatch.setattr(relation_module, "_REWRITE_COMMIT_BARRIER",
                             None)
         daemon.run_cycle()
         assert daemon.counters["merges"] >= 1
