@@ -53,10 +53,10 @@ def test_outofcore_budget_sweep(benchmark, report, tmp_path):
     save_database(resident_db, tmp_path / "db")
     path = tmp_path / "db" / "tweets.jtile"
     probe = load_relation(path)
-    working_set = sum(h.disk_bytes for h in probe.tiles)
+    working_set = sum(h.nbytes for h in probe.tiles)
     # a budget below one tile can only be honored transiently (the
     # pinned tile itself overruns it), so clamp the sweep to two tiles
-    floor = 2 * max(h.disk_bytes for h in probe.tiles)
+    floor = 2 * max(h.nbytes for h in probe.tiles)
 
     rows = []
     for fraction in BUDGET_FRACTIONS:

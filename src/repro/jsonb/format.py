@@ -42,7 +42,7 @@ from __future__ import annotations
 import struct
 from typing import Tuple
 
-from repro.errors import JsonbDecodeError
+from repro.errors import JsonbDecodeError, JsonbEncodeError
 
 TYPE_LITERAL = 0
 TYPE_INT = 1
@@ -91,7 +91,7 @@ def int_payload_size(value: int) -> int:
         limit = 1 << (8 * nbytes - 1)
         if -limit <= value < limit:
             return nbytes
-    raise OverflowError(f"integer {value} exceeds 64 bits")
+    raise JsonbEncodeError(f"integer {value} exceeds 64 bits")
 
 
 def write_int_payload(buf: bytearray, pos: int, value: int, nbytes: int) -> int:

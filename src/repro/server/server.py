@@ -368,10 +368,15 @@ class JsonTilesServer:
     def _append_and_buffer(self, name: str, relation: Relation,
                            documents: list) -> int:
         """WAL first, buffer second, atomically with respect to a
-        concurrent checkpoint (which holds the write lock)."""
+        concurrent checkpoint (which holds the write lock).  The whole
+        batch is checked first: a document no tile can store is
+        refused before any byte of the batch reaches the WAL (an
+        acknowledged record must seal and replay)."""
+        documents = [relation.accept_document(document)
+                     for document in documents]
         with self.locks.read_locked([name]):
             self.wals.for_table(name).append_many(documents)
-            relation.insert_many(documents)
+            relation.insert_accepted(documents)
             return relation.pending_inserts
 
     def _seal_table(self, name: str, relation: Relation) -> None:

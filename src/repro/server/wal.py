@@ -147,7 +147,11 @@ class WriteAheadLog:
         parts = []
         count = 0
         for document in documents:
-            payload = json.dumps(document,
+            # the whole batch is serialized before the first byte is
+            # written, so a string UTF-8 cannot hold (a lone surrogate)
+            # raises here with nothing of the batch logged; the server
+            # refuses such documents earlier (Relation.accept_document)
+            payload = json.dumps(document, ensure_ascii=False,
                                  separators=(",", ":")).encode("utf-8")
             parts.append(_RECORD.pack(len(payload), zlib.crc32(payload)))
             parts.append(payload)

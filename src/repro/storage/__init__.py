@@ -5,7 +5,11 @@ compression.
 * :func:`load_documents` / :func:`load_json_lines` — bulk loading with
   reordering, extraction and the Figure 16 phase breakdown.
 * :class:`Relation` — tiles + statistics + updates (Section 4.7).
-* :mod:`repro.storage.compression` — from-scratch LZ4 block codec.
+* :mod:`repro.storage.persist` — the ``.jtile`` file format (shared
+  strings, ``zlib``-compressed blobs) and save/open.
+* :mod:`repro.storage.compression` — from-scratch LZ4 block codec for
+  the Table 6 accounting in :meth:`Relation.size_report`; it is not on
+  the write path (pure Python, far too slow for checkpoints).
 """
 
 from repro.storage.column import ColumnBuilder, ColumnVector

@@ -100,11 +100,12 @@ class ColumnVector:
     def nbytes(self, shared_strings: bool = False) -> int:
         """Approximate storage footprint (Table 6 accounting).
 
-        With ``shared_strings=True``, variable-length payloads are
-        assumed to live in a shared region referenced by 8-byte offsets
+        With ``shared_strings=True``, variable-length payloads live in
+        a shared region referenced by 8-byte ``(offset, length)`` pairs
         — Umbra's design (Section 4.7: "variable-length data is tracked
-        in a separate memory region with offsets"), so an extracted
-        string column does not duplicate the JSONB payload.
+        in a separate memory region with offsets"), and how a ``.jtile``
+        file stores an extracted string column: as refs into the tile's
+        JSONB row heap, not as a second copy of the bytes.
         """
         if self.data.dtype == object:
             if shared_strings:

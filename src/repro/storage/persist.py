@@ -1,26 +1,45 @@
 """On-disk persistence for relations.
 
-Format v2 (``JTIL2``) lays a relation out for *random* access so the
-tile store can page individual tiles in and out:
+Format v3 (``JTIL3``) lays a relation out for *random* access so the
+tile store can page individual tiles in and out, and stores each tile
+smaller than its JSON text:
 
-* magic ``JTIL2`` (5 bytes),
-* the blobs, streamed in write order (JSONB rows, numpy column data,
-  null bitmaps, HyperLogLog registers, bloom bits),
+* magic ``JTIL3`` (5 bytes),
+* the blobs, streamed in write order (HyperLogLog registers and
+  histograms, JSONB row heaps, extracted column values, string
+  overflow, null bitmaps, bloom bits, the pending insert buffer),
 * the JSON *catalog* (a footer): structural metadata (format, config,
   tiles, extracted columns, statistics, bloom filters) where every
-  bulk payload is replaced by a blob id, plus ``blob_index`` — the
-  ``[offset, length]`` of every blob,
+  bulk payload is replaced by a blob id, plus
+  - ``blob_index``: ``[offset, stored length, codec, decoded length]``
+    of every blob, the codec an index into ``codecs``,
+  - ``codecs``: ``["raw", "zlib"]``.  Every blob is deflated with
+    ``zlib`` level 1 and kept that way when it came out smaller,
+  - ``stored``: the blobs' stored bytes per kind (``BLOB_KINDS``),
 * a little-endian u64 with the catalog length, then the magic again
   as a trailer (its presence proves the file is complete).
+
+Extracted string columns store no string bytes of their own (Umbra's
+shared variable-length region, Section 4.7): each value is a ``uint32``
+``(offset, length)`` pair into the tile's encoded row heap, where the
+same UTF-8 bytes already sit inside the row's JSONB.  A value that does
+not occur verbatim in its own row (a stringified outlier) goes to the
+column's overflow blob under the offset ``0xFFFFFFFF``; NULL rows are
+``(0, 0)`` and the null bitmap marks them.  Tiles in memory are
+unchanged: a load decodes each string once from the heap.  Each tile's
+catalog entry records that in-memory size (``nbytes``), which the tile
+store charges while the tile is resident.
 
 Because every blob is independently addressable, ``load_relation``
 reads only the catalog eagerly: tile headers, statistics and sketches
 are restored up front (they drive planning and tile skipping), while
 each tile's columns and JSONB heap stay behind a
 :class:`TileSegment` that the :mod:`~repro.storage.tilestore` faults
-in on first pin.  The v1 format (leading catalog with ``blob_sizes``,
-blobs concatenated after it) is still readable — its offsets are just
-the running sum of the sizes — and loads through the same lazy path.
+in on first pin.  Only v3 is written.  v2 (same layout, raw blobs,
+``[offset, length]`` index entries, strings stored as length-prefixed
+copies) and v1 (leading catalog with ``blob_sizes``, blobs
+concatenated after it — offsets are the running sum of the sizes) are
+still readable and load through the same lazy path.
 
 Durability: files are written to a temp sibling, fsynced, atomically
 renamed into place, and the containing directory is fsynced, so a
@@ -33,6 +52,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import zlib
 from pathlib import Path
 from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 
@@ -51,27 +71,56 @@ from repro.stats.table_stats import (
 from repro.storage.column import ColumnVector, dtype_for
 from repro.storage.formats import StorageFormat
 from repro.storage.relation import Relation
-from repro.storage.tilestore import GLOBAL_TILE_STORE, TileHandle, TileStore
+from repro.storage.tilestore import (
+    GLOBAL_TILE_STORE,
+    TileHandle,
+    TileStore,
+    tile_nbytes,
+)
 from repro.tiles.extractor import ExtractionConfig
 from repro.tiles.header import ExtractedColumn, TileHeader
 from repro.tiles.tile import Tile
 
 MAGIC_V1 = b"JTIL1"
-MAGIC = b"JTIL2"
+MAGIC_V2 = b"JTIL2"
+MAGIC = b"JTIL3"
+
+#: blob codecs of a v3 file, by the id its ``blob_index`` entries carry
+CODECS = ("raw", "zlib")
+_RAW, _ZLIB = 0, 1
+#: zlib level 1 deflates a Yelp JSONB heap to 0.22 at 81 MB/s; level 6
+#: reaches 0.18 at 31 MB/s, which checkpoints would pay on every load
+_ZLIB_LEVEL = 1
+#: the offset of a string ref whose bytes live in the overflow blob
+_OVERFLOW = 0xFFFFFFFF
+
+#: what each stored blob holds; ``Relation.size_report()["stored"]``
+#: adds ``"catalog"`` (magic, footer, trailer) so the parts sum to the
+#: file size
+BLOB_KINDS = ("row_heap", "string_refs", "string_overflow",
+              "fixed_columns", "null_bitmaps", "statistics", "bloom",
+              "insert_buffer")
 
 
 class _BlobWriter:
     """Streams blobs straight into the file being written, recording
-    the ``[offset, length]`` of each — tiles are pinned one at a time
-    during a save, so peak memory stays one tile, not one relation."""
+    the ``[offset, stored length, codec, decoded length]`` of each and
+    the stored bytes per kind — tiles are pinned one at a time during
+    a save, so peak memory stays one tile, not one relation."""
 
     def __init__(self, handle: BinaryIO):
         self._handle = handle
         self.index: List[List[int]] = []
+        self.stored: Dict[str, int] = {}
 
-    def add(self, data: bytes) -> int:
-        self.index.append([self._handle.tell(), len(data)])
-        self._handle.write(data)
+    def add(self, data: bytes, kind: str) -> int:
+        packed = zlib.compress(data, _ZLIB_LEVEL)
+        codec, stored = (_ZLIB, packed) if len(packed) < len(data) \
+            else (_RAW, data)
+        self.index.append([self._handle.tell(), len(stored), codec,
+                           len(data)])
+        self._handle.write(stored)
+        self.stored[kind] = self.stored.get(kind, 0) + len(stored)
         return len(self.index) - 1
 
 
@@ -91,13 +140,31 @@ class _BlobSource:
         self._file = self.path.open("rb")
 
     def length(self, blob_id: int) -> int:
+        """Stored (on-disk) bytes of a blob."""
         return self.index[blob_id][1]
 
+    def decoded_length(self, blob_id: int) -> int:
+        """Bytes of a blob once read (v1/v2 entries are always raw)."""
+        entry = self.index[blob_id]
+        return entry[3] if len(entry) > 2 else entry[1]
+
     def __getitem__(self, blob_id: int) -> bytes:
-        offset, length = self.index[blob_id]
+        entry = self.index[blob_id]
+        offset, length = entry[0], entry[1]
         data = os.pread(self._file.fileno(), length, offset)
         if len(data) != length:
             raise StorageError(f"{self.path} is truncated (blob {blob_id})")
+        if len(entry) > 2 and entry[2] == _ZLIB:
+            try:
+                data = zlib.decompress(data)
+            except zlib.error as exc:
+                raise StorageError(
+                    f"{self.path} has a corrupt blob {blob_id}: {exc}") \
+                    from exc
+            if len(data) != entry[3]:
+                raise StorageError(
+                    f"{self.path} has a corrupt blob {blob_id}: "
+                    f"{len(data)} bytes decoded, {entry[3]} recorded")
         return data
 
     def close(self) -> None:
@@ -106,8 +173,11 @@ class _BlobSource:
 
 class TileSegment:
     """The on-disk footprint of one tile: its catalog entry plus the
-    blob source to read payload bytes from.  ``nbytes`` (the payload
-    blobs' total length) is what the residency budget charges."""
+    blob source to read payload bytes from.  ``nbytes`` is what the
+    residency budget charges: the loaded tile's in-memory size
+    (``tilestore.tile_nbytes``, recorded at save; v1/v2 files, which
+    stored every string in full, fall back to the payload blobs'
+    length).  ``disk_bytes`` is the blobs' stored (compressed) length."""
 
     def __init__(self, meta: dict, source: _BlobSource):
         self.meta = meta
@@ -117,7 +187,11 @@ class TileSegment:
             vector = column_meta["vector"]
             blob_ids.append(vector["data"])
             blob_ids.append(vector["nulls"])
-        self.nbytes = sum(source.length(blob_id) for blob_id in blob_ids)
+            if "overflow" in vector:
+                blob_ids.append(vector["overflow"])
+        self.nbytes = meta["nbytes"] if "nbytes" in meta else sum(
+            source.decoded_length(blob_id) for blob_id in blob_ids)
+        self.disk_bytes = sum(source.length(blob_id) for blob_id in blob_ids)
 
     def load(self, header: TileHeader, first_row: int) -> Tile:
         """Fault the payload in (columns + JSONB heap) under *header*."""
@@ -145,20 +219,70 @@ def _decode_rows(blob: bytes) -> List[bytes]:
     return rows
 
 
-def _encode_object_column(data: np.ndarray) -> bytes:
-    parts = [struct.pack("<I", len(data))]
-    for item in data:
-        if item is None:
-            parts.append(b"\xff\xff\xff\xff")
+def _row_starts(rows: List[bytes]) -> List[int]:
+    """Offset of every row's first byte inside :func:`_encode_rows`."""
+    starts = []
+    start = 8  # the row count + the first row's length prefix
+    for row in rows:
+        starts.append(start)
+        start += len(row) + 4
+    if start - 4 > _OVERFLOW:
+        raise StorageError("tile row heap exceeds the 4 GiB reach of "
+                           "string offsets")
+    return starts
+
+
+def _string_refs(vector: ColumnVector, rows: List[bytes],
+                 row_starts: List[int]) -> Tuple[bytes, bytes]:
+    """The refs and overflow blobs of an object-dtype column: each
+    non-NULL value as ``(offset, length)`` into the encoded row heap
+    where its row's JSONB holds the same bytes, else
+    ``(_OVERFLOW, length)`` with the bytes appended to the overflow.
+    Any occurrence decodes to the same value; NULL rows stay
+    ``(0, 0)``."""
+    offsets = [0] * len(vector)
+    lengths = [0] * len(vector)
+    overflow: List[bytes] = []
+    values = vector.data.tolist()
+    for index in np.flatnonzero(~vector.null_mask).tolist():
+        item = values[index]
+        value = (item if isinstance(item, bytes)
+                 else str(item).encode("utf-8"))
+        hit = rows[index].find(value)
+        if hit >= 0:
+            offsets[index] = row_starts[index] + hit
         else:
-            encoded = (item if isinstance(item, bytes)
-                       else str(item).encode("utf-8"))
-            parts.append(struct.pack("<I", len(encoded)))
-            parts.append(encoded)
-    return b"".join(parts)
+            offsets[index] = _OVERFLOW
+            overflow.append(value)
+        lengths[index] = len(value)
+    refs = np.empty((len(offsets), 2), dtype="<u4")
+    refs[:, 0] = offsets
+    refs[:, 1] = lengths
+    return refs.tobytes(), b"".join(overflow)
+
+
+def _resolve_string_refs(refs: bytes, heap: bytes, overflow: bytes,
+                         nulls: np.ndarray,
+                         column_type: ColumnType) -> np.ndarray:
+    """Inverse of :func:`_string_refs`: slice every non-NULL value out
+    of the heap (or the overflow, in order) and decode it once."""
+    pairs = np.frombuffer(refs, dtype="<u4").reshape(-1, 2).tolist()
+    as_text = column_type != ColumnType.JSONB
+    out = np.empty(len(pairs), dtype=object)
+    spilled = 0
+    for index in np.flatnonzero(~nulls).tolist():
+        offset, length = pairs[index]
+        if offset == _OVERFLOW:
+            value = overflow[spilled : spilled + length]
+            spilled += length
+        else:
+            value = heap[offset : offset + length]
+        out[index] = value.decode("utf-8") if as_text else value
+    return out
 
 
 def _decode_object_column(blob: bytes) -> np.ndarray:
+    """A v1/v2 object column: length-prefixed copies of every value."""
     (count,) = struct.unpack_from("<I", blob, 0)
     pos = 4
     out = np.empty(count, dtype=object)
@@ -173,39 +297,46 @@ def _decode_object_column(blob: bytes) -> np.ndarray:
     return out
 
 
-def _column_meta(vector: ColumnVector, blobs: _BlobWriter) -> dict:
+def _column_meta(vector: ColumnVector, rows: List[bytes],
+                 row_starts: List[int], blobs: _BlobWriter) -> dict:
+    meta = {"type": vector.type.value, "length": len(vector)}
     if vector.data.dtype == object:
-        data_blob = blobs.add(_encode_object_column(vector.data))
-        layout = "object"
+        refs, overflow = _string_refs(vector, rows, row_starts)
+        meta["layout"] = "refs"
+        meta["data"] = blobs.add(refs, "string_refs")
+        if overflow:
+            meta["overflow"] = blobs.add(overflow, "string_overflow")
     else:
-        data_blob = blobs.add(vector.data.tobytes())
-        layout = "raw"
-    return {
-        "type": vector.type.value,
-        "layout": layout,
-        "length": len(vector),
-        "data": data_blob,
-        "nulls": blobs.add(np.packbits(vector.null_mask).tobytes()),
-    }
+        meta["layout"] = "raw"
+        meta["data"] = blobs.add(vector.data.tobytes(), "fixed_columns")
+    meta["nulls"] = blobs.add(np.packbits(vector.null_mask).tobytes(),
+                              "null_bitmaps")
+    return meta
 
 
-def _restore_column(meta: dict, blobs) -> ColumnVector:
+def _restore_column(meta: dict, blobs, heap: bytes) -> ColumnVector:
     column_type = ColumnType(meta["type"])
     length = meta["length"]
-    if meta["layout"] == "object":
+    nulls = np.unpackbits(
+        np.frombuffer(blobs[meta["nulls"]], dtype=np.uint8),
+        count=length).astype(bool) if length else np.zeros(0, dtype=bool)
+    layout = meta["layout"]
+    if layout == "refs":
+        overflow = blobs[meta["overflow"]] if "overflow" in meta else b""
+        data = _resolve_string_refs(blobs[meta["data"]], heap, overflow,
+                                    nulls, column_type)
+    elif layout == "object":
         data = _decode_object_column(blobs[meta["data"]])
     else:
         data = np.frombuffer(blobs[meta["data"]],
                              dtype=dtype_for(column_type)).copy()
-    nulls = np.unpackbits(
-        np.frombuffer(blobs[meta["nulls"]], dtype=np.uint8),
-        count=length).astype(bool) if length else np.zeros(0, dtype=bool)
     return ColumnVector(column_type, data[:length], nulls)
 
 
 def _sketch_meta(sketch: HyperLogLog, blobs: _BlobWriter) -> dict:
     return {"precision": sketch.precision,
-            "registers": blobs.add(sketch.registers.tobytes())}
+            "registers": blobs.add(sketch.registers.tobytes(),
+                                   "statistics")}
 
 
 def _restore_sketch(meta: dict, blobs) -> HyperLogLog:
@@ -218,8 +349,9 @@ def _restore_sketch(meta: dict, blobs) -> HyperLogLog:
 def _histogram_meta(histogram, blobs: _BlobWriter) -> Optional[dict]:
     if histogram is None:
         return None
-    return {"boundaries": blobs.add(histogram.boundaries.tobytes()),
-            "counts": blobs.add(histogram.counts.tobytes())}
+    return {"boundaries": blobs.add(histogram.boundaries.tobytes(),
+                                    "statistics"),
+            "counts": blobs.add(histogram.counts.tobytes(), "statistics")}
 
 
 def _restore_histogram(meta: Optional[dict], blobs):
@@ -254,7 +386,7 @@ def _restore_column_stats(meta: dict, blobs) -> ColumnStatistics:
 
 
 def _bloom_meta(bloom: BloomFilter, blobs: _BlobWriter) -> dict:
-    return {"bits": blobs.add(bloom.bits.tobytes()),
+    return {"bits": blobs.add(bloom.bits.tobytes(), "bloom"),
             "num_bits": bloom.num_bits, "num_hashes": bloom.num_hashes}
 
 
@@ -268,6 +400,9 @@ def _restore_bloom(meta: dict, blobs) -> BloomFilter:
 
 def _tile_payload_meta(tile: Tile, blobs: _BlobWriter) -> dict:
     header = tile.header
+    rows = tile.jsonb_rows
+    row_starts = _row_starts(rows)
+    heap_blob = blobs.add(_encode_rows(rows), "row_heap")
     columns = []
     for path, column in tile.columns.items():
         meta = header.columns[path]
@@ -278,7 +413,7 @@ def _tile_payload_meta(tile: Tile, blobs: _BlobWriter) -> dict:
             "conflicts": meta.has_type_conflicts,
             "nullable": meta.nullable,
             "datetime": meta.is_datetime,
-            "vector": _column_meta(column, blobs),
+            "vector": _column_meta(column, rows, row_starts, blobs),
         })
     tile_meta = {
         "tile_number": header.tile_number,
@@ -299,7 +434,10 @@ def _tile_payload_meta(tile: Tile, blobs: _BlobWriter) -> dict:
         "block_rows": header.block_bounds_rows,
         "block_bounds": {str(path): entries
                          for path, entries in header.block_bounds.items()},
-        "rows": blobs.add(_encode_rows(tile.jsonb_rows)),
+        "rows": heap_blob,
+        # the residency charge of the loaded tile (TileSegment.nbytes):
+        # strings are refs on disk but full objects once loaded
+        "nbytes": tile_nbytes(tile),
     }
     if header.leaf_spans is not None:
         # leaf row spans (DESIGN.md §5i), grouped by span as
@@ -364,12 +502,12 @@ def _restore_tile_header(meta: dict, blobs) -> TileHeader:
 def _restore_tile_payload(meta: dict, header: TileHeader, blobs,
                           first_row: int) -> Tile:
     """The demand-loaded part: column vectors and the JSONB heap."""
+    heap = blobs[meta["rows"]]
     columns = {}
     for column_meta in meta["columns"]:
         columns[KeyPath.parse(column_meta["path"])] = \
-            _restore_column(column_meta["vector"], blobs)
-    rows = _decode_rows(blobs[meta["rows"]])
-    return Tile(header, columns, rows, first_row)
+            _restore_column(column_meta["vector"], blobs, heap)
+    return Tile(header, columns, _decode_rows(heap), first_row)
 
 
 def _table_stats_meta(stats: TableStatistics, blobs: _BlobWriter) -> dict:
@@ -434,7 +572,8 @@ def _relation_meta(relation: Relation, blobs: _BlobWriter,
     }
     if relation.text_rows is not None:
         meta["text_rows"] = blobs.add(_encode_rows(
-            [row.encode("utf-8") for row in relation.text_rows]))
+            [row.encode("utf-8") for row in relation.text_rows]),
+            "row_heap")
     else:
         tiles_meta = []
         for tile in relation.tiles:
@@ -449,7 +588,7 @@ def _relation_meta(relation: Relation, blobs: _BlobWriter,
         if buffered:
             meta["insert_buffer"] = blobs.add(_encode_rows(
                 [json.dumps(document, separators=(",", ":")).encode("utf-8")
-                 for document in buffered]))
+                 for document in buffered]), "insert_buffer")
     return meta
 
 
@@ -521,6 +660,8 @@ def save_relation(relation: Relation, path: Union[str, Path],
         blobs = _BlobWriter(handle)
         catalog = _relation_meta(relation, blobs,
                                  rebinds if rebind else None)
+        catalog["codecs"] = list(CODECS)
+        catalog["stored"] = blobs.stored
         catalog["blob_index"] = blobs.index
         if extra is not None:
             catalog["extra"] = extra
@@ -536,25 +677,35 @@ def save_relation(relation: Relation, path: Union[str, Path],
         source = _BlobSource(path, blobs.index)
         for tile_handle, tile_meta in rebinds:
             tile_handle.rebind(TileSegment(tile_meta, source))
-    return path.stat().st_size
+    size = path.stat().st_size
+    relation.stored_bytes = _stored_breakdown(blobs.stored, size)
+    return size
+
+
+def _stored_breakdown(stored: Dict[str, int], file_size: int) -> Dict[str, int]:
+    """Stored bytes per blob kind plus ``catalog`` (everything that is
+    not a blob), summing to *file_size*."""
+    breakdown = {kind: stored.get(kind, 0) for kind in BLOB_KINDS}
+    breakdown["catalog"] = file_size - sum(breakdown.values())
+    return breakdown
 
 
 def _open_catalog(path: Path) -> Tuple[dict, List[List[int]]]:
-    """Read the catalog of either format version; returns it together
-    with the ``[offset, length]`` blob index (computed from the running
-    sum of ``blob_sizes`` for v1 files)."""
+    """Read the catalog of any format version; returns it together
+    with the blob index (``[offset, length]`` entries computed from the
+    running sum of ``blob_sizes`` for v1 files)."""
     size = path.stat().st_size
     trailer_len = 8 + len(MAGIC)
     with path.open("rb") as handle:
         magic = handle.read(len(MAGIC))
         try:
-            if magic == MAGIC:
+            if magic in (MAGIC, MAGIC_V2):
                 if size < len(MAGIC) + trailer_len:
                     raise StorageError(f"{path} is truncated")
                 handle.seek(size - trailer_len)
                 tail = handle.read(trailer_len)
                 (footer_len,) = struct.unpack("<Q", tail[:8])
-                if tail[8:] != MAGIC:
+                if tail[8:] != magic:
                     raise StorageError(
                         f"{path} is truncated (footer trailer missing)")
                 footer_start = size - trailer_len - footer_len
@@ -563,6 +714,9 @@ def _open_catalog(path: Path) -> Tuple[dict, List[List[int]]]:
                 handle.seek(footer_start)
                 catalog = json.loads(
                     handle.read(footer_len).decode("utf-8"))
+                if magic == MAGIC and catalog.get("codecs") != list(CODECS):
+                    raise StorageError(f"{path} uses unknown blob codecs "
+                                       f"{catalog.get('codecs')}")
                 return catalog, catalog["blob_index"]
             if magic == MAGIC_V1:
                 (header_len,) = struct.unpack("<Q", handle.read(8))
@@ -585,7 +739,7 @@ def _open_catalog(path: Path) -> Tuple[dict, List[List[int]]]:
 
 def load_relation(path: Union[str, Path],
                   store: Optional[TileStore] = None) -> Relation:
-    """Open a relation written by :func:`save_relation` (either format
+    """Open a relation written by :func:`save_relation` (any format
     version).  Only headers and statistics are read eagerly; tile
     payloads page in through *store* (default: the process-wide
     :data:`~repro.storage.tilestore.GLOBAL_TILE_STORE`) on first use.
@@ -594,10 +748,14 @@ def load_relation(path: Union[str, Path],
     catalog, index = _open_catalog(path)
     source = _BlobSource(path, index)
     try:
-        return _restore_relation(
+        relation = _restore_relation(
             catalog, source, store if store is not None else GLOBAL_TILE_STORE)
     except (KeyError, IndexError, ValueError, struct.error) as exc:
         raise StorageError(f"{path} is corrupt: {exc}") from exc
+    if "stored" in catalog:  # v1/v2 files carry no per-kind tally
+        relation.stored_bytes = _stored_breakdown(catalog["stored"],
+                                                  path.stat().st_size)
+    return relation
 
 
 def read_relation_extra(path: Union[str, Path]) -> dict:

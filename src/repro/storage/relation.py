@@ -24,6 +24,7 @@ from repro.core.jsonpath import KeyPath, collect_key_paths
 from repro.errors import StorageError
 from repro.jsonb import decode as jsonb_decode
 from repro.jsonb import encode as jsonb_encode
+from repro.jsonb.encoder import check_encodable
 from repro.lsm.manifest import LevelManifest
 from repro.mining.dictionary import (
     ItemSink,
@@ -113,6 +114,10 @@ class Relation:
         #: (DESIGN.md §8): bumped by every mutation, rebuilt lazily
         self._manifest_epoch = 0
         self._manifest: Optional[LevelManifest] = None
+        #: stored bytes per blob kind of the ``.jtile`` snapshot this
+        #: relation was last saved to or loaded from (filled by
+        #: ``repro.storage.persist``; empty before the first save)
+        self.stored_bytes: Dict[str, int] = {}
 
     def record_scan(self, counters) -> None:
         """Fold one finished scan's counters into the running totals.
@@ -186,6 +191,22 @@ class Relation:
     # ------------------------------------------------------------------
     # incremental inserts (Section 3.2 / 4.7)
 
+    def accept_document(self, document: object) -> object:
+        """Parse *document* (JSON text or a Python value) and check that
+        a tile can store it; returns the parsed document.
+
+        ``json.loads`` accepts documents no JSONB row can hold — an
+        escaped lone surrogate (``"\\ud800"``), an integer wider than
+        64 bits — and one such document in the insert buffer would fail
+        every later seal.  The check applies the JSONB encoder's rules
+        (:func:`repro.jsonb.encoder.check_encodable`) and raises
+        :class:`~repro.errors.JsonbEncodeError` before anything is
+        buffered or logged."""
+        parsed = (json.loads(document) if isinstance(document, str)
+                  else document)
+        check_encodable(parsed)
+        return parsed
+
     def insert(self, document: object) -> None:
         """Append one document.
 
@@ -193,25 +214,38 @@ class Relation:
         tuples arrived, the buffer is sealed into a new tile (with
         mining/extraction for extracting formats).  Call
         :meth:`flush_inserts` to seal a partial buffer — e.g. before a
-        scan that must observe the fresh tuples.
+        scan that must observe the fresh tuples.  A document no tile
+        can store raises (:meth:`accept_document`) and is not buffered.
         """
-        if self.text_rows is not None:
-            row = (json.dumps(document) if not isinstance(document, str)
-                   else document)
-            with self._buffer_lock:
-                self.text_rows.append(row)
-            return
-        parsed = (json.loads(document) if isinstance(document, str)
-                  else document)
-        with self._buffer_lock:
-            self._insert_buffer.append(parsed)
-            full = len(self._insert_buffer) >= self.config.tile_size
-        if full and self.auto_seal:
-            self.flush_inserts()
+        self.insert_many([document])
 
     def insert_many(self, documents) -> None:
+        """Append a batch; every document is checked
+        (:meth:`accept_document`) before the first one is buffered."""
+        documents = list(documents)
+        accepted = [self.accept_document(document) for document in documents]
+        if self.text_rows is not None:
+            # the JSON format keeps JSON text as it was given
+            accepted = [document if isinstance(document, str) else parsed
+                        for document, parsed in zip(documents, accepted)]
+        self.insert_accepted(accepted)
+
+    def insert_accepted(self, documents) -> None:
+        """Buffer documents :meth:`accept_document` already returned,
+        without checking them again (the server checks a batch before
+        its WAL append, then buffers it through here)."""
         for document in documents:
-            self.insert(document)
+            if self.text_rows is not None:
+                row = (document if isinstance(document, str)
+                       else json.dumps(document))
+                with self._buffer_lock:
+                    self.text_rows.append(row)
+                continue
+            with self._buffer_lock:
+                self._insert_buffer.append(document)
+                full = len(self._insert_buffer) >= self.config.tile_size
+            if full and self.auto_seal:
+                self.flush_inserts()
 
     def flush_inserts(self, append_guard=None) -> None:
         """Seal the insert buffer into a new tile (no-op when empty).
@@ -259,15 +293,22 @@ class Relation:
                     tile_number = (self.tiles[-1].header.tile_number + 1
                                    if self.tiles else 0)
                     first_row = sum(tile.row_count for tile in self.tiles)
-                # one walk per document: JSONB bytes + mining items
-                sink = ItemSink(self.config.max_array_elements)
-                jsonb_rows = [jsonb_encode(document, sink=sink)
-                              for document in documents]
-                tile = self.adopt_tile(build_tile(
-                    documents, jsonb_rows, self.config,
-                    tile_number, first_row,
-                    mine=self.format.extracts_columns,
-                    encoded=(sink.dictionary, sink.transactions)))
+                try:
+                    # one walk per document: JSONB bytes + mining items
+                    sink = ItemSink(self.config.max_array_elements)
+                    jsonb_rows = [jsonb_encode(document, sink=sink)
+                                  for document in documents]
+                    tile = self.adopt_tile(build_tile(
+                        documents, jsonb_rows, self.config,
+                        tile_number, first_row,
+                        mine=self.format.extracts_columns,
+                        encoded=(sink.dictionary, sink.transactions)))
+                except BaseException:
+                    # the documents were acknowledged: put them back at
+                    # the head of the buffer, ahead of later inserts
+                    with self._buffer_lock:
+                        self._insert_buffer[:0] = documents
+                    raise
                 guard = append_guard() if callable(append_guard) \
                     else append_guard
                 if guard is not None:
@@ -620,14 +661,23 @@ class Relation:
     # ------------------------------------------------------------------
     # size accounting (Table 6)
 
-    def size_report(self) -> Dict[str, int]:
+    def size_report(self) -> Dict[str, object]:
         """Bytes per representation: raw JSON text, JSONB, extracted
         tile columns, and LZ4-compressed tile columns.
 
         ``tiles`` / ``lz4_tiles`` use the shared-variable-length-region
         accounting of Umbra (Section 4.7): extracted string columns
-        store offsets, not payload copies.  ``tiles_standalone`` is the
-        fully-materialized alternative for comparison.
+        store offsets, not payload copies — which is how the ``.jtile``
+        file stores them (``repro.storage.persist``, format v3).
+        ``tiles_standalone`` is the fully-materialized alternative for
+        comparison.
+
+        ``stored`` (present once the relation was saved to or loaded
+        from a v3 file) breaks that file's bytes down by blob kind —
+        row heap, string refs, string overflow, fixed columns, null
+        bitmaps, statistics, bloom, insert buffer, catalog — and sums
+        to its size.  It describes the last snapshot, not tiles sealed
+        since.
 
         A relation with zero sealed tiles (empty table, or buffer-only
         state where every document still sits in the insert buffer)
@@ -642,6 +692,12 @@ class Relation:
         accounting pins each tile (one at a time) and would otherwise
         make everything look resident.
         """
+        report: Dict[str, object] = self._representation_sizes()
+        if self.stored_bytes:
+            report["stored"] = dict(self.stored_bytes)
+        return report
+
+    def _representation_sizes(self) -> Dict[str, int]:
         from repro.storage.compression import compress
 
         report = {"json": 0, "jsonb": 0, "tiles": 0, "tiles_standalone": 0,
@@ -664,7 +720,7 @@ class Relation:
                     report["lz4_tiles"] += len(compress(
                         column.raw_bytes(shared_strings=True)))
         for child in self.children.values():
-            child_report = child.size_report()
+            child_report = child._representation_sizes()
             for key in report:
                 report[key] += child_report[key]
         return report

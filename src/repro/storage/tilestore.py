@@ -85,7 +85,7 @@ class TileHandle:
         self._load_lock = threading.Lock()
         if tile is not None:
             self.uid = tile.uid
-            self._nbytes = _tile_nbytes(tile)
+            self._nbytes = tile_nbytes(tile)
         else:
             self.uid = new_tile_uid()
             self._nbytes = segment.nbytes if segment is not None else 0
@@ -130,16 +130,17 @@ class TileHandle:
     @property
     def nbytes(self) -> int:
         """Payload bytes this handle charges against the budget while
-        resident (on-disk segment size for paged tiles, an in-memory
-        estimate for dirty ones)."""
+        resident (the segment's decoded payload size for paged tiles,
+        an in-memory estimate for dirty ones)."""
         return self._nbytes
 
     @property
     def disk_bytes(self) -> int:
-        """Bytes of the clean on-disk copy (0 while dirty)."""
+        """Stored (compressed) bytes of the clean on-disk copy (0 while
+        dirty)."""
         if self.dirty or self._segment is None:
             return 0
-        return self._segment.nbytes
+        return self._segment.disk_bytes
 
     # ------------------------------------------------------------------
     # pin protocol
@@ -221,9 +222,11 @@ class TileHandle:
                 f"rows={self.row_count} {state} pins={self._pins}>")
 
 
-def _tile_nbytes(tile: Tile) -> int:
+def tile_nbytes(tile: Tile) -> int:
     """Budget charge of an in-memory tile: JSONB heap + standalone
-    column footprint (the same accounting ``size_report`` uses)."""
+    column footprint (the same accounting ``size_report`` uses).  A
+    ``.jtile`` file records it per tile, so a paged tile is charged the
+    same before and after a checkpoint."""
     return tile.jsonb_size_bytes() + tile.size_bytes()
 
 
@@ -374,7 +377,7 @@ class TileStore:
             handle.dirty = False
             key = id(handle)
             if key in self._entries:
-                # re-charge at the segment's (on-disk) size so paged
+                # re-charge at the segment's decoded size so paged
                 # accounting is uniform whether a tile was loaded or
                 # survived from its dirty incarnation
                 ref, old = self._entries[key]

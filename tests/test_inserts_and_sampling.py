@@ -1,10 +1,14 @@
 """Tests for incremental inserts (Section 3.2/4.7) and plan-time
 document sampling (Section 4.6)."""
 
+import json
+
 import pytest
 
 from repro import Database, ExtractionConfig, QueryOptions, StorageFormat
 from repro.core.jsonpath import KeyPath
+from repro.errors import JsonbEncodeError
+from repro.storage import relation as relation_module
 
 CONFIG = ExtractionConfig(tile_size=16, partition_size=2)
 
@@ -83,6 +87,73 @@ class TestIncrementalInserts:
         assert tile.column(KeyPath.parse("geo.lat")) is not None
         # older tiles remain untouched
         assert relation.tiles[0].column(KeyPath.parse("geo.lat")) is None
+
+
+class TestRefusedAndFailedInserts:
+    """Acknowledged documents are never lost to a seal that fails, and
+    a document no tile can store is refused before it is buffered."""
+
+    def test_failed_seal_keeps_documents_pending(self, monkeypatch):
+        db = Database(StorageFormat.TILES, ExtractionConfig(tile_size=4))
+        relation = db.create_table("t")
+        relation.auto_seal = False
+        documents = [{"s": "ok"}, {"s": "ok2"}, {"s": "ok3"}]
+        relation.insert_many(documents)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("seal failed")
+
+        monkeypatch.setattr(relation_module, "build_tile", fail)
+        with pytest.raises(RuntimeError):
+            relation.flush_inserts()
+        assert relation.pending_inserts == 3
+        assert relation.snapshot_insert_buffer() == documents
+        assert relation.tiles == []
+        relation.insert({"s": "later"})
+        monkeypatch.undo()
+        relation.flush_inserts()
+        assert relation.pending_inserts == 0
+        assert [relation.document(row) for row in range(4)] == \
+            documents + [{"s": "later"}]
+
+    @pytest.mark.parametrize("bad", [
+        {"s": "\ud800"}, {"\udfff": 1}, {"a": ["x", {"b": "\ud83d"}]},
+        '{"s": "\\ud800"}',
+        {"n": 2**64}, '{"n": -9223372036854775809}', {"a": [{"n": 2**70}]},
+        {1: "non-string key"}, {"a": {None: 1}}, {"a": {1, 2}},
+        json.loads("[" * 300 + "]" * 300),
+    ])
+    def test_insert_refuses_what_no_tile_can_store(self, bad):
+        db = Database(StorageFormat.TILES, ExtractionConfig(tile_size=4))
+        relation = db.create_table("t")
+        relation.insert({"s": "ok"})
+        with pytest.raises(JsonbEncodeError):
+            relation.insert(bad)
+        assert relation.snapshot_insert_buffer() == [{"s": "ok"}]
+        relation.insert_many([{"s": "ok2"}, {"s": "ok3"}, {"s": "ok4"}])
+        assert relation.pending_inserts == 0  # the seal went through
+        assert db.sql("select count(*) as n from t x").scalar() == 4
+
+    def test_insert_many_refuses_the_whole_batch(self):
+        db = Database(StorageFormat.TILES, ExtractionConfig(tile_size=4))
+        relation = db.create_table("t")
+        with pytest.raises(JsonbEncodeError):
+            relation.insert_many([{"n": 1}, {"n": 2**64}, {"n": 3}])
+        assert relation.pending_inserts == 0
+
+    def test_int64_bounds_accepted(self):
+        db = Database(StorageFormat.TILES, ExtractionConfig(tile_size=4))
+        relation = db.create_table("t")
+        relation.insert_many([{"n": 2**63 - 1}, {"n": -2**63}])
+        relation.flush_inserts()
+        assert [relation.document(row) for row in range(2)] == \
+            [{"n": 2**63 - 1}, {"n": -2**63}]
+
+    @pytest.mark.parametrize("bad", [{"s": "\ud800"}, {"n": 2**64}])
+    def test_load_table_raises_jsonb_encode_error(self, bad):
+        db = Database(StorageFormat.TILES, CONFIG)
+        with pytest.raises(JsonbEncodeError):
+            db.load_table("t", [{"s": "ok"}, bad])
 
 
 class TestPlanTimeSampling:

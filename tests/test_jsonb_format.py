@@ -12,6 +12,7 @@ from repro.core.types import JsonType
 from repro.errors import JsonbDecodeError, JsonbEncodeError
 from repro.jsonb import JsonbValue, decode, encode, encoded_size
 from repro.jsonb import format as fmt
+from repro.jsonb.encoder import MAX_ACCEPT_DEPTH, check_encodable
 
 
 class TestScalarRoundTrip:
@@ -32,8 +33,9 @@ class TestScalarRoundTrip:
         assert len(encode(-1)) == 2
 
     def test_integer_overflow_rejected(self):
-        with pytest.raises((JsonbEncodeError, OverflowError)):
-            encode(2**64)
+        for value in (2**63, -2**63 - 1, 2**64):
+            with pytest.raises(JsonbEncodeError):
+                encode(value)
 
     @pytest.mark.parametrize("value", [0.0, 1.5, -2.25, 3.141592653589793,
                                        1e300, -1e-300, 6.1e-5])
@@ -250,6 +252,48 @@ class TestPropertyRoundTrip:
             hit = root.get(key)
             assert hit is not None
             assert hit.as_python() == _sorted_keys(value)
+
+
+#: JSON-ish values including what the encoder rejects: integers outside
+#: int64, lone surrogates in strings and keys, non-string keys, tuples
+#: and types JSON has no form for
+_any_text = st.text(max_size=4) | st.text(
+    st.sampled_from(["a", "\u00e9", "\U0001f600", "\ud800", "\udfff"]),
+    max_size=4)
+unchecked_values = st.recursive(
+    st.none() | st.booleans() | st.floats()
+    | st.integers(min_value=-(2**64), max_value=2**64)
+    | st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1])
+    | _any_text | st.sampled_from([{1, 2}, b"raw"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(st.one_of(_any_text, _any_text, _any_text,
+                                st.integers(0, 3), st.none()),
+                      children, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestCheckEncodable:
+    @settings(max_examples=300, deadline=None)
+    @given(unchecked_values)
+    def test_agrees_with_the_measure_pass(self, value):
+        try:
+            encoded_size(value)
+        except JsonbEncodeError:
+            with pytest.raises(JsonbEncodeError):
+                check_encodable(value)
+        else:
+            check_encodable(value)
+
+    def test_nesting_bound(self):
+        value = 0
+        for _ in range(MAX_ACCEPT_DEPTH):
+            value = [value]
+        check_encodable(value)
+        assert decode(encode(value)) == value
+        with pytest.raises(JsonbEncodeError):
+            check_encodable({"a": value})
 
 
 def _sorted_keys(value):

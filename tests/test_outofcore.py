@@ -67,10 +67,10 @@ class TestDifferentialOutOfCore:
         store = TileStore(cache=ResolvedTileCache())
         relation = load_relation(tmp_path / suite / f"{table}.jtile",
                                  store=store)
-        working_set = sum(h.disk_bytes for h in relation.tiles)
+        working_set = sum(h.nbytes for h in relation.tiles)
         budget = working_set // 4
         # the budget must at least hold the one tile a serial scan pins
-        assert budget > max(h.disk_bytes for h in relation.tiles)
+        assert budget > max(h.nbytes for h in relation.tiles)
         store.set_budget(budget)
 
         paged_db = Database(StorageFormat.TILES, CONFIG)
@@ -90,7 +90,7 @@ class TestDifferentialOutOfCore:
         store = TileStore(cache=ResolvedTileCache())
         relation = load_relation(tmp_path / "d" / f"{table}.jtile",
                                  store=store)
-        store.set_budget(sum(h.disk_bytes for h in relation.tiles) // 4)
+        store.set_budget(sum(h.nbytes for h in relation.tiles) // 4)
         assert list(relation.documents()) == expected
 
     def test_env_budget_reaches_global_store(self, monkeypatch):
@@ -135,7 +135,7 @@ class TestEvictionSoak:
             return evicted
 
         monkeypatch.setattr(global_store, "_enforce_locked", checked_enforce)
-        budget = int(max(h.disk_bytes for h in relation.tiles) * 3)
+        budget = int(max(h.nbytes for h in relation.tiles) * 3)
         global_store.set_budget(budget)
 
         from repro.maintenance import MaintenanceDaemon

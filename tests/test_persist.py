@@ -1,5 +1,6 @@
 """Tests for on-disk persistence (save/load of relations)."""
 
+import numpy as np
 import pytest
 
 from repro import Database, ExtractionConfig, StorageFormat
@@ -147,6 +148,18 @@ class TestRelationRoundTrip:
             load_relation(path)
 
 
+def format_fixture(version):
+    """Path of ``tests/fixtures/format_<version>.jtile`` and the parsed
+    expected results stored next to it."""
+    import json
+    from pathlib import Path
+
+    directory = Path(__file__).parent / "fixtures"
+    expected = json.loads((directory / f"format_{version}_expected.json")
+                          .read_text("utf-8"))
+    return directory / f"format_{version}.jtile", expected
+
+
 class TestFormatV1Compatibility:
     """The committed pre-refactor fixture must load through the new
     lazy reader: ``format_v1.jtile`` was written by the v1
@@ -159,13 +172,7 @@ class TestFormatV1Compatibility:
 
     @pytest.fixture
     def fixture_paths(self):
-        import json
-        from pathlib import Path
-
-        directory = Path(__file__).parent / "fixtures"
-        expected = json.loads(
-            (directory / "format_v1_expected.json").read_text())
-        return directory / "format_v1.jtile", expected
+        return format_fixture("v1")
 
     def test_v1_file_loads_with_expected_shape(self, fixture_paths):
         path, expected = fixture_paths
@@ -189,16 +196,252 @@ class TestFormatV1Compatibility:
         rows = [list(row) for row in db.sql(self.FIXTURE_QUERY).rows]
         assert rows == expected["query"]
 
-    def test_v1_rewrites_as_v2(self, tmp_path, fixture_paths):
+    def test_v1_rewrites_as_v3(self, tmp_path, fixture_paths):
         path, expected = fixture_paths
         relation = load_relation(path)
         new_path = tmp_path / "upgraded.jtile"
         save_relation(relation, new_path)
-        assert new_path.read_bytes()[:5] == b"JTIL2"
+        assert new_path.read_bytes()[:5] == b"JTIL3"
         db = Database(StorageFormat.TILES, CONFIG)
         db.register("old", load_relation(new_path))
         rows = [list(row) for row in db.sql(self.FIXTURE_QUERY).rows]
         assert rows == expected["query"]
+
+
+class TestFormatV2Compatibility:
+    """``format_v2.jtile`` was written by the v2 serializer (raw blobs,
+    strings as length-prefixed copies): 48 documents with multi-byte,
+    empty and mixed-type strings in three 16-row tiles, plus one
+    pending insert.  The expected JSON holds the rows the v2 code
+    returned for each query."""
+
+    @pytest.fixture
+    def fixture_paths(self):
+        return format_fixture("v2")
+
+    @staticmethod
+    def query_rows(relation, sql):
+        db = Database(StorageFormat.TILES, CONFIG)
+        db.register("old", relation)
+        return [list(row) for row in db.sql(sql).rows]
+
+    def test_v2_file_loads_lazily_with_expected_shape(self, fixture_paths):
+        path, expected = fixture_paths
+        assert path.read_bytes()[:5] == b"JTIL2"
+        relation = load_relation(path)
+        assert not any(handle.resident for handle in relation.tiles)
+        assert all(handle.disk_bytes > 0 for handle in relation.tiles)
+        assert relation.row_count == expected["row_count"]
+        assert relation.pending_inserts == expected["pending"]
+        assert len(relation.tiles) == expected["tiles"]
+        # no per-kind tally in a v2 catalog
+        assert "stored" not in relation.size_report()
+
+    def test_v2_query_results_match(self, fixture_paths):
+        path, expected = fixture_paths
+        relation = load_relation(path)
+        for sql, rows in expected["queries"].items():
+            assert self.query_rows(relation, sql) == rows
+
+    def test_v2_rewrites_as_v3(self, tmp_path, fixture_paths):
+        path, expected = fixture_paths
+        old = load_relation(path)
+        new_path = tmp_path / "upgraded.jtile"
+        save_relation(old, new_path)
+        assert new_path.read_bytes()[:5] == b"JTIL3"
+        upgraded = load_relation(new_path)
+        assert list(upgraded.documents()) == list(old.documents())
+        assert_tiles_identical(old, upgraded)
+        for sql, rows in expected["queries"].items():
+            assert self.query_rows(upgraded, sql) == rows
+
+
+def assert_tiles_identical(left, right):
+    """Every tile of *right* holds exactly *left*'s payload: JSONB rows,
+    column types, null masks and every non-NULL value (type included);
+    NULL slots of string columns hold None."""
+    assert len(left.tiles) == len(right.tiles)
+    for one, other in zip(left.tiles, right.tiles):
+        with one.pinned() as a, other.pinned() as b:
+            assert a.jsonb_rows == b.jsonb_rows
+            assert list(a.columns) == list(b.columns)
+            for path, column in a.columns.items():
+                loaded = b.columns[path]
+                assert loaded.type == column.type
+                assert loaded.data.dtype == column.data.dtype
+                assert np.array_equal(loaded.null_mask, column.null_mask)
+                for value, restored, null in zip(
+                        column.data, loaded.data, column.null_mask):
+                    if not null:
+                        assert type(restored) is type(value)
+                        assert restored == value
+                    elif column.data.dtype == object:
+                        assert restored is None
+
+
+def sample_dataset(kind):
+    """An empty database, a table name, seeded documents and queries
+    over them, per dataset."""
+    from repro.workloads import tpch, twitter, yelp
+
+    config = ExtractionConfig(tile_size=128, partition_size=2)
+    db = Database(StorageFormat.TILES, config)
+    if kind == "yelp":
+        table, queries = "yelp", dict(yelp.YELP_QUERIES)
+        documents = yelp.YelpGenerator(30, seed=3).combined()
+    elif kind == "twitter":
+        table, queries = "tweets", dict(twitter.TWITTER_QUERIES)
+        documents = twitter.TwitterGenerator(600, seed=5,
+                                             evolving=True).stream()
+    else:
+        table = "tpch"
+        queries = {"flags": (
+            "select l.data->>'l_returnflag' as flag, count(*) as n "
+            "from tpch l where l.data->>'l_returnflag' is not null "
+            "group by l.data->>'l_returnflag' order by flag")}
+        documents = tpch.generate_combined(0.002, seed=9)
+    queries["count"] = f"select count(*) as n from {table} x"
+    return db, table, documents, queries
+
+
+class TestFormatV3:
+    """Shared strings and compressed blobs: the file is a fraction of
+    the JSON text and every value comes back exactly."""
+
+    @pytest.mark.parametrize("kind", ["yelp", "twitter", "tpch"])
+    def test_round_trip_is_exact(self, tmp_path, kind):
+        import json
+
+        db, table, documents, queries = sample_dataset(kind)
+        relation = db.load_table(table, documents)
+        expected = {name: db.sql(sql).rows for name, sql in queries.items()}
+        db.directory = tmp_path / "store"
+        db.checkpoint()
+        reopened = Database.open(tmp_path / "store")
+        restored = reopened.table(table)
+        assert_tiles_identical(relation, restored)
+        assert list(restored.documents()) == list(relation.documents())
+        for name, sql in queries.items():
+            assert reopened.sql(sql).rows == expected[name], name
+        doc_bytes = sum(len(json.dumps(document).encode("utf-8"))
+                        for document in documents)
+        stored = (tmp_path / "store" / f"{table}.jtile").stat().st_size
+        assert stored < doc_bytes
+
+    def test_strings_multibyte_empty_and_overflow(self, tmp_path):
+        from repro.core.types import ColumnType
+
+        db = Database(StorageFormat.TILES, CONFIG)
+        documents = [{"name": ["ámbar", "", "日本語 ✓", "plain"][i % 4],
+                      "emoji": "🎉" * (i % 3), "n": i} for i in range(64)]
+        relation = db.load_table("t", documents)
+        tile = relation.tiles[0].pin()
+        name = tile.columns[KeyPath.parse("name")]
+        assert name.type == ColumnType.STRING
+        # values that occur nowhere in their row take the overflow path
+        name.data[0] = "stringified 12345 ✓"
+        name.data[5] = "9"
+        path = tmp_path / "t.jtile"
+        save_relation(relation, path)
+        restored = load_relation(path)
+        assert_tiles_identical(relation, restored)
+        relation.tiles[0].unpin()
+        stored = restored.size_report()["stored"]
+        assert stored["string_overflow"] > 0
+        assert restored.tiles[0].column(KeyPath.parse("name")).value(0) == \
+            "stringified 12345 ✓"
+
+    def test_string_refs_round_trip_bytes_and_nulls(self):
+        from repro.core.types import ColumnType
+        from repro.storage.column import ColumnVector
+        from repro.storage.persist import (
+            _encode_rows,
+            _resolve_string_refs,
+            _row_starts,
+            _string_refs,
+        )
+
+        rows = [b"\x01abc", b"xyz\xc3\xa9", b"", b"zz"]
+        data = np.array([b"bc", b"\xc3\xa9", b"not there", None],
+                        dtype=object)
+        nulls = np.array([False, False, False, True])
+        vector = ColumnVector(ColumnType.JSONB, data, nulls)
+        refs, overflow = _string_refs(vector, rows, _row_starts(rows))
+        assert overflow == b"not there"
+        restored = _resolve_string_refs(refs, _encode_rows(rows), overflow,
+                                        nulls, ColumnType.JSONB)
+        assert list(restored) == [b"bc", b"\xc3\xa9", b"not there", None]
+
+    def test_checkpoints_are_byte_identical(self, tmp_path):
+        db = Database(StorageFormat.TILES, CONFIG)
+        relation = db.load_table("t", tweets(100))
+        relation.insert({"id": 1000})
+        save_relation(relation, tmp_path / "a.jtile")
+        save_relation(relation, tmp_path / "b.jtile")
+        assert (tmp_path / "a.jtile").read_bytes() == \
+            (tmp_path / "b.jtile").read_bytes()
+
+    def test_stored_breakdown_sums_to_file_size(self, tmp_path):
+        from repro.storage.persist import BLOB_KINDS
+
+        db = Database(StorageFormat.TILES_STAR, CONFIG)
+        documents = [{"id": i, "text": f"tweet {i} ü", "score": i / 3,
+                      "tags": [{"v": j} for j in range(i % 4)]}
+                     for i in range(100)]
+        relation = db.load_table("t", documents,
+                                 array_paths=[KeyPath.parse("tags")])
+        relation.insert({"id": 1000})
+        assert "stored" not in relation.size_report()  # never saved
+        path = tmp_path / "t.jtile"
+        size = save_relation(relation, path)
+        for report in (relation.size_report(),
+                       load_relation(path).size_report()):
+            stored = report["stored"]
+            assert set(stored) == set(BLOB_KINDS) | {"catalog"}
+            assert sum(stored.values()) == size == path.stat().st_size
+            for kind in ("row_heap", "string_refs", "fixed_columns",
+                         "null_bitmaps", "statistics", "bloom",
+                         "insert_buffer", "catalog"):
+                assert stored[kind] > 0, kind
+
+    def test_residency_charges_loaded_bytes(self, tmp_path):
+        from repro.storage.tilestore import TileStore, tile_nbytes
+
+        db = Database(StorageFormat.TILES, CONFIG)
+        relation = db.load_table("t", tweets(128))
+        path = tmp_path / "t.jtile"
+        save_relation(relation, path)
+        store = TileStore(None)
+        restored = load_relation(path, store=store)
+        for before, handle in zip(relation.tiles, restored.tiles):
+            assert 0 < handle.disk_bytes < handle.nbytes
+            # strings are refs on disk but full objects once loaded:
+            # the paged charge is the loaded tile's, the same as the
+            # dirty tile's before the checkpoint
+            assert handle.nbytes == before.nbytes
+            with handle.pinned() as tile:
+                assert handle.nbytes == tile_nbytes(tile)
+        assert store.resident_bytes == sum(h.nbytes for h in restored.tiles)
+        report = restored.size_report()
+        assert report["disk_bytes"] == sum(h.disk_bytes
+                                           for h in restored.tiles)
+
+    def test_corrupt_compressed_blob_rejected(self, tmp_path):
+        from repro.storage.persist import _open_catalog
+
+        db = Database(StorageFormat.TILES, CONFIG)
+        relation = db.load_table("t", tweets(64))
+        path = tmp_path / "t.jtile"
+        save_relation(relation, path)
+        catalog, index = _open_catalog(path)
+        offset, _length, codec, _decoded = index[catalog["tiles"][0]["rows"]]
+        assert catalog["codecs"][codec] == "zlib"
+        data = bytearray(path.read_bytes())
+        data[offset + 4] ^= 0xFF  # inside the first tile's row heap
+        path.write_bytes(bytes(data))
+        restored = load_relation(path)  # headers are elsewhere
+        with pytest.raises(StorageError):
+            restored.tiles[0].pin()
 
 
 class TestTornFileSafety:

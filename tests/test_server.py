@@ -280,6 +280,41 @@ class TestDurability:
         finally:
             second.stop_in_thread()
 
+    @pytest.mark.parametrize("bad", ["\ud800", 18446744073709551616],
+                             ids=["lone_surrogate", "int_over_64_bits"])
+    def test_unstorable_batch_rejected_before_the_wal(self, tmp_path, bad):
+        """A lone surrogate or an integer wider than 64 bits is legal
+        JSON but no tile can store it: the whole batch is refused before
+        any byte reaches the WAL, so a restart replays only what was
+        acknowledged and seals cleanly."""
+        data_dir = tmp_path / "data"
+        first = JsonTilesServer(data_dir, query_workers=2)
+        first.start_in_thread()
+        with ServerClient(port=first.port) as connection:
+            connection.create_table("t", "tiles", TINY)
+            connection.insert_many("t", [{"s": "ok"}])
+            with pytest.raises(ServerError) as refused:
+                connection.insert_many(
+                    "t", [{"s": "fine"}, {"s": bad}, {"s": "ok3"}])
+            assert refused.value.code == "JsonbEncodeError"
+            assert connection.stats("t")["tables"]["t"]["wal_records"] == 1
+            connection.insert_many("t", [{"s": "après"}])
+            connection.flush("t")
+            result = connection.query("select count(*) as n from t x")
+            assert result.rows == [(2,)]
+        first.stop_in_thread(checkpoint=False)
+
+        second = JsonTilesServer(data_dir, query_workers=2)
+        second.start_in_thread()
+        try:
+            with ServerClient(port=second.port) as connection:
+                connection.flush("t")
+                result = connection.query(
+                    "select x.data->>'s' as s from t x order by s")
+                assert result.rows == [("après",), ("ok",)]
+        finally:
+            second.stop_in_thread()
+
     def test_shutdown_command(self, tmp_path):
         instance = JsonTilesServer(tmp_path / "data", query_workers=2)
         instance.start_in_thread()

@@ -102,7 +102,7 @@ class TestTileHandle:
 class TestEviction:
     def test_lru_keeps_resident_bytes_under_budget(self, tmp_path):
         probe, _ = make_paged_relation(tmp_path, name="probe")
-        tile_bytes = max(h.disk_bytes for h in probe.tiles)
+        tile_bytes = max(h.nbytes for h in probe.tiles)
         budget = int(tile_bytes * 2.5)
         relation, store = make_paged_relation(tmp_path, budget=budget)
         for handle in relation.tiles:
@@ -224,7 +224,7 @@ class TestAccounting:
 
     def test_load_and_eviction_counters(self, tmp_path):
         probe, _ = make_paged_relation(tmp_path, name="probe")
-        budget = int(max(h.disk_bytes for h in probe.tiles) * 1.5)
+        budget = int(max(h.nbytes for h in probe.tiles) * 1.5)
         relation, store = make_paged_relation(tmp_path, budget=budget)
         for handle in relation.tiles:
             with handle.pinned():
@@ -317,7 +317,7 @@ class TestQueriesOverPagedTiles:
         expected = db.sql(self.QUERY).rows
 
         probe, _ = make_paged_relation(tmp_path, name="probe")
-        budget = int(max(h.disk_bytes for h in probe.tiles) * 2)
+        budget = int(max(h.nbytes for h in probe.tiles) * 2)
         relation, store = make_paged_relation(tmp_path, budget=budget)
         paged_db = Database(StorageFormat.TILES, CONFIG)
         paged_db.register("t", relation)
