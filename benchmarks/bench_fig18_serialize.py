@@ -26,6 +26,10 @@ def test_fig18_serialization(benchmark, report):
         de_times = {}
         for label, (encode, decode) in encoders.items():
             encoded = encode(document)
+            # round-trip gate (JSONB decodes objects with sorted keys,
+            # which dict equality ignores; a BSON document is an object)
+            if label != "BSON" or isinstance(document, dict):
+                assert decode(encoded) == document, (name, label)
             ser_times[label] = time_call(lambda e=encode: e(document),
                                          repeats=3)
             de_times[label] = time_call(lambda d=decode, b=encoded: d(b),
@@ -51,12 +55,11 @@ def test_fig18_serialization(benchmark, report):
                for name, row in deserialize.items()])
     out.emit()
 
-    # Substrate deviation (recorded in EXPERIMENTS.md): in C++ the
-    # two-pass JSONB encoder wins by allocating exactly once, but in
-    # pure Python the extra measuring pass is function-call-bound, so
-    # BSON/CBOR single-pass appends can be faster here.  The bench
-    # asserts the comparison stays within a sane band rather than the
-    # paper's absolute winner.
+    # Substrate deviation (recorded in EXPERIMENTS.md): the paper's
+    # C++ encoder wins on every corpus; ours is one bottom-up pass in
+    # Python and wins on most, not all, so the bench asserts the
+    # comparison stays within a sane band rather than the paper's
+    # absolute winner.
     for table in (serialize, deserialize):
         for name, row in table.items():
             assert 0.05 < row["BSON"] < 20, name

@@ -2,7 +2,7 @@
 
 Public surface:
 
-* :func:`encode` / :func:`decode` — two-pass serialization and full
+* :func:`encode` / :func:`decode` — one-pass serialization and full
   materialization (round-trip safe apart from key order / whitespace).
 * :class:`JsonbValue` — zero-copy navigation with O(log n) object key
   lookup, O(1) array indexing, typed getters (cast rewriting).

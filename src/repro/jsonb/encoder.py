@@ -1,41 +1,73 @@
-"""Two-pass JSONB encoder (Section 5.3).
+"""One-pass JSONB encoder (the layout of Section 5.1).
 
-Because nested objects are stored *inside* their parent, the size of an
-object depends on the sizes of everything below it.  On-the-fly
-resizing would be quadratic, so the encoder runs two passes:
-
-1. a validation/measure pass that walks the input depth-first, detects
-   numeric strings, picks the lossless float width and the minimal
-   integer/offset widths, and records the byte size of every node;
-2. a write pass that allocates one exact-size buffer and serializes the
-   plan without any further checks or allocations.
+Nested objects live *inside* their parent, so an object's size depends
+on everything below it.  The paper's encoder (Section 5.3) measures
+every node in a first pass and writes into one exact-size buffer in a
+second, to allocate once.  In Python a pass costs function calls, not
+allocations, so this encoder walks the value once and builds each
+node's bytes bottom-up from its children's — the same bytes.  On the
+way it detects numeric strings (Section 5.2), narrows floats to the
+smallest lossless IEEE width and picks minimal integer/offset widths.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from typing import List, Optional, Tuple
-
-import numpy as np
+from itertools import accumulate
+from operator import itemgetter
+from typing import Dict, List, Tuple
 
 from repro.core.types import JsonType, is_numeric_string
 from repro.errors import JsonbEncodeError
 from repro.jsonb import format as fmt
 
+_BYTE = [bytes((value,)) for value in range(256)]
 
-class _Plan:
-    """Measured encoding plan of one value (pass 1 output)."""
+_SMALL_INTS = [_BYTE[fmt.make_header(fmt.TYPE_INT, value)]
+               for value in range(fmt.MAX_INLINE_INT + 1)]
+#: INT header by payload width (1..8 bytes)
+_INT_HEADERS = [b""] + [_BYTE[fmt.make_header(fmt.TYPE_INT, 7 + nbytes)]
+                        for nbytes in range(1, 9)]
+_LITERALS = {None: _BYTE[fmt.make_header(fmt.TYPE_LITERAL, fmt.LITERAL_NULL)],
+             False: _BYTE[fmt.make_header(fmt.TYPE_LITERAL, fmt.LITERAL_FALSE)],
+             True: _BYTE[fmt.make_header(fmt.TYPE_LITERAL, fmt.LITERAL_TRUE)]}
 
-    __slots__ = ("kind", "size", "info", "payload", "children")
+_HALF = _BYTE[fmt.make_header(fmt.TYPE_FLOAT, 2)]
+_SINGLE = _BYTE[fmt.make_header(fmt.TYPE_FLOAT, 4)]
+_DOUBLE = _BYTE[fmt.make_header(fmt.TYPE_FLOAT, 8)]
+_pack_half, _unpack_half = struct.Struct("<e").pack, struct.Struct("<e").unpack
+_pack_single, _unpack_single = struct.Struct("<f").pack, struct.Struct("<f").unpack
+_pack_double = struct.Struct("<d").pack
 
-    def __init__(self, kind: int, size: int, info: int,
-                 payload: object = None, children: Optional[list] = None):
-        self.kind = kind
-        self.size = size
-        self.info = info
-        self.payload = payload
-        self.children = children
+_STRING = fmt.TYPE_STRING << 5
+_NUMSTR = fmt.TYPE_NUMSTR << 5
+_OBJECT = fmt.TYPE_OBJECT << 5
+_ARRAY = fmt.TYPE_ARRAY << 5
+_OFFSET_FORMATS = ("B", "H", "I", "Q")
+_first = itemgetter(0)
+#: header and count byte of a container with 1-byte offsets and at most
+#: 250 elements, by count (most containers)
+_SMALL_HEADS = {base: [bytes((base, count)) for count in range(251)]
+                for base in (_OBJECT, _ARRAY)}
+
+#: first characters of an RFC 8259 number (skips the numeric-string
+#: test for most text)
+_NUMBER_START = frozenset("-0123456789")
+#: the exact types the walk dispatches on without ``isinstance``
+_EXACT = frozenset((str, int, float, dict, list, tuple, bool, type(None)))
+
+# the mining item type of each stored kind, as plain constants (enum
+# member lookups are a measurable share of the walk)
+(_NULL_ITEM, _BOOL_ITEM, _INT_ITEM, _FLOAT_ITEM, _STRING_ITEM, _NUMSTR_ITEM,
+ _OBJECT_ITEM, _ARRAY_ITEM) = (
+    JsonType.NULL, JsonType.BOOL, JsonType.INT, JsonType.FLOAT,
+    JsonType.STRING, JsonType.NUMSTR, JsonType.OBJECT, JsonType.ARRAY)
+
+#: key text -> (UTF-8 bytes, length-prefixed UTF-8 bytes); a document
+#: stream repeats its keys, so each is encoded once
+_KEYS: Dict[str, Tuple[bytes, bytes]] = {}
+_MAX_CACHED_KEYS = 1 << 14
 
 
 def _utf8(text: str) -> bytes:
@@ -47,178 +79,148 @@ def _utf8(text: str) -> bytes:
             f"{exc.start})") from exc
 
 
-def _measure_string(text: str, kind: int) -> _Plan:
-    data = _utf8(text)
+def _compact_uint(value: int) -> bytes:
+    if value <= 250:
+        return _BYTE[value]
+    buf = bytearray(fmt.compact_uint_size(value))
+    fmt.write_compact_uint(buf, 0, value)
+    return bytes(buf)
+
+
+def _key(key: str) -> Tuple[bytes, bytes]:
+    raw = _utf8(key)
+    entry = (raw, _compact_uint(len(raw)) + raw)
+    if len(_KEYS) >= _MAX_CACHED_KEYS:
+        _KEYS.clear()
+    _KEYS[key] = entry
+    return entry
+
+
+def _long_string(base: int, data: bytes) -> bytes:
+    """A string of more than ``MAX_INLINE_STRLEN`` bytes: its length
+    follows the header in the fewest of 1/2/4/8 bytes."""
     length = len(data)
-    if length <= fmt.MAX_INLINE_STRLEN:
-        return _Plan(kind, 1 + length, length, data)
     for code, width in enumerate(fmt.OFFSET_WIDTHS):
         if length < 1 << (8 * width):
-            return _Plan(kind, 1 + width + length, 28 + code, data)
+            return (_BYTE[base | (28 + code)]
+                    + length.to_bytes(width, "little") + data)
     raise JsonbEncodeError("string exceeds 2^64 bytes")
 
 
-def _measure_float(value: float) -> _Plan:
+def _float(value: float) -> bytes:
     # Narrow to half/single precision when the round trip is lossless
-    # (Section 5.1).  NaN is kept as a double: NaN != NaN would defeat
-    # the equality check below.
-    if math.isfinite(value):
-        if abs(value) <= 65504.0 and float(np.float16(value)) == value:
-            return _Plan(fmt.TYPE_FLOAT, 3, 2, struct.pack("<e", np.float16(value)))
-        if abs(value) <= 3.4028235e38 and float(np.float32(value)) == value:
-            return _Plan(fmt.TYPE_FLOAT, 5, 4, struct.pack("<f", value))
-    elif math.isinf(value):
-        return _Plan(fmt.TYPE_FLOAT, 3, 2, struct.pack("<e", np.float16(value)))
-    return _Plan(fmt.TYPE_FLOAT, 9, 8, struct.pack("<d", value))
+    # (Section 5.1).  The range tests are False for NaN, which stays a
+    # double (NaN != NaN would defeat the round-trip check); ±Infinity
+    # is exact in half precision.
+    if -3.4028235e38 <= value <= 3.4028235e38:
+        if -65504.0 <= value <= 65504.0:
+            data = _pack_half(value)
+            if _unpack_half(data)[0] == value:
+                return _HALF + data
+        data = _pack_single(value)
+        if _unpack_single(data)[0] == value:
+            return _SINGLE + data
+    elif value == math.inf or value == -math.inf:
+        return _HALF + _pack_half(value)
+    return _DOUBLE + _pack_double(value)
 
 
-def _measure(value: object, detect_numeric_strings: bool,
-             sink=None, node=None) -> _Plan:
-    """Measure pass.  With an item *sink* (``repro.mining.ItemSink``)
-    the same walk also reports every leaf and empty container at *node*,
-    typed as stored (a numeric string is a NUMSTR item)."""
-    if value is None:
-        plan = _Plan(fmt.TYPE_LITERAL, 1, fmt.LITERAL_NULL)
-    elif isinstance(value, bool):
-        info = fmt.LITERAL_TRUE if value else fmt.LITERAL_FALSE
-        plan = _Plan(fmt.TYPE_LITERAL, 1, info)
-    elif isinstance(value, int):
-        nbytes = fmt.int_payload_size(value)
-        if nbytes == 0:
-            plan = _Plan(fmt.TYPE_INT, 1, value)
-        else:
-            plan = _Plan(fmt.TYPE_INT, 1 + nbytes, 7 + nbytes, value)
-    elif isinstance(value, float):
-        plan = _measure_float(value)
-    elif isinstance(value, str):
-        if detect_numeric_strings and is_numeric_string(value):
-            plan = _measure_string(value, fmt.TYPE_NUMSTR)
-        else:
-            plan = _measure_string(value, fmt.TYPE_STRING)
-    elif isinstance(value, dict):
-        return _measure_object(value, detect_numeric_strings, sink, node)
-    elif isinstance(value, (list, tuple)):
-        return _measure_array(value, detect_numeric_strings, sink, node)
-    else:
-        raise JsonbEncodeError(
-            f"cannot encode value of type {type(value).__name__}")
-    if sink is not None:
-        sink.add(node, _item_type(plan))
-    return plan
+def _int(value: int) -> bytes:
+    """An integer outside the header's inline range."""
+    # signed little-endian two's complement in the fewest bytes
+    nbytes = ((value if value >= 0 else ~value).bit_length() >> 3) + 1
+    if nbytes > 8:
+        raise JsonbEncodeError(f"integer {value} exceeds 64 bits")
+    return _INT_HEADERS[nbytes] + value.to_bytes(nbytes, "little", signed=True)
 
 
-_ITEM_TYPES = {fmt.TYPE_INT: JsonType.INT, fmt.TYPE_FLOAT: JsonType.FLOAT,
-               fmt.TYPE_STRING: JsonType.STRING,
-               fmt.TYPE_NUMSTR: JsonType.NUMSTR}
-
-
-def _item_type(plan: _Plan) -> JsonType:
-    """The mining item type of a measured scalar."""
-    if plan.kind == fmt.TYPE_LITERAL:
-        return JsonType.NULL if plan.info == fmt.LITERAL_NULL else JsonType.BOOL
-    return _ITEM_TYPES[plan.kind]
-
-
-def _measure_object(value: dict, detect: bool, sink, node) -> _Plan:
-    slots: List[Tuple[bytes, _Plan]] = []
-    for key, child in value.items():
-        if not isinstance(key, str):
-            raise JsonbEncodeError(f"object key must be a string, got {key!r}")
-        if sink is None:
-            plan = _measure(child, detect)
-        else:
-            plan = _measure(child, detect, sink, sink.child(node, key))
-        slots.append((_utf8(key), plan))
-    if sink is not None and not slots:
-        sink.add(node, JsonType.OBJECT)
-    # Keys are stored sorted so lookups can binary-search (Section 5.1).
-    slots.sort(key=lambda slot: slot[0])
-    slot_bytes = sum(
-        fmt.compact_uint_size(len(key)) + len(key) + plan.size for key, plan in slots
-    )
+def _container(base: int, slots: List[bytes]) -> bytes:
+    """Header, element count and offset table of an object or array,
+    followed by its encoded *slots*."""
     count = len(slots)
-    code = fmt.offset_width_code(max(slot_bytes, 1))
-    width = fmt.OFFSET_WIDTHS[code]
-    size = 1 + fmt.compact_uint_size(count) + count * width + slot_bytes
-    return _Plan(fmt.TYPE_OBJECT, size, code, None, slots)
+    offsets = list(accumulate(map(len, slots), initial=0))
+    total = offsets.pop()
+    if total < 256 and count <= 250:
+        return b"".join([_SMALL_HEADS[base][count], bytes(offsets), *slots])
+    code = fmt.offset_width_code(total)
+    table = struct.pack(f"<{count}{_OFFSET_FORMATS[code]}", *offsets)
+    return b"".join([_BYTE[base | code], _compact_uint(count), table, *slots])
 
 
-def _measure_array(value: object, detect: bool, sink, node) -> _Plan:
-    if sink is None:
-        children = [_measure(child, detect) for child in value]
+def _json_kind(value: object) -> type:
+    """The JSON type a subclass instance encodes as (``bool`` before
+    ``int``: bool is an int subclass)."""
+    for kind in (bool, int, float, str, dict, list, tuple):
+        if isinstance(value, kind):
+            return kind
+    raise JsonbEncodeError(
+        f"cannot encode value of type {type(value).__name__}")
+
+
+def _encode(value: object, detect: bool, sink, node) -> bytes:
+    """Encode *value*.  With an item *sink* (``repro.mining.ItemSink``)
+    the walk also reports every leaf and empty container at *node*,
+    typed as stored (a numeric string is a NUMSTR item), in document
+    order."""
+    kind = type(value)
+    if kind not in _EXACT:
+        kind = _json_kind(value)
+    if kind is str:
+        try:
+            data = value.encode("utf-8")
+        except UnicodeEncodeError:
+            data = _utf8(value)  # raises JsonbEncodeError
+        if detect and value[:1] in _NUMBER_START and is_numeric_string(value):
+            base, jtype = _NUMSTR, _NUMSTR_ITEM
+        else:
+            base, jtype = _STRING, _STRING_ITEM
+        if len(data) <= fmt.MAX_INLINE_STRLEN:
+            data = _BYTE[base | len(data)] + data
+        else:
+            data = _long_string(base, data)
+    elif kind is int:
+        data = (_SMALL_INTS[value] if 0 <= value <= fmt.MAX_INLINE_INT
+                else _int(value))
+        jtype = _INT_ITEM
+    elif kind is dict:
+        slots = []
+        for key, child in value.items():
+            if not isinstance(key, str):
+                raise JsonbEncodeError(
+                    f"object key must be a string, got {key!r}")
+            data = _encode(child, detect, sink,
+                           None if sink is None else sink.child(node, key))
+            raw, prefixed = _KEYS.get(key) or _key(key)
+            slots.append((raw, prefixed + data))
+        if sink is not None and not slots:
+            sink.add(node, _OBJECT_ITEM)
+        # Keys are stored sorted so lookups can binary-search (Section 5.1).
+        slots.sort(key=_first)
+        return _container(_OBJECT, [slot for _raw, slot in slots])
+    elif kind is float:
+        data = _float(value)
+        jtype = _FLOAT_ITEM
+    elif kind is list or kind is tuple:
+        if sink is None:
+            slots = [_encode(child, detect, None, None) for child in value]
+        else:
+            # only the leading slots are mining items (Section 3.5); the
+            # rest is encoded without reporting
+            limit = sink.max_array_elements
+            slots = [
+                _encode(child, detect, sink, sink.child(node, slot))
+                if slot < limit else _encode(child, detect, None, None)
+                for slot, child in enumerate(value)
+            ]
+            if not slots:
+                sink.add(node, _ARRAY_ITEM)
+        return _container(_ARRAY, slots)
     else:
-        # only the leading slots are mining items (Section 3.5); the
-        # rest is encoded without reporting
-        limit = sink.max_array_elements
-        children = [
-            _measure(child, detect, sink, sink.child(node, slot))
-            if slot < limit else _measure(child, detect)
-            for slot, child in enumerate(value)
-        ]
-        if not children:
-            sink.add(node, JsonType.ARRAY)
-    payload_bytes = sum(plan.size for plan in children)
-    count = len(children)
-    code = fmt.offset_width_code(max(payload_bytes, 1))
-    width = fmt.OFFSET_WIDTHS[code]
-    size = 1 + fmt.compact_uint_size(count) + count * width + payload_bytes
-    return _Plan(fmt.TYPE_ARRAY, size, code, None, children)
-
-
-def _write(plan: _Plan, buf: bytearray, pos: int) -> int:
-    buf[pos] = fmt.make_header(plan.kind, plan.info)
-    pos += 1
-    if plan.kind == fmt.TYPE_LITERAL:
-        return pos
-    if plan.kind == fmt.TYPE_INT:
-        if plan.payload is None:
-            return pos
-        return fmt.write_int_payload(buf, pos, plan.payload, plan.info - 7)
-    if plan.kind == fmt.TYPE_FLOAT:
-        data = plan.payload
-        buf[pos : pos + len(data)] = data
-        return pos + len(data)
-    if plan.kind in (fmt.TYPE_STRING, fmt.TYPE_NUMSTR):
-        data = plan.payload
-        if plan.info >= 28:
-            width = fmt.OFFSET_WIDTHS[plan.info - 28]
-            buf[pos : pos + width] = len(data).to_bytes(width, "little")
-            pos += width
-        buf[pos : pos + len(data)] = data
-        return pos + len(data)
-    if plan.kind == fmt.TYPE_OBJECT:
-        return _write_object(plan, buf, pos)
-    assert plan.kind == fmt.TYPE_ARRAY
-    return _write_array(plan, buf, pos)
-
-
-def _write_object(plan: _Plan, buf: bytearray, pos: int) -> int:
-    slots = plan.children
-    width = fmt.OFFSET_WIDTHS[plan.info]
-    pos = fmt.write_compact_uint(buf, pos, len(slots))
-    table_pos = pos
-    pos += len(slots) * width
-    slot_area = pos
-    for key, child in slots:
-        table_pos = fmt.write_offset(buf, table_pos, pos - slot_area, width)
-        pos = fmt.write_compact_uint(buf, pos, len(key))
-        buf[pos : pos + len(key)] = key
-        pos += len(key)
-        pos = _write(child, buf, pos)
-    return pos
-
-
-def _write_array(plan: _Plan, buf: bytearray, pos: int) -> int:
-    children = plan.children
-    width = fmt.OFFSET_WIDTHS[plan.info]
-    pos = fmt.write_compact_uint(buf, pos, len(children))
-    table_pos = pos
-    pos += len(children) * width
-    slot_area = pos
-    for child in children:
-        table_pos = fmt.write_offset(buf, table_pos, pos - slot_area, width)
-        pos = _write(child, buf, pos)
-    return pos
+        data = _LITERALS[value]
+        jtype = _NULL_ITEM if value is None else _BOOL_ITEM
+    if sink is not None:
+        sink.add(node, jtype)
+    return data
 
 
 def encode(value: object, detect_numeric_strings: bool = True,
@@ -228,24 +230,19 @@ def encode(value: object, detect_numeric_strings: bool = True,
     ``detect_numeric_strings`` enables the numeric-string type of
     Section 5.2; turning it off stores all strings verbatim (used by the
     format ablation tests).  An item *sink* (``repro.mining.ItemSink``)
-    additionally receives the document's typed key paths from the
-    measure pass, as one transaction — the loader's single walk per
-    document.
+    additionally receives the document's typed key paths from the same
+    walk, as one transaction — the loader's single walk per document.
     """
     if sink is None:
-        plan = _measure(value, detect_numeric_strings)
-    else:
-        plan = _measure(value, detect_numeric_strings, sink, sink.root)
-        sink.end_document()
-    buf = bytearray(plan.size)
-    end = _write(plan, buf, 0)
-    assert end == plan.size, "measure/write size mismatch"
-    return bytes(buf)
+        return _encode(value, detect_numeric_strings, None, None)
+    data = _encode(value, detect_numeric_strings, sink, sink.root)
+    sink.end_document()
+    return data
 
 
 def encoded_size(value: object, detect_numeric_strings: bool = True) -> int:
-    """Size in bytes the value would occupy, without writing it."""
-    return _measure(value, detect_numeric_strings).size
+    """Size in bytes of the value's encoding."""
+    return len(encode(value, detect_numeric_strings))
 
 
 #: deepest container nesting :func:`check_encodable` accepts.  Encoding,
@@ -265,10 +262,9 @@ def check_encodable(value: object, _depth: int = 0) -> None:
     than ``MAX_ACCEPT_DEPTH``.
 
     The acceptance check writers run before they acknowledge a
-    document: it applies the measure pass's rules without building a
-    plan (about 8x cheaper on a tweet).  Any type other than the exact
-    JSON types goes through the measure pass itself, so subclasses
-    follow the encoder's own ``isinstance`` rules."""
+    document: it applies the encoder's rules without building bytes.
+    Any type other than the exact JSON types goes through the encoder
+    itself, so subclasses follow its own ``isinstance`` rules."""
     kind = type(value)
     if kind is str:
         if not value.isascii():
@@ -294,4 +290,4 @@ def check_encodable(value: object, _depth: int = 0) -> None:
     elif value is None or kind is bool or kind is float:
         pass
     else:
-        _measure(value, True)
+        encode(value)

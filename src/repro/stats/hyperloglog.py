@@ -84,8 +84,19 @@ class HyperLogLog:
             self.registers[index] = rank
 
     def add_many(self, values: Iterable[object]) -> None:
-        for value in values:
-            self.add_hash(hash64(value))
+        """:meth:`add` every value; a register keeps the largest rank,
+        so the order of the updates does not matter."""
+        hashes = [hash64(value) for value in values]
+        if not hashes:
+            return
+        shift = self.precision
+        mask = self.num_registers - 1
+        top = 65 - shift
+        np.maximum.at(
+            self.registers,
+            np.array([hashed & mask for hashed in hashes], dtype=np.intp),
+            np.array([top - (hashed >> shift).bit_length()
+                      for hashed in hashes], dtype=np.uint8))
 
     def estimate(self) -> float:
         m = self.num_registers

@@ -48,8 +48,9 @@ class ColumnStatistics:
         :meth:`observe` on every one of them: a sketch ``add`` is
         idempotent and the bounds depend only on the distinct values,
         so each value is hashed once."""
+        values = list(values)
+        self.sketch.add_many(values)
         for value in values:
-            self.sketch.add(value)
             try:
                 if self.min_value is None or value < self.min_value:
                     self.min_value = value

@@ -114,8 +114,7 @@ class ColumnVector:
                 payload = sum(
                     len(item.encode("utf-8")) + 4 if isinstance(item, str)
                     else len(item) + 4 if isinstance(item, bytes) else 8
-                    for item, is_null in zip(self.data, self.null_mask)
-                    if not is_null
+                    for item in self.data[~self.null_mask].tolist()
                 )
         else:
             payload = self.data.nbytes

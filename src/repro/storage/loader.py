@@ -5,7 +5,7 @@ lines) into a :class:`~repro.storage.relation.Relation`:
 
 1. *parse* the text (when text is given),
 2. *write JSONB* — one walk per document encodes it into the binary
-   fallback and, in the same measure pass, collects its typed key
+   fallback and, in the same walk, collects its typed key
    paths into the partition's item dictionary (the mining input),
 3. *reorder* each partition of ``partition_size`` tiles (TILES only),
 4. *mine + extract* tiles (TILES/SINEW) and collect statistics,

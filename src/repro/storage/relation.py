@@ -245,7 +245,7 @@ class Relation:
                 self._insert_buffer.append(document)
                 full = len(self._insert_buffer) >= self.config.tile_size
             if full and self.auto_seal:
-                self.flush_inserts()
+                self.seal_full_tiles()
 
     def flush_inserts(self, append_guard=None) -> None:
         """Seal the insert buffer into a new tile (no-op when empty).
@@ -261,8 +261,21 @@ class Relation:
         append + statistics merge) — the server passes its per-table
         writer lock here so sealing never races a scan.
         """
+        self._seal_pending(append_guard, whole_tiles=False)
+
+    def seal_full_tiles(self, append_guard=None) -> None:
+        """Seal every complete run of ``tile_size`` buffered documents
+        and leave a shorter tail pending.  Background sealers use this:
+        tile boundaries are permanent, so a sealer must not cut a small
+        tile out of whatever happened to be buffered when it ran —
+        the tail is sealed by the next full run or a query-time
+        :meth:`flush_inserts`.  *append_guard* as there."""
+        self._seal_pending(append_guard, whole_tiles=True)
+
+    def _seal_pending(self, append_guard, whole_tiles: bool) -> None:
         if self.text_rows is not None:
             return
+        size = self.config.tile_size
         # seal only what was pending at entry: under sustained ingest a
         # buffer that refills as fast as it drains must not trap the
         # flusher (and with it a query's _prepare, or the whole server
@@ -272,10 +285,13 @@ class Relation:
         with self._seal_lock:
             with self._buffer_lock:
                 budget = len(self._insert_buffer)
+        if whole_tiles:
+            budget -= budget % size
         while budget > 0:
             with self._seal_lock:
                 with self._buffer_lock:
-                    if not self._insert_buffer:
+                    pending = len(self._insert_buffer)
+                    if not pending or (whole_tiles and pending < size):
                         return
                     # one tile never exceeds tile_size tuples — a burst
                     # of inserts that outran the sealer is cut into
@@ -283,8 +299,7 @@ class Relation:
                     # (tile boundaries are permanent: Section 3.2
                     # reordering permutes rows *between* tiles but never
                     # re-draws the boundaries themselves)
-                    take = min(len(self._insert_buffer),
-                               self.config.tile_size)
+                    take = min(pending, size)
                     budget -= take
                     documents = self._insert_buffer[:take]
                     self._insert_buffer = self._insert_buffer[take:]

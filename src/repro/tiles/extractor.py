@@ -36,7 +36,7 @@ from repro.core.datetimes import parse_datetime_string
 from repro.core.jsonpath import KeyPath
 from repro.core.types import COLUMN_TYPE_FOR_JSON, ColumnType, JsonType
 from repro.mining.dictionary import ItemDictionary, encode_documents
-from repro.storage.column import ColumnBuilder
+from repro.storage.column import ColumnBuilder, ColumnVector, dtype_for
 from repro.tiles.header import ExtractedColumn, Span, TileHeader, merge_span
 from repro.tiles.tile import Tile
 
@@ -175,6 +175,74 @@ def _materialize_value(value: object, column: ExtractedColumn) -> object:
     raise AssertionError(f"unexpected column type {ctype}")
 
 
+def _lookup_step(value: object, step) -> object:
+    """One step of :meth:`KeyPath.lookup`."""
+    if isinstance(step, str):
+        return value[step] if isinstance(value, dict) and step in value \
+            else None
+    return value[step] if isinstance(value, list) and 0 <= step < len(value) \
+        else None
+
+
+def _lookup_column(path: KeyPath, documents: Sequence[object]) -> List[object]:
+    """``path.lookup(document)`` for every document, one step at a time
+    over the whole column (exact dicts and lists take the fast branch)."""
+    values = list(documents)
+    for step in path.steps:
+        if isinstance(step, str):
+            values = [value.get(step) if type(value) is dict
+                      else _lookup_step(value, step) for value in values]
+        else:
+            values = [value[step] if type(value) is list
+                      and 0 <= step < len(value)
+                      else _lookup_step(value, step) for value in values]
+    return values
+
+
+def _materialize_column(raws: List[object],
+                        column: ExtractedColumn) -> List[object]:
+    """:func:`_materialize_value` of every raw value, with the exact
+    matching type of an INT64, FLOAT64 or STRING column taken inline."""
+    ctype = column.column_type
+    if ctype == ColumnType.INT64:
+        return [raw if type(raw) is int else None if raw is None
+                else _materialize_value(raw, column) for raw in raws]
+    if ctype == ColumnType.FLOAT64:
+        return [raw if type(raw) is float else float(raw) if type(raw) is int
+                else None if raw is None else _materialize_value(raw, column)
+                for raw in raws]
+    if ctype == ColumnType.STRING:
+        return [raw if type(raw) is str else None if raw is None
+                else _materialize_value(raw, column) for raw in raws]
+    return [_materialize_value(raw, column) for raw in raws]
+
+
+#: the value under the null mask of the column types whose builder
+#: coercion of a materialized value is numpy's conversion of the value
+_DIRECT_ZERO = {ColumnType.INT64: 0, ColumnType.FLOAT64: 0.0,
+                ColumnType.STRING: None}
+
+
+def _column_vector(column_type: ColumnType, values: List[object],
+                   nulls: List[bool]) -> ColumnVector:
+    """The vector a :class:`ColumnBuilder` of *column_type* finishes to
+    after appending the materialized *values* (``None`` is NULL)."""
+    if column_type in _DIRECT_ZERO:
+        zero = _DIRECT_ZERO[column_type]
+        try:
+            data = np.array([zero if null else value
+                             for value, null in zip(values, nulls)],
+                            dtype=dtype_for(column_type))
+        except OverflowError:
+            pass  # the builder turns an out-of-range integer into NULL
+        else:
+            return ColumnVector(column_type, data, np.array(nulls, dtype=bool))
+    builder = ColumnBuilder(column_type)
+    for value in values:
+        builder.append(value)
+    return builder.finish()
+
+
 def _block_bounds(vector, block_rows: int, num_rows: int) -> List[Optional[list]]:
     """Per-block [min, max] entries for one extracted column
     (DESIGN.md §9): ``[]`` marks an all-NULL block, ``None`` a block
@@ -286,36 +354,28 @@ def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
 
     columns = {}
     for column_meta in schema.columns:
-        builder = ColumnBuilder(column_meta.column_type)
+        raws = _lookup_column(column_meta.path, documents)
+        values = _materialize_column(raws, column_meta)
+        nulls = [value is None for value in values]
+        null_count = nulls.count(True)
+        absent = [raw is None for raw in raws].count(True)
         stats = header.statistics.column(column_meta.path)
-        nullable = False
-        conflicts = column_meta.has_type_conflicts
         # hash each distinct value once (Section 4.6 sketches)
-        distinct: Dict[object, None] = {}
-        observed = 0
-        for document in documents:
-            raw = column_meta.path.lookup(document)
-            value = _materialize_value(raw, column_meta)
-            if value is None:
-                nullable = True
-                if raw is not None:
-                    conflicts = True
-                builder.append_null()
-            else:
-                builder.append(value)
-                distinct[value] = None
-                observed += 1
-        stats.observe_distinct(distinct, observed)
+        stats.observe_distinct(
+            dict.fromkeys(value for value in values if value is not None),
+            num_rows - null_count)
         materialized = ExtractedColumn(
             path=column_meta.path,
             json_type=column_meta.json_type,
             column_type=column_meta.column_type,
-            has_type_conflicts=conflicts,
-            nullable=nullable,
+            # a value of another type is NULL here and stays in JSONB
+            has_type_conflicts=(column_meta.has_type_conflicts
+                                or null_count > absent),
+            nullable=null_count > 0,
             is_datetime=column_meta.is_datetime,
         )
         header.add_column(materialized)
-        vector = builder.finish()
+        vector = _column_vector(column_meta.column_type, values, nulls)
         columns[column_meta.path] = vector
         header.block_bounds_rows = config.tile_size
         header.block_bounds[column_meta.path] = _block_bounds(
@@ -325,8 +385,8 @@ def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
                                        ColumnType.TIMESTAMP):
             from repro.stats.histogram import EquiDepthHistogram
 
-            values = vector.data[~vector.null_mask]
-            stats.histogram = EquiDepthHistogram.from_values(values)
+            present = vector.data[~vector.null_mask]
+            stats.histogram = EquiDepthHistogram.from_values(present)
 
     for (path, _jtype), _item_id in dictionary.items():
         if path not in columns:

@@ -1,7 +1,7 @@
 """One walk per document at load time.
 
 The loader encodes JSONB and collects the mining items in the same
-measure pass (``repro.jsonb.encode(..., sink=ItemSink)``), and tile
+walk (``repro.jsonb.encode(..., sink=ItemSink)``), and tile
 construction no longer runs FPGrowth.  These tests pin that the fused
 path reproduces the separate functions exactly, that the schema and the
 persisted bytes did not move, and that non-finite floats load.

@@ -9,6 +9,7 @@ after a simulated crash (stop before checkpoint).
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -117,6 +118,28 @@ class TestProtocolAndCommands:
 
 
 # ---------------------------------------------------------------------------
+
+
+class TestBackgroundSealer:
+    def test_seals_whole_tiles_and_leaves_the_tail(self, server, client):
+        """Where the sealer cuts must not depend on when it runs: a
+        burst of 1.5 tiles seals one full tile, the tail waits."""
+        client.create_table("t", "tiles", TINY)
+        size = TINY["tile_size"]
+        assert client.insert_many(
+            "t", [{"id": i} for i in range(size + size // 2)]) == 48
+        deadline = time.monotonic() + 30
+        while client.stats()["counters"].get("seals", 0) < 1:
+            assert time.monotonic() < deadline, "no background seal"
+            time.sleep(0.01)
+        table = client.stats()["tables"]["t"]
+        assert (table["tiles"], table["pending"]) == (1, size // 2)
+        relation = server._base["t"]
+        assert [handle.row_count for handle in relation.tiles] == [size]
+        # the query-time flush seals the tail
+        assert client.query("select count(*) as n from t x").scalar() == 48
+        assert [handle.row_count for handle in relation.tiles] == \
+            [size, size // 2]
 
 
 class TestConcurrentClients:

@@ -1,5 +1,8 @@
 """Tests for tile extraction (Section 3.1/3.4/3.5/4.9)."""
 
+import enum
+import math
+
 import pytest
 
 from repro.core.datetimes import date_literal
@@ -187,3 +190,109 @@ class TestSinewStyleGlobalSchema:
                           schema=schema)
         assert set(tile.columns) == {KeyPath.parse("id")}
         assert tile.column(KeyPath.parse("id")).to_list() == [5, 6, 7, 8]
+
+
+class _Level(enum.IntEnum):
+    LOW = 3
+
+
+class _Name(str):
+    pass
+
+
+#: every column type, each with exact values, outliers of other types,
+#: absent keys and nulls, subclass instances and non-finite floats
+MIXED_DOCS = [
+    {"i": 1, "f": 1.5, "s": "a", "b": True, "d": "2014-08-26", "n": "12.5",
+     "x": {"y": [1, "2"]}},
+    {"i": 2, "f": 2, "s": "b", "b": False, "d": "2015-01-02", "n": "-3",
+     "x": {"y": [3]}},
+    {"i": True, "f": "no", "s": 5, "b": 1, "d": 7, "n": 4, "x": []},
+    {"i": None, "f": None, "s": None, "b": None, "d": None, "n": None},
+    {"i": _Level.LOW, "f": float("nan"), "s": _Name("c"), "x": {"y": [2]}},
+    {"i": 2 ** 62, "f": float("inf"), "s": "b", "b": True,
+     "d": "2016-02-29", "n": "1e3", "x": {"y": "z"}},
+    {"i": 2.5, "f": -0.0, "s": ["a"], "b": "true", "d": "soon", "n": "x"},
+    {"i": -7, "f": 3.25, "s": "", "d": "2001-12-31", "n": "0.5"},
+    5, "text", None, [1, 2],
+]
+
+
+def _reference_column(documents, meta):
+    """The per-value extraction loop the per-type loops replaced:
+    lookup, materialize, builder append, one sketch add and one bound
+    comparison per value."""
+    from repro.stats.table_stats import ColumnStatistics
+    from repro.storage.column import ColumnBuilder
+    from repro.tiles.extractor import _materialize_value
+
+    builder = ColumnBuilder(meta.column_type)
+    stats = ColumnStatistics()
+    nullable, conflicts = False, meta.has_type_conflicts
+    for document in documents:
+        raw = meta.path.lookup(document)
+        value = _materialize_value(raw, meta)
+        if value is None:
+            nullable = True
+            conflicts = conflicts or raw is not None
+            builder.append_null()
+            continue
+        builder.append(value)
+        stats.sketch.add(value)
+        if stats.min_value is None or value < stats.min_value:
+            stats.min_value = value
+        if stats.max_value is None or value > stats.max_value:
+            stats.max_value = value
+        stats.non_null_count += 1
+    return builder.finish(), stats, nullable, conflicts
+
+
+def _same_value(left, right):
+    if isinstance(left, float) and isinstance(right, float) \
+            and math.isnan(left) and math.isnan(right):
+        return True
+    return type(left) is type(right) and left == right
+
+
+class TestPerTypeColumnLoops:
+    @pytest.mark.parametrize("corpus", ["mixed", "yelp", "twitter", "tpch"])
+    def test_matches_the_per_value_loop(self, corpus):
+        from repro.mining.dictionary import encode_documents
+        from repro.tiles.extractor import _detect_datetime_columns, choose_schema
+        from repro.workloads.tpch.generator import generate_combined
+        from repro.workloads.twitter import TwitterGenerator
+        from repro.workloads.yelp import YelpGenerator
+
+        documents = {
+            "mixed": lambda: MIXED_DOCS,
+            "yelp": lambda: YelpGenerator(20, seed=3).combined()[:256],
+            "twitter": lambda: TwitterGenerator(200, seed=4).stream()[:256],
+            "tpch": lambda: generate_combined(0.001, seed=5)[:256],
+        }[corpus]()
+        config = ExtractionConfig(threshold=0.1, tile_size=256)
+        dictionary, _ = encode_documents(documents, config.max_array_elements)
+        schema = choose_schema(dictionary, len(documents), config)
+        _detect_datetime_columns(schema, documents, config)
+        expected = {column.path: _reference_column(documents, column)
+                    for column in schema.columns}
+        assert {column.column_type for column in schema.columns} >= (
+            {ColumnType.INT64, ColumnType.FLOAT64, ColumnType.STRING}
+            if corpus == "mixed" else set())
+
+        tile = build_tile(documents, [encode(doc) for doc in documents],
+                          config, tile_number=0, first_row=0, schema=schema)
+        for path, (vector, stats, nullable, conflicts) in expected.items():
+            got = tile.columns[path]
+            assert got.data.dtype == vector.data.dtype
+            assert got.null_mask.tolist() == vector.null_mask.tolist()
+            assert all(map(_same_value, got.data.tolist(),
+                           vector.data.tolist()))
+            meta = tile.header.columns[path]
+            assert (meta.nullable, meta.has_type_conflicts) == \
+                (nullable, conflicts)
+            got_stats = tile.header.statistics.columns[path]
+            assert got_stats.sketch.registers.tolist() == \
+                stats.sketch.registers.tolist()
+            assert got_stats.non_null_count == stats.non_null_count
+            assert _same_value(got_stats.min_value, stats.min_value)
+            assert _same_value(got_stats.max_value, stats.max_value)
