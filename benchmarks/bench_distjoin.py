@@ -42,8 +42,9 @@ JOIN_SQL = (
     "where a.data->>'id'::int = b.data->>'id'::int "
     "and b.data->>'kind'::int = 0")
 
-ON = {"enable_distributed_joins": True}
-OFF = {"enable_distributed_joins": False}
+ON = {}
+# a broadcast cap of 0 declines the join to the gather path
+OFF = {"broadcast_max_rows": 0}
 
 
 class Fleet:

@@ -303,22 +303,11 @@ def serve_coordinator_main(argv: List[str], out) -> int:
     parser.add_argument("--max-inflight-queries", type=int, default=32,
                         help="admission-control bound on concurrent "
                              "queries (excess get code 'overloaded')")
-    parser.add_argument("--no-distjoin", action="store_true",
-                        help="disable shard-side broadcast joins; every "
-                             "join answers through the gather fallback "
-                             "(equivalent to REPRO_DISTJOIN=0)")
     args = parser.parse_args(argv)
-    kwargs = {}
-    if args.no_distjoin:
-        from repro.engine.plan import QueryOptions
-
-        kwargs["default_options"] = QueryOptions(
-            enable_distributed_joins=False)
     try:
         run_coordinator(args.topology, args.host, args.port,
                         timeout=args.timeout,
-                        max_inflight_queries=args.max_inflight_queries,
-                        **kwargs)
+                        max_inflight_queries=args.max_inflight_queries)
     except (TopologyError, OSError, ReproError) as exc:
         print(f"error: {exc}", file=out)
         return 1

@@ -20,7 +20,8 @@ it:
   shards vote on a fragment plan (``plan_fragments``); on unanimity
   the coordinator gathers the build side's surviving rows, broadcasts
   them to every shard's probe fragment, and merges partial results —
-  any disagreement, oversized build side or non-wire column declines
+  any disagreement, non-wire column or build side over the
+  ``broadcast_max_rows`` cap (``0`` declines every join) falls back
   to gather (counted in ``distjoin_declines``).  Everything else falls
   back to *gather*: the referenced tables are paged from the shards,
   rebuilt locally in global row order, and the query runs on the
@@ -760,13 +761,12 @@ class ClusterCoordinator:
             self._bump("queries")
             account = {"bytes": 0}
             if mode == GATHER:
-                if options.enable_distributed_joins:
-                    response = await self._distributed_join(
-                        sql, options, options_dict, block, account,
-                        request_id)
-                    if response is not None:
-                        self._bump("exchange_bytes", account["bytes"])
-                        return response
+                response = await self._distributed_join(
+                    sql, options, options_dict, block, account,
+                    request_id)
+                if response is not None:
+                    self._bump("exchange_bytes", account["bytes"])
+                    return response
                 self._bump("gather_queries")
                 result = await self._gather_query(sql, options, account)
                 self._bump("exchange_bytes", account["bytes"])
@@ -836,6 +836,15 @@ class ClusterCoordinator:
             self._last_join_order = list(local.join.order)
             self._last_distjoin_decline = reason
 
+        # the build side must fit the broadcast budget: the topology's
+        # cap, else the query's; a cap of 0 turns broadcasts off
+        cap = self.topology.max_broadcast_rows
+        if cap is None:
+            cap = options.broadcast_max_rows
+        if cap <= 0:
+            decline("build-too-large")
+            return None
+
         tables = sorted({source.relation.name
                          for source in block.sources})
         await self._ensure_routable(tables)
@@ -870,11 +879,8 @@ class ClusterCoordinator:
         build_alias = joins[0]["build"]
         order = list(joins[0]["order"])
 
-        # the build side must fit the broadcast budget (sum of the
-        # shards' surviving-cardinality estimates) and ship losslessly
-        cap = self.topology.max_broadcast_rows
-        if cap is None:
-            cap = options.broadcast_max_rows
+        # the sum of the shards' surviving-cardinality estimates must
+        # fit the cap, and the build side must ship losslessly
         estimate = sum(join["build_estimate"] for join in joins)
         if estimate > cap:
             decline("build-too-large")
@@ -943,8 +949,7 @@ class ClusterCoordinator:
         shard_plan = await self.links[0].call("explain", sql=sql,
                                               options=options_dict)
         if mode == GATHER:
-            if local.join is not None \
-                    and options.enable_distributed_joins:
+            if local.join is not None:
                 strategy = (
                     f"  broadcast join (on unanimous shard vote): "
                     f"build[{local.join.build}] =broadcast=> "

@@ -23,6 +23,9 @@ of scope, so the topology is static for the life of the data.
 may serve a read only while it has applied all but at most this many
 of the records the coordinator has routed to its primary.  ``0``
 (default) means a replica must be fully caught up at check time.
+``max_broadcast_rows`` (optional) caps the build side a broadcast join
+may ship for every query on the cluster; ``0`` turns broadcast joins
+off (DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -91,14 +94,21 @@ class ClusterTopology:
                         f"endpoint {endpoint.address} appears twice in "
                         f"the topology")
                 seen.add(endpoint)
-        max_broadcast = raw.get("max_broadcast_rows")
         return cls(shards=shards,
-                   max_replica_lag=int(raw.get("max_replica_lag", 0)),
+                   max_replica_lag=_count(raw, "max_replica_lag", 0),
                    read_from_replicas=bool(
                        raw.get("read_from_replicas", True)),
-                   max_broadcast_rows=(int(max_broadcast)
-                                       if max_broadcast is not None
-                                       else None))
+                   max_broadcast_rows=_count(raw, "max_broadcast_rows",
+                                             None))
+
+
+def _count(raw: dict, key: str, default: Optional[int]) -> Optional[int]:
+    value = raw.get(key, default)
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, int) or value < 0):
+        raise TopologyError(f'"{key}" must be a non-negative integer, '
+                            f'got {value!r}')
+    return value
 
 
 def _endpoint(entry: dict, where: str) -> Endpoint:

@@ -60,28 +60,10 @@ def _text(value: object) -> str:
 
 def execute_block(block: QueryBlock,
                   options: Optional[QueryOptions] = None) -> QueryResult:
-    """Plan and run one query block.
-
-    Aggregated single-source blocks route through the plan-fragment IR
-    (DESIGN.md §10) — the same two-phase plan the cluster executes,
-    with the exchange degenerating to an in-process pass-through.
-    Everything else (and ``enable_fragments=False``) runs the fused
-    operator tree; both paths are bit-identical by the partial-merge
-    proof in ``engine/partial.py``.
-    """
+    """Plan and run one query block on the fused operator tree — the
+    one single-node executor.  The plan-fragment IR (DESIGN.md §10)
+    serves the cluster coordinator only."""
     options = options or QueryOptions()
-    if options.enable_fragments:
-        from repro.engine.fragments import execute_fragments_local, \
-            plan_fragments
-        plan = plan_fragments(block, options)
-        # rows mode stays fused locally: the fused tree streams
-        # through LIMIT and stops scanning early, which the
-        # ship-everything fragment path would give up
-        if plan.join is None and plan.mode in ("scalar", "single_key",
-                                               "generic"):
-            columns, rows, counters, join_order = \
-                execute_fragments_local(block, options, plan)
-            return QueryResult(columns, rows, counters, join_order)
     planner = Planner(options)
     operator = planner.plan_block(block)
     batch = operator.materialize()

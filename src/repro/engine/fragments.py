@@ -1,17 +1,13 @@
-"""Plan fragments — one two-phase IR for local and cluster execution
+"""Plan fragments — the two-phase IR the cluster executes
 (DESIGN.md §10).
 
 The optimizer's output for a partial-capable block is a small DAG of
 :class:`PlanFragment`\\ s — leaf scans producing partial states, an
 exchange edge, and a final merge — with the partitioning of every edge
-declared.  The same IR drives both executors:
-
-* the single-node engine runs the fragments in process, where every
-  exchange degenerates to a :class:`~repro.engine.morsels.LocalExchange`
-  pass-through (``execute_fragments_local``);
-* the cluster coordinator ships the leaf fragments to shards over the
-  JSON-lines protocol and runs only the merge fragment itself
-  (``cluster/coordinator.py``).
+declared.  The cluster coordinator ships the leaf fragments to shards
+over the JSON-lines protocol and runs only the merge fragment itself
+(``cluster/coordinator.py``); a single node runs the fused operator
+tree instead (``engine/executor.py``).
 
 Location transparency holds because fragment *planning* is purely
 shape-driven (it never reads data) and fragment *execution* reuses the
@@ -22,44 +18,34 @@ Broadcast joins.  A two-table equi-join plans as::
 
     build[b] ==broadcast==> probe[a] --partials--> merge
 
-The build side's surviving rows are broadcast once (to every shard, or
-handed across the in-process exchange); each probe fragment joins its
-canonical chunks against one shared hash index and feeds joined chunks
-through the ordinary per-mode chunk builders.  Whether the build side
-is *small enough* to broadcast is the transport's decision (the
-coordinator compares the shards' unanimous estimate against
-``broadcast_max_rows``); the planner here only pins the orientation —
-probe/build and join order come from the same DP ordering and 4x swap
-rule as the fused plan, so the shipped plan is the fused plan.
+The build side's surviving rows are broadcast once to every shard;
+each probe fragment joins its canonical chunks against one shared hash
+index and feeds joined chunks through the ordinary per-mode chunk
+builders.  Whether the build side is *small enough* to broadcast is
+the coordinator's decision (it compares the shards' unanimous estimate
+against ``broadcast_max_rows``); the planner here only pins the
+orientation — probe/build and join order come from the same DP
+ordering and 4x swap rule as the fused plan, so the shipped plan is
+the fused plan.
 
 Anything the IR cannot express declines with a ``reason`` and the
-caller falls back — single-node to the fused tree, the coordinator to
-the gather path.  Either way results are bit-identical; decline is a
-performance event, never a correctness event.
+coordinator falls back to the gather path.  Results are bit-identical
+either way; decline is a performance event, never a correctness event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from repro.engine.morsels import LocalExchange
 from repro.engine.optimizer import Planner
 from repro.engine.partial import (
     GATHER,
     _has_scalar_subquery,
     classify_block,
     classify_output,
-    execute_build_fragment,
-    execute_partial,
-    execute_probe_fragment,
-    merge_build_pieces,
-    merge_counters,
-    merge_partial_results,
 )
 from repro.engine.plan import QueryBlock, QueryOptions, ScanSource
-from repro.engine.scan import ScanCounters
-from repro.errors import ExecutionError
 
 
 @dataclass(frozen=True)
@@ -77,8 +63,8 @@ class PlanFragment:
         every probe executor) or ``"result"`` (the merge's final rows).
     ``partitioning``
         Where the fragment runs: ``"canonical-blocks"`` (every shard
-        over its round-robin blocks; a single node is the 1-shard
-        special case) or ``"coordinator"`` (exactly one executor).
+        over its round-robin blocks) or ``"coordinator"`` (exactly one
+        executor).
     """
 
     fragment_id: int
@@ -224,85 +210,3 @@ def _join_decline_reason(block: QueryBlock) -> Optional[str]:
                for source in block.sources):
         return "derived-table"
     return None
-
-
-# ----------------------------------------------------------------------
-# single-node fragment execution: exchanges are in-process pass-throughs
-
-
-def execute_fragments_local(block: QueryBlock, options: QueryOptions,
-                            plan: Optional[FragmentPlan] = None):
-    """Run a fragment plan entirely in process (the 1-shard case).
-
-    Returns ``(columns, rows, counters, join_order)``.  The exchange
-    between fragments is a :class:`LocalExchange` — same pieces, same
-    ``(block, chunk)`` merge order as the cluster path, no sockets —
-    which is what makes the single-node executor and the coordinator
-    two transports under one IR.
-    """
-    plan = plan or plan_fragments(block, options)
-    if plan.declined:
-        raise ExecutionError(
-            f"block does not plan as fragments ({plan.reason}); "
-            f"run the fused operator tree instead")
-
-    counter_dicts: List[dict] = []
-    # the merge fragment's sort tail reports its own kernel coverage,
-    # exactly as the fused tree's SortOp/TopKOp would
-    tail_counters = ScanCounters()
-    if plan.join is None:
-        exchange = LocalExchange("partials")
-        result = execute_partial(block, options, shard_index=0,
-                                 shard_count=1, expected_mode=plan.mode)
-        counter_dicts.append(result["counters"])
-        exchange.send(result["pieces"])
-        columns, rows = merge_partial_results(block, plan.mode,
-                                              exchange.receive(),
-                                              options=options,
-                                              counters=tail_counters)
-        join_order = [block.sources[0].alias]
-    else:
-        broadcast = LocalExchange("broadcast")
-        built = execute_build_fragment(block, options, shard_index=0,
-                                       shard_count=1,
-                                       build_alias=plan.join.build)
-        counter_dicts.append(built["counters"])
-        broadcast.send(built["pieces"])
-        build_rows = merge_build_pieces(broadcast.receive())
-        fragment = {"probe": plan.join.probe, "build": plan.join.build,
-                    "columns": built["columns"], "types": built["types"],
-                    "rows": build_rows}
-        exchange = LocalExchange("partials")
-        probed = execute_probe_fragment(block, options, shard_index=0,
-                                        shard_count=1, fragment=fragment,
-                                        expected_mode=plan.mode)
-        counter_dicts.append(probed["counters"])
-        exchange.send(probed["pieces"])
-        columns, rows = merge_partial_results(block, plan.mode,
-                                              exchange.receive(),
-                                              options=options,
-                                              counters=tail_counters)
-        join_order = list(plan.join.order)
-
-    counters = merge_counters(counter_dicts)
-    counters.merge(tail_counters)
-    if plan.join is not None:
-        # one in-process "shard" received the build rows once
-        counters.broadcast_rows += len(build_rows)
-    _record_scans(block, plan, counter_dicts)
-    return columns, rows, counters, join_order
-
-
-def _record_scans(block: QueryBlock, plan: FragmentPlan,
-                  counter_dicts: Sequence[dict]) -> None:
-    """Feed per-table running totals (the server's `stats` command)
-    exactly as the fused executor does after materializing."""
-    aliases: List[str]
-    if plan.join is None:
-        aliases = [block.sources[0].alias]
-    else:
-        aliases = [plan.join.build, plan.join.probe]
-    for alias, wire in zip(aliases, counter_dicts):
-        source = block.source(alias)
-        if isinstance(source, ScanSource):
-            source.relation.record_scan(merge_counters([wire]))

@@ -174,34 +174,6 @@ def map_ordered(fn: Callable[..., T], items: Iterable,
     return list(run_ordered(thunks, workers))
 
 
-class LocalExchange:
-    """The in-process degenerate case of a fragment exchange
-    (DESIGN.md §10).
-
-    On a cluster, an exchange edge moves pieces over the JSON-lines
-    protocol — shard partials gathered to the coordinator, or a build
-    side broadcast to every shard.  On a single node the same edge is
-    this: a list the producing fragment appends to and the consuming
-    fragment reads back, in the exact order the cluster's ``(block,
-    chunk)`` merge would impose anyway.  Keeping the pass-through
-    explicit (rather than wiring fragments directly together) is what
-    lets ``engine/fragments.py`` and ``cluster/coordinator.py`` execute
-    the *same* fragment DAG with only the transport swapped.
-    """
-
-    def __init__(self, kind: str):
-        #: "partials" | "broadcast" | "result" — mirrors
-        #: :class:`~repro.engine.fragments.PlanFragment.exchange`
-        self.kind = kind
-        self._pieces: list = []
-
-    def send(self, pieces: Iterable) -> None:
-        self._pieces.extend(pieces)
-
-    def receive(self) -> list:
-        return list(self._pieces)
-
-
 def canonical_chop(batch_rows: int, tile_size: int) -> int:
     """The canonical scan block: tiles are chopped at multiples of
     ``min(batch_rows, tile_size)`` rows, not at their physical row

@@ -753,22 +753,15 @@ def _decode_single_key(piece: dict, key_expr: ex.Expression,
 
 def merge_partial_results(block: QueryBlock, mode: str,
                           pieces: List[dict],
-                          options: Optional[QueryOptions] = None,
-                          counters: Optional[ScanCounters] = None,
                           ) -> Tuple[List[str], List[tuple]]:
     """Fold every shard's pieces in global ``(block, chunk)`` order and
     run the planner's finishing tail (HAVING → SELECT → ORDER BY /
     LIMIT).  Returns ``(columns, rows)`` bit-identical to single-node
-    execution of the same block.
-
-    ``options`` lets the finishing tail engage the same sort kernels
-    the fused tree would; ``counters`` collects their kernel coverage
-    (the fused executor merges operator counters the same way)."""
+    execution of the same block."""
     pieces = sorted(pieces, key=lambda piece: (piece["k"], piece["c"]))
     if mode == "rows":
         merged = _assemble_rows(block, pieces)
-        return _finish(block, merged, project=False,
-                       options=options, counters=counters)
+        return _finish(block, merged, project=False)
     if mode == "scalar":
         op = HashAggregateOp(BatchSource([]), [], block.aggregates)
         states = [_new_state(spec) for spec in block.aggregates]
@@ -805,8 +798,7 @@ def merge_partial_results(block: QueryBlock, mode: str,
         merged = op._finish(groups, key_types)
     else:
         raise ExecutionError(f"unknown partial mode {mode!r}")
-    return _finish(block, merged, project=True,
-                   options=options, counters=counters)
+    return _finish(block, merged, project=True)
 
 
 def _merge_exact_states(state: List[List], incoming: List[List],
@@ -853,33 +845,24 @@ def _assemble_rows(block: QueryBlock, pieces: List[dict]) -> Batch:
 
 
 def _finish(block: QueryBlock, merged: Optional[Batch],
-            project: bool, options: Optional[QueryOptions] = None,
-            counters: Optional[ScanCounters] = None,
-            ) -> Tuple[List[str], List[tuple]]:
+            project: bool) -> Tuple[List[str], List[tuple]]:
     """The planner's post-aggregation tail, verbatim
     (``Planner.plan_block``): HAVING filter, SELECT projection, then
     TopK/Sort/Limit.  ``project=False`` for rows mode, whose shards
-    already projected.  With ``options``, the sort tail uses the same
-    kernels as the fused tree and reports coverage into ``counters``."""
-    enable_kernels = bool(options and options.enable_kernels)
+    already projected."""
     tree = BatchSource([merged] if merged is not None else [])
     if project:
         if block.is_aggregated and block.having is not None:
             tree = FilterOp(tree, block.having)
         if block.select:
             tree = ProjectOp(tree, block.select)
-    tail = None
     if block.order_by and block.limit is not None:
-        tree = tail = TopKOp(tree, block.order_by, block.limit,
-                             enable_kernels=enable_kernels)
+        tree = TopKOp(tree, block.order_by, block.limit)
     elif block.order_by:
-        tree = tail = SortOp(tree, block.order_by,
-                             enable_kernels=enable_kernels)
+        tree = SortOp(tree, block.order_by)
     elif block.limit is not None:
         tree = LimitOp(tree, block.limit)
     result = tree.materialize()
-    if counters is not None and tail is not None:
-        counters.merge(tail.counters)
     names = block.output_names()
     if result is None:
         return list(names), []

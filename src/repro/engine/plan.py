@@ -174,19 +174,9 @@ class QueryOptions:
     #: (``REPRO_KERNELS=0``) runs the per-tuple reference paths; results
     #: are bit-identical either way (the differential suite asserts it).
     enable_kernels: bool = _env_default("REPRO_KERNELS", True)
-    #: plan-fragment execution (DESIGN.md §10): route partial-capable
-    #: blocks through the two-phase fragment IR even on a single node,
-    #: where the exchange is an in-process pass-through.  Off
-    #: (``REPRO_FRAGMENTS=0``) runs the fused operator tree; results are
-    #: bit-identical either way.
-    enable_fragments: bool = _env_default("REPRO_FRAGMENTS", True)
-    #: shard-side broadcast joins (DESIGN.md §10): the coordinator may
-    #: broadcast a small join build side to every shard and merge only
-    #: partial results.  Off (``REPRO_DISTJOIN=0``, or any declined
-    #: plan) falls back to the gather path; results are bit-identical
-    #: either way.
-    enable_distributed_joins: bool = _env_default("REPRO_DISTJOIN", True)
     #: ceiling on the estimated global build-side cardinality a
-    #: broadcast join will ship; larger build sides decline to gather
-    #: (the topology file may override this per cluster).
+    #: shard-side broadcast join (DESIGN.md §10) will ship; larger
+    #: build sides decline to the gather path, and ``0`` declines every
+    #: join (the topology file may override this per cluster).  Results
+    #: are bit-identical either way.
     broadcast_max_rows: int = 100_000

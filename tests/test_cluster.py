@@ -9,6 +9,8 @@ surfaces (dead shard, oversized frame, version mismatch, staleness
 fallback) the design documents.
 """
 
+import dataclasses
+import io
 import json
 import socket
 import threading
@@ -16,6 +18,7 @@ import time
 
 import pytest
 
+from repro.cli import main
 from repro.cluster import (
     ClusterCoordinator,
     ClusterTopology,
@@ -72,6 +75,26 @@ class TestTopology:
         assert topology.max_replica_lag == 5
         with pytest.raises(TopologyError):
             load_topology(tmp_path / "missing.json")
+
+    @pytest.mark.parametrize("key", ["max_broadcast_rows",
+                                     "max_replica_lag"])
+    @pytest.mark.parametrize("value", ["lots", -1, 2.5, True])
+    def test_load_topology_rejects_bad_counts(self, tmp_path, key, value):
+        path = tmp_path / "cluster.json"
+        path.write_text(json.dumps({"shards": [{"port": 7701}],
+                                    key: value}))
+        with pytest.raises(TopologyError, match=key):
+            load_topology(path)
+
+    def test_serve_coordinator_reports_bad_topology(self, tmp_path):
+        path = tmp_path / "cluster.json"
+        path.write_text(json.dumps({"shards": [{"port": 7701}],
+                                    "max_broadcast_rows": "lots"}))
+        out = io.StringIO()
+        assert main(["serve-coordinator", "--topology", str(path)],
+                    out=out) == 1
+        assert out.getvalue().startswith("error: ")
+        assert "max_broadcast_rows" in out.getvalue()
 
     def test_shard_rows_matches_routing(self):
         # brute-force the block round-robin over many (total, B, S)
@@ -359,10 +382,9 @@ class TestDistributedJoins:
         "where b.data->>'k'::int = d.data->>'d'::int "
         "group by d.data->>'label' order by label")
 
-    # force-enable so the engage/decline assertions hold even under
-    # the CI leg that ablates the default (REPRO_DISTJOIN=0)
-    ON = {"enable_distributed_joins": True}
-    OFF = {"enable_distributed_joins": False}
+    # a broadcast cap of 0 declines every join to the gather path
+    ON = {}
+    OFF = {"broadcast_max_rows": 0}
 
     @pytest.fixture(scope="class")
     def joined(self, cluster):
@@ -435,6 +457,24 @@ class TestDistributedJoins:
         assert raw["cluster"]["mode"] == "gather"
         stats = joined["cc"].stats()
         assert stats["last_distjoin_decline"] == "build-too-large"
+        assert [tuple(row) for row in raw["rows"]] == \
+            _rows(joined["sc"].query(self.JOIN_SQL))
+
+    def test_topology_cap_zero_forces_gather(self, joined):
+        topology = dataclasses.replace(joined["coordinator"].topology,
+                                       max_broadcast_rows=0)
+        fresh = ClusterCoordinator(topology, port=0, timeout=30.0)
+        fresh.start_in_thread()
+        try:
+            with ServerClient(port=fresh.port) as client:
+                # the cluster's cap wins over the query's default
+                raw = client._call("query", sql=self.JOIN_SQL,
+                                   options=self.ON)
+                assert raw["cluster"]["mode"] == "gather"
+                assert client.stats()["last_distjoin_decline"] == \
+                    "build-too-large"
+        finally:
+            fresh.stop_in_thread()
         assert [tuple(row) for row in raw["rows"]] == \
             _rows(joined["sc"].query(self.JOIN_SQL))
 

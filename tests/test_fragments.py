@@ -3,8 +3,8 @@
 The fragment planner must (a) emit the documented DAG shapes and
 decline reasons purely from block shape, (b) survive a JSON wire
 round-trip (the coordinator ships plans to shards), and (c) execute
-bit-identically to the fused operator tree on a single node — the
-in-process `LocalExchange` case that makes the cluster's broadcast
+bit-identically to the fused operator tree — checked here in process,
+as a 1-shard cluster, which is what makes the cluster's broadcast
 joins trustworthy by construction.
 """
 
@@ -14,12 +14,13 @@ import struct
 import pytest
 
 from repro import Database, ExtractionConfig, QueryOptions
-from repro.engine.fragments import (
-    FragmentPlan,
-    execute_fragments_local,
-    plan_fragments,
+from repro.engine.fragments import FragmentPlan, plan_fragments
+from repro.engine.partial import (
+    execute_build_fragment,
+    execute_probe_fragment,
+    merge_build_pieces,
+    merge_partial_results,
 )
-from repro.errors import ExecutionError
 from repro.server import protocol
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
@@ -128,8 +129,29 @@ class TestPlanning:
         assert "gather" in FragmentPlan("gather", reason="x").describe()
 
 
+def run_join_fragments(block, options):
+    """Run a broadcast-join fragment plan in process as a 1-shard
+    cluster: the build, merge and probe calls the coordinator makes,
+    without the sockets.  Returns ``(plan, columns, rows, build_rows)``."""
+    plan = plan_fragments(block, options)
+    assert plan.join is not None, plan.reason
+    built = execute_build_fragment(block, options, shard_index=0,
+                                   shard_count=1,
+                                   build_alias=plan.join.build)
+    build_rows = merge_build_pieces(built["pieces"])
+    fragment = {"probe": plan.join.probe, "build": plan.join.build,
+                "columns": built["columns"], "types": built["types"],
+                "rows": build_rows}
+    probed = execute_probe_fragment(block, options, shard_index=0,
+                                    shard_count=1, fragment=fragment,
+                                    expected_mode=plan.mode)
+    columns, rows = merge_partial_results(block, plan.mode,
+                                          probed["pieces"])
+    return plan, columns, rows, build_rows
+
+
 class TestLocalExecution:
-    """`execute_fragments_local` vs the fused tree, bit for bit."""
+    """Join fragments run in process vs the fused tree, bit for bit."""
 
     QUERIES = [
         # scalar over a join
@@ -157,45 +179,33 @@ class TestLocalExecution:
         for sql in self.QUERIES:
             options = QueryOptions(parallelism=parallelism,
                                    batch_rows=48)
-            fused = db.sql(sql, QueryOptions(parallelism=parallelism,
-                                             batch_rows=48,
-                                             enable_fragments=False))
-            block = _bind(db, sql, options)
-            columns, rows, counters, order = \
-                execute_fragments_local(block, options)
+            fused = db.sql(sql, options)
+            plan, columns, rows, build_rows = \
+                run_join_fragments(_bind(db, sql, options), options)
             assert columns == fused.columns, sql
             assert [[bits(v) for v in row] for row in rows] == \
                 [[bits(v) for v in row] for row in fused.rows], sql
-            assert counters.broadcast_rows > 0, sql
-            assert order == ["c", "o"], sql
-
-    def test_default_routing_matches_fused(self, db):
-        sql = ("select o.data->>'region' as r, count(*) as n "
-               "from orders o group by o.data->>'region' "
-               "order by n desc, r")
-        routed = db.sql(sql)
-        fused = db.sql(sql, QueryOptions(enable_fragments=False))
-        assert routed.columns == fused.columns
-        assert [[bits(v) for v in row] for row in routed.rows] == \
-            [[bits(v) for v in row] for row in fused.rows]
+            assert build_rows, sql
+            assert list(plan.join.order) == ["c", "o"], sql
 
     def test_empty_build_side(self, db):
         sql = ("select count(*) as n from orders o, custs c "
                "where o.data->>'cust'::int = c.data->>'c_id'::int "
                "and c.data->>'tier'::int = 99")
         options = QueryOptions()
-        block = _bind(db, sql, options)
-        columns, rows, _counters, _order = \
-            execute_fragments_local(block, options)
+        _plan, columns, rows, build_rows = \
+            run_join_fragments(_bind(db, sql, options), options)
         assert columns == ["n"]
         assert rows == [(0,)]
+        assert build_rows == []
 
-    def test_declined_plan_raises(self, db):
+    def test_declined_plan_is_flagged(self, db):
         block = _bind(db, "select count(*) as n from orders o "
                           "left join custs c on o.data->>'cust'::int "
                           "= c.data->>'c_id'::int")
-        with pytest.raises(ExecutionError):
-            execute_fragments_local(block, QueryOptions())
+        plan = plan_fragments(block, QueryOptions())
+        assert plan.declined
+        assert plan.join is None
 
     def test_explain_renders_fragments(self, db):
         text = db.explain(JOIN_SQL)

@@ -216,14 +216,11 @@ class TestEdgeCases:
         big = 2 ** 56
         rows = [{"g": i % 2, "h": i % 3, "v": big} for i in range(64)]
         db = self._load(rows)
-        # pin the fused tree: the fragment path folds per-chunk partial
-        # states whose sums never reach the overflow bound, so only the
-        # fused kernel's running sums can trip the mid-stream spill
         on, off = run_on_off(
             db, "select t.data->>'g'::int as g, t.data->>'h'::int as h, "
                 "sum(t.data->>'v'::int) as s from t t "
                 "group by t.data->>'g'::int, t.data->>'h'::int "
-                "order by g, h", batch_rows=8, enable_fragments=False)
+                "order by g, h", batch_rows=8)
         assert on.counters.kernel_rows > 0
         assert on.counters.fallback_rows > 0
         assert on.rows[0][2] == 11 * big
