@@ -3,12 +3,12 @@
 
 A :class:`HealthTracker` observes one relation through two channels:
 
-* **storage events** (:meth:`Relation.add_event_hook`): tile seals,
-  in-place updates and tile rewrites (recomputation, partition
-  reorganization, LSM merge) maintain sticky per-partition counters
-  (updates, rows since the last reorganization, reorder attempts,
-  cooldown), keyed by list-position partition
-  (:meth:`Relation.partition_of`);
+* **storage events** (:meth:`Relation.add_event_hook`): tile seals
+  and tail extensions, in-place updates and tile rewrites
+  (recomputation, partition reorganization, LSM merge) maintain
+  sticky per-partition counters (updates, rows since the last
+  reorganization, reorder attempts, cooldown), keyed by list-position
+  partition (:meth:`Relation.partition_of`);
 * **scan totals** (PR 2's mergeable ScanCounters, folded into
   ``Relation.scan_totals`` by the engine): the delta of
   ``fallback_tiles`` over ``tiles_scanned`` between refreshes is the
@@ -106,7 +106,11 @@ class HealthTracker:
                         record.cooldown = 0
             return
         # seal / update / evict: payload is the TileHandle (header
-        # always resident)
+        # always resident); extend: the topped-up handle + rows added
+        if event == "extend":
+            payload, appended = payload["tile"], payload["rows"]
+        else:
+            appended = payload.row_count
         partition = relation.partition_of(payload)
         with self._lock:
             if event == "evict":
@@ -118,8 +122,10 @@ class HealthTracker:
             if partition is None:
                 return  # the tile already left the relation
             record = self._record_locked(partition)
-            if event == "seal":
-                record.rows_since_reorg += payload.row_count
+            if event in ("seal", "extend"):
+                # only the new rows: a tail topped up batch by batch
+                # must not count its earlier rows again
+                record.rows_since_reorg += appended
                 # fresh content: the partition may be reorderable again
                 record.attempts = 0
             elif event == "update":

@@ -382,8 +382,9 @@ class JsonTilesServer:
     def _seal_table(self, name: str, relation: Relation) -> None:
         try:
             while relation.pending_inserts >= relation.config.tile_size:
-                # whole tiles only: where the sealer cuts must not
-                # depend on when it ran (the tail waits for a query)
+                # tops up the tail, then whole tiles only: where the
+                # sealer cuts must not depend on when it ran (the rest
+                # waits for a query)
                 relation.seal_full_tiles(
                     append_guard=lambda: self.locks.write_locked(name))
                 self._bump("seals")

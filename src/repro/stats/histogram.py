@@ -71,19 +71,28 @@ class EquiDepthHistogram:
 
     def count_below(self, value: float) -> float:
         """Number of values <= *value* (inclusive for point masses)."""
-        if value < self.boundaries[0]:
-            return 0.0
-        total = 0.0
-        for index in range(self.num_buckets):
-            left = self.boundaries[index]
-            right = self.boundaries[index + 1]
-            if right <= value:
-                total += self.counts[index]
-            elif left <= value < right:
-                total += self.counts[index] * (value - left) / (right - left)
-            else:
-                break
-        return float(total)
+        return float(self.counts_below(np.array([value], dtype=np.float64))[0])
+
+    def counts_below(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`count_below` of every entry of *values*, vectorized.
+
+        The buckets ending at or before a value count fully (a running
+        ``cumsum``, summed in bucket order like a scalar fold); the one
+        bucket the value falls inside counts pro rata.  Boundaries are
+        sorted, so ``searchsorted`` over the right edges finds both.
+        """
+        boundaries, counts = self.boundaries, self.counts
+        # False below the histogram and for NaN: both count nothing
+        reached = values >= boundaries[0]
+        full = np.searchsorted(boundaries[1:], values, side="right")
+        totals = np.concatenate(([0.0], np.cumsum(counts)))[full]
+        inside = reached & (full < len(counts))
+        bucket = full[inside]
+        left = boundaries[bucket]
+        totals[inside] += (counts[bucket] * (values[inside] - left)
+                           / (boundaries[bucket + 1] - left))
+        totals[~reached] = 0.0
+        return totals
 
     def fraction_below(self, value: float) -> float:
         """P(x <= value)."""
@@ -129,9 +138,7 @@ class EquiDepthHistogram:
         if total == 0:
             return self.copy()
         grid = np.unique(np.concatenate([self.boundaries, other.boundaries]))
-        cumulative = np.array([
-            self.count_below(x) + other.count_below(x) for x in grid
-        ])
+        cumulative = self.counts_below(grid) + other.counts_below(grid)
         # np.interp needs strictly increasing sample points; point
         # masses make the CDF locally flat, so nudge it minimally
         cumulative = cumulative + np.arange(len(grid)) * 1e-9

@@ -50,6 +50,11 @@ class ColumnStatistics:
         so each value is hashed once."""
         values = list(values)
         self.sketch.add_many(values)
+        self.widen_bounds(values)
+        self.non_null_count += count
+
+    def widen_bounds(self, values: Iterable[object]) -> None:
+        """Fold *values*, in order, into the min / max bounds."""
         for value in values:
             try:
                 if self.min_value is None or value < self.min_value:
@@ -59,7 +64,6 @@ class ColumnStatistics:
             except TypeError:
                 # mixed-type outliers: keep the domain bounds we have
                 pass
-        self.non_null_count += count
 
     def distinct(self) -> float:
         return self.sketch.estimate()

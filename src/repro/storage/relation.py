@@ -35,7 +35,7 @@ from repro.stats.table_stats import TableStatistics
 from repro.storage.formats import StorageFormat
 from repro.storage.tile_cache import GLOBAL_TILE_CACHE
 from repro.storage.tilestore import GLOBAL_TILE_STORE, TileHandle
-from repro.tiles.extractor import ExtractionConfig, build_tile
+from repro.tiles.extractor import ExtractionConfig, build_tile, extend_tile
 from repro.tiles.extractor import _materialize_value  # shared coercion
 from repro.tiles.reorder import apply_order, reorder_transactions
 from repro.tiles.tile import Tile
@@ -89,11 +89,9 @@ class Relation:
         #: owner (e.g. the server's background sealer) must watch
         #: :attr:`pending_inserts` and call :meth:`flush_inserts`
         self.auto_seal = True
-        #: callbacks ``(relation, tile)`` fired after a tile is sealed
-        self._seal_hooks: List[Callable[["Relation", TileHandle], None]] = []
         #: callbacks ``(event, relation, payload)`` fired on storage
-        #: reorganization events ("seal", "update", "rewrite", and
-        #: "evict" when the tile store pages a tile out); the
+        #: reorganization events ("seal", "extend", "update", "rewrite",
+        #: and "evict" when the tile store pages a tile out); the
         #: maintenance health tracker subscribes.
         #: Hooks must never raise into the foreground path — exceptions
         #: are swallowed.
@@ -211,8 +209,9 @@ class Relation:
         """Append one document.
 
         Documents accumulate in an insert buffer; once ``tile_size``
-        tuples arrived, the buffer is sealed into a new tile (with
-        mining/extraction for extracting formats).  Call
+        tuples arrived, the buffer is sealed (:meth:`seal_full_tiles`:
+        the partial tail tile is topped up first, then whole tiles are
+        cut, with mining/extraction for extracting formats).  Call
         :meth:`flush_inserts` to seal a partial buffer — e.g. before a
         scan that must observe the fresh tuples.  A document no tile
         can store raises (:meth:`accept_document`) and is not buffered.
@@ -248,31 +247,51 @@ class Relation:
                 self.seal_full_tiles()
 
     def flush_inserts(self, append_guard=None) -> None:
-        """Seal the insert buffer into a new tile (no-op when empty).
+        """Seal the whole insert buffer (no-op when empty): top up the
+        partial tail tile, cut whole tiles, and start a new partial
+        tail with whatever is left.
 
-        The new tile is only appended once fully built, mirroring the
+        A tile only becomes visible once fully built, mirroring the
         paper's visibility rule ("the tile is visible to scanners only
-        once it is fully created").  Safe to call from any thread:
-        sealers are serialized and the expensive mining/extraction runs
-        without blocking concurrent :meth:`insert` calls.
+        once it is fully created"); a topped-up tail is a new tile
+        swapped in for the old one (:func:`repro.tiles.extend_tile`).
+        Safe to call from any thread: sealers are serialized and the
+        expensive mining/extraction runs without blocking concurrent
+        :meth:`insert` calls.
 
         *append_guard*, when given, is a context manager held around
         the instant the finished tile becomes visible (tiles-list
-        append + statistics merge) — the server passes its per-table
+        splice + statistics merge) — the server passes its per-table
         writer lock here so sealing never races a scan.
         """
         self._seal_pending(append_guard, whole_tiles=False)
 
     def seal_full_tiles(self, append_guard=None) -> None:
-        """Seal every complete run of ``tile_size`` buffered documents
-        and leave a shorter tail pending.  Background sealers use this:
-        tile boundaries are permanent, so a sealer must not cut a small
-        tile out of whatever happened to be buffered when it ran —
-        the tail is sealed by the next full run or a query-time
-        :meth:`flush_inserts`.  *append_guard* as there."""
+        """Top up the partial tail tile, then seal every complete run
+        of ``tile_size`` buffered documents and leave a shorter rest
+        pending.  Background sealers use this: tile boundaries are
+        permanent, so a sealer must not start a small tile out of
+        whatever happened to be buffered when it ran — only a
+        query-time :meth:`flush_inserts` does.  *append_guard* as
+        there."""
         self._seal_pending(append_guard, whole_tiles=True)
 
+    def _open_tail_locked(self) -> Optional[TileHandle]:
+        """The last tile when further inserts extend it (a level-0
+        tile short of ``tile_size`` rows), else None.  Callers hold
+        ``_buffer_lock``."""
+        if not self.tiles:
+            return None
+        tail = self.tiles[-1]
+        if tail.header.level or tail.row_count >= self.config.tile_size:
+            return None
+        return tail
+
     def _seal_pending(self, append_guard, whole_tiles: bool) -> None:
+        """Every flush fills the open tail first, so all tiles but the
+        last hold exactly ``tile_size`` rows whenever flushes run
+        (Section 3.2: "a new tile is created whenever the number of
+        newly-inserted tuples reaches the tile size")."""
         if self.text_rows is not None:
             return
         size = self.config.tile_size
@@ -285,13 +304,18 @@ class Relation:
         with self._seal_lock:
             with self._buffer_lock:
                 budget = len(self._insert_buffer)
+                tail = self._open_tail_locked()
         if whole_tiles:
-            budget -= budget % size
+            top_up = 0 if tail is None \
+                else min(budget, size - tail.row_count)
+            budget = top_up + (budget - top_up) // size * size
         while budget > 0:
             with self._seal_lock:
                 with self._buffer_lock:
                     pending = len(self._insert_buffer)
-                    if not pending or (whole_tiles and pending < size):
+                    tail = self._open_tail_locked()
+                    if not pending or (whole_tiles and tail is None
+                                       and pending < size):
                         return
                     # one tile never exceeds tile_size tuples — a burst
                     # of inserts that outran the sealer is cut into
@@ -299,25 +323,35 @@ class Relation:
                     # (tile boundaries are permanent: Section 3.2
                     # reordering permutes rows *between* tiles but never
                     # re-draws the boundaries themselves)
-                    take = min(pending, size)
+                    take = min(pending, size if tail is None
+                               else size - tail.row_count)
                     budget -= take
                     documents = self._insert_buffer[:take]
                     self._insert_buffer = self._insert_buffer[take:]
-                    # only sealers mutate self.tiles, and they hold
-                    # _seal_lock, so these reads are stable
-                    tile_number = (self.tiles[-1].header.tile_number + 1
-                                   if self.tiles else 0)
-                    first_row = sum(tile.row_count for tile in self.tiles)
+                    if tail is None:
+                        # only sealers append to self.tiles, and they
+                        # hold _seal_lock, so these reads are stable
+                        tile_number = (self.tiles[-1].header.tile_number
+                                       + 1 if self.tiles else 0)
+                        first_row = sum(tile.row_count
+                                        for tile in self.tiles)
                 try:
-                    # one walk per document: JSONB bytes + mining items
-                    sink = ItemSink(self.config.max_array_elements)
-                    jsonb_rows = [jsonb_encode(document, sink=sink)
-                                  for document in documents]
-                    tile = self.adopt_tile(build_tile(
-                        documents, jsonb_rows, self.config,
-                        tile_number, first_row,
-                        mine=self.format.extracts_columns,
-                        encoded=(sink.dictionary, sink.transactions)))
+                    if tail is None:
+                        # one walk per document: JSONB bytes + mining
+                        # items
+                        sink = ItemSink(self.config.max_array_elements)
+                        jsonb_rows = [jsonb_encode(document, sink=sink)
+                                      for document in documents]
+                        tile = self.adopt_tile(build_tile(
+                            documents, jsonb_rows, self.config,
+                            tile_number, first_row,
+                            mine=self.format.extracts_columns,
+                            encoded=(sink.dictionary, sink.transactions)))
+                    else:
+                        with tail.pinned() as payload:
+                            extended, delta = extend_tile(
+                                payload, documents, self.config)
+                        tile = self.adopt_tile(extended)
                 except BaseException:
                     # the documents were acknowledged: put them back at
                     # the head of the buffer, ahead of later inserts
@@ -326,32 +360,45 @@ class Relation:
                     raise
                 guard = append_guard() if callable(append_guard) \
                     else append_guard
-                if guard is not None:
-                    with guard:
-                        with self._buffer_lock:
+                with (guard if guard is not None else nullcontext()):
+                    with self._buffer_lock:
+                        if tail is None:
                             self.tiles.append(tile)
                             self.statistics.absorb_tile(
                                 tile_number, tile.header.statistics)
-                            self._bump_manifest_locked()
-                else:
-                    with self._buffer_lock:
-                        self.tiles.append(tile)
-                        self.statistics.absorb_tile(
-                            tile_number, tile.header.statistics)
+                        elif self.tiles and self.tiles[-1] is tail:
+                            # retire (not discard): a scan on an older
+                            # manifest may still pin the old tail
+                            GLOBAL_TILE_CACHE.invalidate_tile(tail.uid)
+                            GLOBAL_TILE_STORE.retire(tail, payload)
+                            self.tiles[-1] = tile
+                            # additive: the delta stands in for the
+                            # appended rows, no O(tiles) rebuild
+                            self.statistics.absorb_tile(
+                                tail.tile_number, delta)
+                        else:
+                            # a rewrite replaced the tail meanwhile:
+                            # the documents go back and the next round
+                            # seals them against the new tail
+                            self._insert_buffer[:0] = documents
+                            budget += take
+                            continue
+                        # also covers the same-length swap manifest()'s
+                        # length check cannot see
                         self._bump_manifest_locked()
-            for hook in self._seal_hooks:
-                hook(self, tile)
-            self._fire_event("seal", tile)
-
-    def add_seal_hook(self, hook: Callable[["Relation", Tile], None]) -> None:
-        self._seal_hooks.append(hook)
+            if tail is None:
+                self._fire_event("seal", tile)
+            else:
+                self._fire_event("extend", {"tile": tile, "rows": take})
 
     def add_event_hook(self,
                        hook: Callable[[str, "Relation", object], None]) -> None:
         """Subscribe to storage reorganization events.  *hook* receives
         ``(event, relation, payload)`` where event is one of ``"seal"``
-        (payload: the new tile), ``"update"`` (payload: the patched
-        tile), ``"rewrite"`` (payload: a dict with the replaced
+        (payload: the new tile), ``"extend"`` (payload: a dict with the
+        topped-up ``tile`` and the number of ``rows`` appended to it),
+        ``"update"`` (payload: the patched tile), ``"rewrite"``
+        (payload: a dict with the replaced
         ``inputs``, the spliced-in ``outputs``, the ``partitions`` the
         outputs landed in and whether the run was ``reordered`` — see
         :meth:`_rewrite`) and ``"evict"`` (payload: the paged-out
@@ -573,8 +620,9 @@ class Relation:
         lock.  The splice, under *append_guard* (see
         :meth:`flush_inserts`) + ``_buffer_lock``, commits only if the
         tiles list is, by identity, still the entry snapshot plus an
-        appended tail (sealers only append); anything else is a lost
-        race.  The inputs' cached columns and residency are dropped
+        appended tail (sealers append, or swap in a topped-up last
+        tile, which this check sees as a change); anything else is a
+        lost race.  The inputs' cached columns and residency are dropped
         before the swap, while the guard still excludes readers.
 
         Statistics are rebuilt, never patched (a rewrite may change

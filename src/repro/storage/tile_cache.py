@@ -10,11 +10,12 @@ representation* is the asset worth keeping — so we cache the finished
 slices of it to every later query, sharing across the server's
 concurrent connections.
 
-Invalidation rides on tile identity: sealing, tile recomputation and
-checkpoint reload all construct *new* ``Tile`` objects with fresh
-``uid``s, so their cache entries simply become unreachable and age
-out.  The only in-place mutation in the system — ``Relation.update``
-patching ``jsonb_rows`` — calls :meth:`invalidate_tile` explicitly.
+Invalidation rides on tile identity: sealing, topping up the tail
+tile, tile recomputation and checkpoint reload all construct *new*
+``Tile`` objects with fresh ``uid``s, so their cache entries simply
+become unreachable and age out.  The only in-place mutation in the
+system — ``Relation.update`` patching ``jsonb_rows`` — calls
+:meth:`invalidate_tile` explicitly.
 """
 
 from __future__ import annotations

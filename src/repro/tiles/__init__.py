@@ -4,6 +4,7 @@
 * :class:`ExtractionConfig` — tile size / partition size / threshold.
 * :func:`build_tile` — construct one tile (mining, type choice,
   date detection, materialization, header, statistics).
+* :func:`extend_tile` — append documents to a tile under its schema.
 * :func:`reorder_partition` — the Section 3.2 redistribution.
 * :mod:`repro.tiles.arrays` — high-cardinality array extraction
   (the Tiles-* variant).
@@ -14,6 +15,7 @@ from repro.tiles.extractor import (
     TileSchema,
     build_tile,
     choose_schema,
+    extend_tile,
 )
 from repro.tiles.header import ExtractedColumn, TileHeader
 from repro.tiles.reorder import apply_order, reorder_partition
@@ -28,5 +30,6 @@ __all__ = [
     "apply_order",
     "build_tile",
     "choose_schema",
+    "extend_tile",
     "reorder_partition",
 ]

@@ -25,6 +25,7 @@ semantics for outliers.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -35,7 +36,15 @@ import numpy as np
 from repro.core.datetimes import parse_datetime_string
 from repro.core.jsonpath import KeyPath
 from repro.core.types import COLUMN_TYPE_FOR_JSON, ColumnType, JsonType
-from repro.mining.dictionary import ItemDictionary, encode_documents
+from repro.jsonb.encoder import encode as jsonb_encode
+from repro.mining.dictionary import (
+    ItemDictionary,
+    ItemSink,
+    combined_key_counts,
+    encode_documents,
+)
+from repro.stats.histogram import EquiDepthHistogram
+from repro.stats.table_stats import TileStatistics
 from repro.storage.column import ColumnBuilder, ColumnVector, dtype_for
 from repro.tiles.header import ExtractedColumn, Span, TileHeader, merge_span
 from repro.tiles.tile import Tile
@@ -62,6 +71,10 @@ class ExtractionConfig:
     def min_count(self, num_rows: int) -> int:
         return max(1, math.ceil(self.threshold * num_rows))
 
+
+#: column types whose tile statistics carry a histogram
+_HISTOGRAM_TYPES = (ColumnType.INT64, ColumnType.FLOAT64, ColumnType.DECIMAL,
+                    ColumnType.TIMESTAMP)
 
 #: Primitive types that can become a column of their own.
 _EXTRACTABLE = (JsonType.BOOL, JsonType.INT, JsonType.FLOAT,
@@ -380,11 +393,7 @@ def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
         header.block_bounds_rows = config.tile_size
         header.block_bounds[column_meta.path] = _block_bounds(
             vector, config.tile_size, num_rows)
-        if column_meta.column_type in (ColumnType.INT64, ColumnType.FLOAT64,
-                                       ColumnType.DECIMAL,
-                                       ColumnType.TIMESTAMP):
-            from repro.stats.histogram import EquiDepthHistogram
-
+        if column_meta.column_type in _HISTOGRAM_TYPES:
             present = vector.data[~vector.null_mask]
             stats.histogram = EquiDepthHistogram.from_values(present)
 
@@ -396,3 +405,84 @@ def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
             time.perf_counter() - mined_at
         )
     return Tile(header, columns, list(jsonb_rows), first_row)
+
+
+def extend_tile(tail: Tile, documents: Sequence[object],
+                config: ExtractionConfig) -> Tuple[Tile, TileStatistics]:
+    """Append *documents* to *tail* under the tail's schema
+    (DESIGN.md §6c); returns ``(extended tile, delta statistics)``.
+
+    The result is a new tile — *tail* is never mutated, so a reader on
+    an older manifest keeps a consistent view — equal to
+    ``build_tile(tail documents + documents, schema=<tail's columns>)``.
+    Nothing is re-mined: the batch is built under the tail's columns
+    and merged into it.  Columns are concatenated, conflict / nullable
+    flags OR-ed, key counts summed, leaf spans united (the batch's
+    shifted past the tail; no spans when either side has none),
+    sketches merged and bounds folded on, bloom filters OR-ed.
+    Histograms and block bounds are recomputed from the concatenated
+    vectors.  Extending by b1 then b2 therefore equals extending by
+    b1 + b2.
+
+    The delta statistics are the batch's own tile statistics: absorbing
+    them into the relation's (an additive fold) accounts for the
+    appended rows without rebuilding from every tile.
+    """
+    head = tail.header
+    offset = tail.row_count
+    sink = ItemSink(config.max_array_elements)
+    jsonb_rows = [jsonb_encode(document, sink=sink) for document in documents]
+    batch = build_tile(documents, jsonb_rows, config, head.tile_number,
+                       tail.first_row + offset,
+                       schema=TileSchema(list(head.columns.values())),
+                       encoded=(sink.dictionary, sink.transactions),
+                       level=head.level)
+    added = batch.header
+    header = TileHeader(head.tile_number, offset + batch.row_count,
+                        max_array_elements=head.max_array_elements,
+                        level=head.level)
+    if head.leaf_spans is not None and added.leaf_spans is not None:
+        spans = dict(head.leaf_spans)
+        for path, (first, end) in added.leaf_spans.items():
+            merge_span(spans, path, (first + offset, end + offset))
+        header.set_leaf_spans(spans)
+    header.key_counts = combined_key_counts([head.key_counts,
+                                             added.key_counts])
+    header.statistics.key_counts = dict(header.key_counts)
+    header.unextracted_paths.merge(head.unextracted_paths)
+    header.unextracted_paths.merge(added.unextracted_paths)
+
+    columns = {}
+    for path, meta in head.columns.items():
+        batch_meta = added.columns[path]
+        header.add_column(dataclasses.replace(
+            meta,
+            has_type_conflicts=(meta.has_type_conflicts
+                                or batch_meta.has_type_conflicts),
+            nullable=meta.nullable or batch_meta.nullable))
+        old, new = tail.columns[path], batch.columns[path]
+        vector = ColumnVector(meta.column_type,
+                              np.concatenate([old.data, new.data]),
+                              np.concatenate([old.null_mask, new.null_mask]))
+        columns[path] = vector
+        header.block_bounds_rows = config.tile_size
+        header.block_bounds[path] = _block_bounds(
+            vector, config.tile_size, header.row_count)
+        old_stats = head.statistics.columns[path]
+        new_stats = added.statistics.columns[path]
+        stats = header.statistics.column(path)
+        stats.sketch = old_stats.sketch.copy()
+        stats.sketch.merge(new_stats.sketch)
+        stats.non_null_count = (old_stats.non_null_count
+                                + new_stats.non_null_count)
+        # continue the tail's fold over the batch's values: what one
+        # pass over the union does, NaN and TypeError rules included
+        stats.min_value = old_stats.min_value
+        stats.max_value = old_stats.max_value
+        stats.widen_bounds(new.data[~new.null_mask].tolist())
+        if meta.column_type in _HISTOGRAM_TYPES:
+            stats.histogram = EquiDepthHistogram.from_values(
+                vector.data[~vector.null_mask])
+    return (Tile(header, columns, tail.jsonb_rows + batch.jsonb_rows,
+                 tail.first_row),
+            added.statistics)

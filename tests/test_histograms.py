@@ -78,6 +78,71 @@ class TestHistogramBasics:
         assert merged.total == pytest.approx(left.total + right.total)
 
 
+def scalar_count_below(histogram, value):
+    """The per-bucket loop ``count_below`` replaced: the oracle its
+    vectorized form must match bit for bit."""
+    if value < histogram.boundaries[0]:
+        return 0.0
+    total = 0.0
+    for index in range(histogram.num_buckets):
+        left = histogram.boundaries[index]
+        right = histogram.boundaries[index + 1]
+        if right <= value:
+            total += histogram.counts[index]
+        elif left <= value < right:
+            total += histogram.counts[index] * (value - left) / (right - left)
+        else:
+            break
+    return float(total)
+
+
+def scalar_merge_boundaries(left, right):
+    """``merge`` with the summed CDF evaluated by the scalar loop."""
+    total = left.total + right.total
+    grid = np.unique(np.concatenate([left.boundaries, right.boundaries]))
+    cumulative = np.array([scalar_count_below(left, x)
+                           + scalar_count_below(right, x) for x in grid])
+    cumulative = cumulative + np.arange(len(grid)) * 1e-9
+    buckets = max(left.num_buckets, right.num_buckets)
+    boundaries = np.interp(np.linspace(0.0, total, buckets + 1),
+                           cumulative, grid)
+    boundaries[0] = min(left.low, right.low)
+    boundaries[-1] = max(left.high, right.high)
+    return boundaries
+
+
+#: value lists with point masses (heavy duplicates) drawn in
+values_strategy = st.lists(
+    st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, 1.0, 7.5])),
+    min_size=1, max_size=120)
+
+
+class TestVectorizedCdf:
+    """Optimizer estimates read merged histograms, so the vectorized
+    CDF must equal the scalar loop exactly — or plans could move."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values_strategy, st.lists(st.floats(-2e3, 2e3), max_size=20))
+    def test_count_below_matches_the_scalar_loop(self, values, probes):
+        histogram = EquiDepthHistogram.from_values(values)
+        probes = np.array(list(histogram.boundaries) + probes
+                          + [np.nan, np.inf, -np.inf], dtype=np.float64)
+        expected = np.array([scalar_count_below(histogram, probe)
+                             for probe in probes])
+        assert np.array_equal(histogram.counts_below(probes), expected)
+        assert [histogram.count_below(probe) for probe in probes[:5]] == \
+            list(expected[:5])
+
+    @settings(max_examples=200, deadline=None)
+    @given(values_strategy, values_strategy)
+    def test_merge_matches_the_scalar_loop(self, left_values, right_values):
+        left = EquiDepthHistogram.from_values(left_values)
+        right = EquiDepthHistogram.from_values(right_values)
+        merged = left.merge(right)
+        assert np.array_equal(merged.boundaries,
+                              scalar_merge_boundaries(left, right))
+
+
 class TestHistogramIntegration:
     @pytest.fixture(scope="class")
     def db(self):

@@ -308,12 +308,26 @@ class TestThreadSafeInserts:
     def test_seal_hook_fires_per_tile(self):
         config = ExtractionConfig(tile_size=32, partition_size=2)
         relation = Relation("t", StorageFormat.TILES, config)
-        sealed = []
-        relation.add_seal_hook(lambda rel, tile: sealed.append(
-            (tile.header.tile_number, tile.row_count)))
+        events = []
+
+        def hook(event, rel, payload):
+            if event == "seal":
+                events.append((event, payload.header.tile_number,
+                               payload.row_count))
+            elif event == "extend":
+                events.append((event, payload["tile"].header.tile_number,
+                               payload["rows"]))
+
+        relation.add_event_hook(hook)
         relation.insert_many([{"id": i} for i in range(80)])
         relation.flush_inserts()
-        assert sealed == [(0, 32), (1, 32), (2, 16)]
+        assert events == [("seal", 0, 32), ("seal", 1, 32), ("seal", 2, 16)]
+        # the partial tail is topped up, never cut again
+        events.clear()
+        relation.insert_many([{"id": i} for i in range(80, 100)])
+        relation.flush_inserts()
+        assert events == [("extend", 2, 16), ("seal", 3, 4)]
+        assert [tile.row_count for tile in relation.tiles] == [32, 32, 32, 4]
 
     def test_auto_seal_off_defers_to_owner(self):
         config = ExtractionConfig(tile_size=16, partition_size=2)
