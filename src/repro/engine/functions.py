@@ -33,6 +33,7 @@ from repro.engine.batch import Batch
 from repro.engine.expressions import Expression, Literal
 from repro.errors import SqlBindError
 from repro.jsonb.access import JsonbValue, contains_probe
+from repro.jsonb.vector_shred import Kernel, contains_kernel, length_kernel
 from repro.storage.column import ColumnBuilder, ColumnVector
 
 
@@ -62,23 +63,33 @@ class Probe:
 
     A request's probe is the tuple ``(name, *literal_args)``;
     ``jsonb(*literal_args)`` compiles the byte kernel applied to the
-    value at the request's path, ``python(value, *literal_args)`` is
+    value at the request's path (``kernel(value, end)``, *end* bounding
+    the value's document inside its buffer), ``vector(*literal_args)``
+    the kernel over all located values of a tile run
+    (``repro.jsonb.vector_shred``), ``python(value, *literal_args)``
     the same function over a parsed value (raw-text format)."""
 
     result_type: ColumnType
-    jsonb: Callable[..., Callable[[JsonbValue], object]]
+    jsonb: Callable[..., Callable[[JsonbValue, Optional[int]], object]]
+    vector: Callable[..., Kernel]
     python: Callable[..., object]
     #: number of literal arguments after the array argument
     arity: int
     usage: str
 
 
+def _length_probe(view: JsonbValue,
+                  end: Optional[int] = None) -> Optional[int]:
+    return view.length()
+
+
 PROBES = {
-    "json_contains": Probe(ColumnType.BOOL, contains_probe, json_contains, 2,
+    "json_contains": Probe(ColumnType.BOOL, contains_probe, contains_kernel,
+                           json_contains, 2,
                            "json_contains(array, 'key', literal) expects "
                            "literals"),
-    "json_length": Probe(ColumnType.INT64, lambda: JsonbValue.length,
-                         json_length, 0,
+    "json_length": Probe(ColumnType.INT64, lambda: _length_probe,
+                         length_kernel, json_length, 0,
                          "json_length(array) expects one argument"),
 }
 

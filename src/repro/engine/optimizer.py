@@ -659,8 +659,9 @@ def _sample_batch(relation, source: ScanSource, rows: List[int]):
                     request.path.lookup(document), request))
             else:
                 tile = relation.tile_of_row(row)
+                heap = tile.heap
                 value = JsonbValue(
-                    tile.jsonb_rows[row - tile.first_row]
+                    heap.buf, int(heap.starts[row - tile.first_row])
                 ).get_path(request.path)
                 builder.append(_typed_from_jsonb(value, request))
         columns[request.name] = builder.finish()

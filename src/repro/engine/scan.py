@@ -25,7 +25,11 @@ paths.
 
 All fallback sites shred *every* requested path of a tuple in one pass
 over its binary representation (``repro.jsonb.shred``, Sinew/Dremel
-style) instead of walking the document once per path.
+style) instead of walking the document once per path.  A fallback run
+of at least ``VECTOR_MIN_ROWS`` selected tuples is shredded for all of
+them at once, by numpy over the tile's row heap
+(``repro.jsonb.vector_shred``); ``fallback_rows_vectorized`` counts
+those tuples.
 ``fallback_lookups`` counts the (tuple, path) resolutions that visit
 the binary (Table-5-style), ``header_nulls`` those the row spans
 answered NULL instead, while ``shred_passes`` / ``shred_paths`` expose
@@ -62,6 +66,7 @@ from repro.engine.morsels import Morsel, canonical_chop, run_ordered
 from repro.jsonb.access import JsonbValue
 from repro.jsonb.shred import ShredPlan, compile_paths, shred_jsonb, \
     shred_python
+from repro.jsonb.vector_shred import HeapView, Kernel, locate, typed_column
 from repro.storage.column import ColumnBuilder, ColumnVector, fits_int64, \
     null_vector
 from repro.storage.formats import StorageFormat
@@ -70,6 +75,11 @@ from repro.storage.tile_cache import GLOBAL_TILE_CACHE, make_key
 from repro.tiles.tile import Tile
 
 ROWID_PATH = KeyPath(("#rowid",))
+
+#: fallback runs of at least this many selected rows are shredded by
+#: the vectorized heap kernel, shorter ones by the per-tuple walk, whose
+#: fixed cost per row is lower (DESIGN.md §5d has the sweep behind it)
+VECTOR_MIN_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -163,6 +173,10 @@ class ScanCounters:
     #: selection vector avoided: rows the cheap extracted-column
     #: conjuncts already rejected were never shredded.
     fallback_rows_skipped: int = 0
+    #: of the ``shred_passes``, the tuples shredded by the vectorized
+    #: heap kernel (runs of at least ``VECTOR_MIN_ROWS`` rows, DESIGN.md
+    #: §5d) rather than by the per-tuple walk
+    fallback_rows_vectorized: int = 0
     #: build-side rows shipped by a broadcast-join exchange (DESIGN.md
     #: §10): the merged build relation's row count times the number of
     #: shards it was broadcast to.  0 for single-node and gather runs.
@@ -249,6 +263,8 @@ class TableScan:
         #: may race to build the same plan — compilation is pure, so
         #: last-write-wins is harmless
         self._shred_plans: Dict[tuple, ShredPlan] = {}
+        #: vectorized column kernels per request name (same race rule)
+        self._kernels: Dict[str, Kernel] = {}
 
     def add_predicate(self, conjunct: Expression) -> None:
         """Push one more ANDed conjunct into the scan (the optimizer
@@ -660,35 +676,60 @@ class TableScan:
         if selection is None:
             first = min(max(start, lo), stop)
             end = max(min(stop, hi), first)
-            run: Sequence[int] = range(first, end)
+            run = np.arange(first, end)
             before, after = first - start, stop - end
         else:
             counters.fallback_rows_skipped += \
                 ((stop - start) - len(selection)) * len(requests)
             # the selection is sorted: the in-span run is one slice
             cut = np.searchsorted(selection, (lo - start, hi - start))
-            run = (selection[cut[0]:cut[1]] + start).tolist()
+            run = selection[cut[0]:cut[1]] + start
             before, after = int(cut[0]), len(selection) - int(cut[1])
         counters.fallback_lookups += len(run) * len(requests)
         counters.header_nulls += (before + after) * len(requests)
+        plan = self._plan_for(tuple(sorted({r.path for r in requests})))
+        counters.shred_passes += len(run)
+        counters.shred_paths += len(run) * len(plan)
+        heap = tile.heap
+        if len(run) >= VECTOR_MIN_ROWS:
+            counters.fallback_rows_vectorized += len(run)
+            view = HeapView(heap.buf)
+            pos, end = locate(plan, view, heap.starts[run], heap.ends[run])
+            return {request.name: self._kernel_for(request)(
+                        view, pos[plan.slots[request.path]],
+                        end[plan.slots[request.path]], before, after)
+                    for request in requests}
         builders = {request.name: ColumnBuilder(request.target)
                     for request in requests}
         for builder in builders.values():
             builder.extend_nulls(before)
-        rows = tile.jsonb_rows
-        plan = self._plan_for(tuple(sorted({r.path for r in requests})))
+        buf = heap.buf
         slots = [(plan.slots[request.path], _jsonb_getter(request),
-                  builders[request.name].append) for request in requests]
-        for row in run:
-            values = shred_jsonb(plan, rows[row])
-            for slot, getter, append in slots:
+                  builders[request.name].append, request.probe is not None)
+                 for request in requests]
+        for row_start, row_end in zip(heap.starts[run].tolist(),
+                                      heap.ends[run].tolist()):
+            values = shred_jsonb(plan, buf, row_start)
+            for slot, getter, append, probe in slots:
                 value = values[slot]
-                append(None if value is None else getter(value))
-        counters.shred_passes += len(run)
-        counters.shred_paths += len(run) * len(plan)
+                append(None if value is None
+                       else getter(value, row_end) if probe
+                       else getter(value))
         for builder in builders.values():
             builder.extend_nulls(after)
         return {name: builder.finish() for name, builder in builders.items()}
+
+    def _kernel_for(self, request: AccessRequest) -> Kernel:
+        kernel = self._kernels.get(request.name)
+        if kernel is None:
+            if request.probe:
+                name, *args = request.probe
+                kernel = PROBES[name].vector(*args)
+            else:
+                kernel = partial(typed_column, request.target,
+                                 _jsonb_getter(request))
+            self._kernels[request.name] = kernel
+        return kernel
 
     def _patch_conflicts(self, tile: Tile,
                          conflicts: List[Tuple[AccessRequest, ColumnVector,
@@ -704,8 +745,9 @@ class TableScan:
         for _request, _vector, stored_nulls in conflicts:
             counters.fallback_lookups += int(np.count_nonzero(stored_nulls))
             needed |= stored_nulls
+        buf, starts = tile.heap.buf, tile.heap.starts
         for local in np.flatnonzero(needed).tolist():
-            values = shred_jsonb(plan, tile.jsonb_rows[start + local])
+            values = shred_jsonb(plan, buf, int(starts[start + local]))
             counters.shred_passes += 1
             for request, vector, stored_nulls in conflicts:
                 if stored_nulls[local]:

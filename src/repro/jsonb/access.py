@@ -287,8 +287,11 @@ def contains_probe(key: object, value: object
     needle first searches the buffer from the array's first element on:
     STRING and NUMSTR payloads are stored as verbatim UTF-8 (Section
     5.1), so when the needle's bytes occur nowhere there, no element
-    holds an equal string and none is visited.  The search runs to the
-    end of the buffer rather than of the array: finding the array's end
+    holds an equal string and none is visited.  The kernel's optional
+    *end* bounds that search: the end of the row (or of the array
+    itself, when the caller knows it) inside a buffer that holds more
+    than this document, such as a tile's row heap.  Without it the
+    search runs to the end of the buffer: finding the array's end
     costs a walk down its last element, and a hit past the array only
     costs the exact element scan that follows.
     """
@@ -309,7 +312,7 @@ def contains_probe(key: object, value: object
             return False
         return decode_value(buf, pos)[0] == value
 
-    def probe(view: JsonbValue) -> Optional[bool]:
+    def probe(view: JsonbValue, end: Optional[int] = None) -> Optional[bool]:
         buf, pos = view.buf, view.pos
         header = buf[pos]
         if header >> 5 != fmt.TYPE_ARRAY:
@@ -317,7 +320,8 @@ def contains_probe(key: object, value: object
         width = fmt.OFFSET_WIDTHS[header & 0x3]
         count, table = fmt.read_compact_uint(buf, pos + 1)
         slot_area = table + count * width
-        if needle is not None and buf.find(needle, slot_area) < 0:
+        if needle is not None and buf.find(
+                needle, slot_area, len(buf) if end is None else end) < 0:
             return False
         for index in range(count):
             element = slot_area + fmt.read_offset(buf, table + index * width,

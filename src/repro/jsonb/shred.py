@@ -23,7 +23,9 @@ layout:
   intermediate ``JsonbValue`` allocations and one shared header
   decode per container;
 * :func:`shred_python` is the parsed-JSON twin used by the raw-text
-  storage format after its single ``json.loads`` per row.
+  storage format after its single ``json.loads`` per row;
+* :mod:`repro.jsonb.vector_shred` runs the same plan over all selected
+  rows of a tile's row heap at once (long fallback runs).
 
 The output is positional: slot *i* of the result list corresponds to
 ``plan.paths[i]``, holding a :class:`JsonbValue` view (or a raw Python
@@ -57,7 +59,7 @@ class TrieNode:
     """One step of the compiled path trie."""
 
     __slots__ = ("obj_children", "arr_children", "terminal",
-                 "obj_items", "arr_items", "obj_items_text")
+                 "obj_items", "arr_items", "obj_items_text", "obj_hints")
 
     def __init__(self) -> None:
         #: UTF-8-encoded object key -> child (encoded once per plan)
@@ -75,6 +77,12 @@ class TrieNode:
         self.arr_items: Tuple[Tuple[int, "TrieNode", int], ...] = ()
         #: decoded twin of ``obj_items`` for the parsed-JSON walk
         self.obj_items_text: Tuple[Tuple[str, "TrieNode", int], ...] = ()
+        #: per ``obj_items`` entry, the slot the vectorized search
+        #: starts at (``repro.jsonb.vector_shred``): ``(from_end,
+        #: index)``, where the key was last found, counted from the
+        #: object's first or last slot.  It only steers the search,
+        #: never its result, so concurrent scans may overwrite it.
+        self.obj_hints: List[Tuple[bool, int]] = []
 
     def _leaf_slot(self) -> int:
         if self.obj_children or self.arr_children:
@@ -91,6 +99,7 @@ class TrieNode:
         self.obj_items_text = tuple(
             (key.decode("utf-8"), child, leaf)
             for key, child, leaf in self.obj_items)
+        self.obj_hints = [(False, 0)] * len(self.obj_items)
         for _key, child, _leaf in self.obj_items:
             child._freeze()
         for _index, child, _leaf in self.arr_items:
@@ -141,11 +150,13 @@ def compile_paths(paths: Sequence[KeyPath]) -> ShredPlan:
     return ShredPlan(tuple(unique), root)
 
 
-def shred_jsonb(plan: ShredPlan, buf: bytes) -> List[Optional[JsonbValue]]:
-    """Walk *buf* once; return one ``JsonbValue`` (or ``None``) per
-    plan slot."""
+def shred_jsonb(plan: ShredPlan, buf: bytes,
+                pos: int = 0) -> List[Optional[JsonbValue]]:
+    """Walk the document at *pos* of *buf* (a tile's row heap, or one
+    row's bytes) once; return one ``JsonbValue`` (or ``None``) per plan
+    slot."""
     out: List[Optional[JsonbValue]] = [None] * len(plan.paths)
-    _walk(buf, 0, plan.root, out)
+    _walk(buf, pos, plan.root, out)
     return out
 
 

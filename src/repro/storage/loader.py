@@ -8,7 +8,9 @@ lines) into a :class:`~repro.storage.relation.Relation`:
    fallback and, in the same walk, collects its typed key
    paths into the partition's item dictionary (the mining input),
 3. *reorder* each partition of ``partition_size`` tiles (TILES only),
-4. *mine + extract* tiles (TILES/SINEW) and collect statistics,
+4. *mine + extract* tiles (TILES/SINEW) and collect statistics; each
+   tile copies its rows into its one row heap, and the per-row bytes
+   are released as the heaps are built,
 5. for TILES_STAR, detect high-cardinality arrays and load them into
    child relations first.
 
@@ -48,7 +50,7 @@ from repro.tiles.extractor import (
     choose_schema,
 )
 from repro.tiles.reorder import apply_order, reorder_transactions
-from repro.tiles.tile import Tile
+from repro.tiles.tile import RowHeap, Tile
 
 DocumentInput = Union[str, dict, list]
 
@@ -86,6 +88,10 @@ def _sinew_schema(documents: Sequence[object],
     return choose_schema(dictionary, len(documents), config)
 
 
+#: the heap a worker's tiles carry back while detached from their rows
+_DETACHED = RowHeap.from_rows([])
+
+
 def _build_partition(args: Tuple) -> Tuple[List[Tile], Dict[str, float]]:
     """Build all tiles of one partition (worker-process entry point).
 
@@ -107,6 +113,13 @@ def _build_partition(args: Tuple) -> Tuple[List[Tile], Dict[str, float]]:
         jsonb_rows = apply_order(jsonb_rows, order)
         transactions = apply_order(transactions, order)
         timings["reorder"] = time.perf_counter() - started
+    if not detach_rows:
+        # each tile copies its rows into its heap: take the rows over
+        # from the caller's list and release them as the heaps are
+        # built, so they are never held twice (a parallel parent keeps
+        # its list to reattach the rows itself)
+        jsonb_rows = list(jsonb_rows)
+        args[1].clear()
     tiles = []
     tile_size = config.tile_size
     for offset in range(0, len(documents), tile_size):
@@ -123,12 +136,15 @@ def _build_partition(args: Tuple) -> Tuple[List[Tile], Dict[str, float]]:
                        schema=schema if extract and schema else None,
                        mine=extract, timings=timings, encoded=encoded)
         )
+        if not detach_rows:
+            jsonb_rows[offset : offset + tile_size] = \
+                [b""] * len(tiles[-1].heap)
     if detach_rows:
         # the parent already holds the JSONB rows; do not pickle them
         # back through the process boundary (it would dominate the
         # parallel-loading cost) — the parent reattaches them by order
         for tile in tiles:
-            tile.jsonb_rows = []
+            tile.heap = _DETACHED
     return tiles, timings, order
 
 
@@ -219,30 +235,37 @@ def load_documents(
     partition_rows = config.tile_size * (
         config.partition_size if storage_format.extracts_columns else 1)
     parallel = num_workers > 1 and len(documents) > partition_rows
-    jobs = []
-    for start in range(0, len(documents), partition_rows):
+
+    def encode_job(start: int) -> Tuple:
         part = documents[start : start + partition_rows]
         part_rows, dictionary, transactions = _encode_partition(
             part, config, timings)
-        jobs.append((
-            part, part_rows, dictionary, transactions, config,
-            start // config.tile_size, start, storage_format, schema,
-            parallel,
-        ))
+        return (part, part_rows, dictionary, transactions, config,
+                start // config.tile_size, start, storage_format, schema,
+                parallel)
 
+    starts = range(0, len(documents), partition_rows)
     if parallel:
+        jobs = [encode_job(start) for start in starts]
         results = _run_jobs_parallel(jobs, num_workers)
     else:
-        results = [_build_partition(job) for job in jobs]
-
-    for job, (tiles, job_timings, order) in zip(jobs, results):
+        # encode each partition just before it is built, so its rows
+        # reuse the memory the previous partition's rows were freed from
+        jobs = map(encode_job, starts)
+    for index, job in enumerate(jobs):
         if parallel:
+            tiles, job_timings, order = results[index]
             reordered = apply_order(job[1], order)
+            job[1].clear()
             offset = 0
             for tile in tiles:
-                tile.jsonb_rows = reordered[
-                    offset : offset + tile.header.row_count]
-                offset += tile.header.row_count
+                count = tile.header.row_count
+                tile.heap = RowHeap.from_rows(
+                    reordered[offset : offset + count])
+                reordered[offset : offset + count] = [b""] * count
+                offset += count
+        else:
+            tiles, job_timings, order = _build_partition(job)
         # bulk-loaded tiles enter as dirty handles (no on-disk copy
         # until the first checkpoint), so the store never evicts them
         relation.tiles.extend(relation.adopt_tile(tile) for tile in tiles)

@@ -79,7 +79,7 @@ from repro.storage.tilestore import (
 )
 from repro.tiles.extractor import ExtractionConfig
 from repro.tiles.header import ExtractedColumn, TileHeader
-from repro.tiles.tile import Tile
+from repro.tiles.tile import RowHeap, Tile
 
 MAGIC_V1 = b"JTIL1"
 MAGIC_V2 = b"JTIL2"
@@ -219,38 +219,24 @@ def _decode_rows(blob: bytes) -> List[bytes]:
     return rows
 
 
-def _row_starts(rows: List[bytes]) -> List[int]:
-    """Offset of every row's first byte inside :func:`_encode_rows`."""
-    starts = []
-    start = 8  # the row count + the first row's length prefix
-    for row in rows:
-        starts.append(start)
-        start += len(row) + 4
-    if start - 4 > _OVERFLOW:
-        raise StorageError("tile row heap exceeds the 4 GiB reach of "
-                           "string offsets")
-    return starts
-
-
-def _string_refs(vector: ColumnVector, rows: List[bytes],
-                 row_starts: List[int]) -> Tuple[bytes, bytes]:
+def _string_refs(vector: ColumnVector, heap: RowHeap) -> Tuple[bytes, bytes]:
     """The refs and overflow blobs of an object-dtype column: each
-    non-NULL value as ``(offset, length)`` into the encoded row heap
-    where its row's JSONB holds the same bytes, else
-    ``(_OVERFLOW, length)`` with the bytes appended to the overflow.
-    Any occurrence decodes to the same value; NULL rows stay
-    ``(0, 0)``."""
+    non-NULL value as ``(offset, length)`` into the row heap where its
+    row's JSONB holds the same bytes, else ``(_OVERFLOW, length)`` with
+    the bytes appended to the overflow.  Any occurrence decodes to the
+    same value; NULL rows stay ``(0, 0)``."""
     offsets = [0] * len(vector)
     lengths = [0] * len(vector)
     overflow: List[bytes] = []
     values = vector.data.tolist()
+    buf, starts, ends = heap.buf, heap.starts.tolist(), heap.ends.tolist()
     for index in np.flatnonzero(~vector.null_mask).tolist():
         item = values[index]
         value = (item if isinstance(item, bytes)
                  else str(item).encode("utf-8"))
-        hit = rows[index].find(value)
+        hit = buf.find(value, starts[index], ends[index])
         if hit >= 0:
-            offsets[index] = row_starts[index] + hit
+            offsets[index] = hit
         else:
             offsets[index] = _OVERFLOW
             overflow.append(value)
@@ -297,11 +283,11 @@ def _decode_object_column(blob: bytes) -> np.ndarray:
     return out
 
 
-def _column_meta(vector: ColumnVector, rows: List[bytes],
-                 row_starts: List[int], blobs: _BlobWriter) -> dict:
+def _column_meta(vector: ColumnVector, heap: RowHeap,
+                 blobs: _BlobWriter) -> dict:
     meta = {"type": vector.type.value, "length": len(vector)}
     if vector.data.dtype == object:
-        refs, overflow = _string_refs(vector, rows, row_starts)
+        refs, overflow = _string_refs(vector, heap)
         meta["layout"] = "refs"
         meta["data"] = blobs.add(refs, "string_refs")
         if overflow:
@@ -400,9 +386,11 @@ def _restore_bloom(meta: dict, blobs) -> BloomFilter:
 
 def _tile_payload_meta(tile: Tile, blobs: _BlobWriter) -> dict:
     header = tile.header
-    rows = tile.jsonb_rows
-    row_starts = _row_starts(rows)
-    heap_blob = blobs.add(_encode_rows(rows), "row_heap")
+    heap = tile.heap
+    if len(heap.buf) > _OVERFLOW:
+        raise StorageError("tile row heap exceeds the 4 GiB reach of "
+                           "string offsets")
+    heap_blob = blobs.add(heap.buf, "row_heap")
     columns = []
     for path, column in tile.columns.items():
         meta = header.columns[path]
@@ -413,7 +401,7 @@ def _tile_payload_meta(tile: Tile, blobs: _BlobWriter) -> dict:
             "conflicts": meta.has_type_conflicts,
             "nullable": meta.nullable,
             "datetime": meta.is_datetime,
-            "vector": _column_meta(column, rows, row_starts, blobs),
+            "vector": _column_meta(column, heap, blobs),
         })
     tile_meta = {
         "tile_number": header.tile_number,
@@ -507,7 +495,7 @@ def _restore_tile_payload(meta: dict, header: TileHeader, blobs,
     for column_meta in meta["columns"]:
         columns[KeyPath.parse(column_meta["path"])] = \
             _restore_column(column_meta["vector"], blobs, heap)
-    return Tile(header, columns, _decode_rows(heap), first_row)
+    return Tile(header, columns, RowHeap.from_blob(heap), first_row)
 
 
 def _table_stats_meta(stats: TableStatistics, blobs: _BlobWriter) -> dict:

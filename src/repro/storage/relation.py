@@ -449,7 +449,7 @@ class Relation:
             return json.loads(self.text_rows[row_id])
         handle = self.tile_of_row(row_id)
         with handle.pinned() as tile:
-            return jsonb_decode(tile.jsonb_rows[row_id - handle.first_row])
+            return jsonb_decode(tile.heap.row(row_id - handle.first_row))
 
     def documents(self) -> Iterator[object]:
         for row_id in range(self.row_count):
@@ -476,7 +476,9 @@ class Relation:
             # widen the row spans before the new bytes are visible, so
             # a concurrent scan never answers a new path NULL from them
             tile.header.widen_spans(new_paths, local)
-            tile.jsonb_rows[local] = jsonb_encode(new_document)
+            # a new immutable heap, swapped in with one store: a
+            # concurrent scan holds either the old heap or this one
+            tile.heap = tile.heap.replace(local, jsonb_encode(new_document))
             # the only in-place tile mutation in the system: resolved
             # fallback columns cached for this tile are now stale
             GLOBAL_TILE_CACHE.invalidate_tile(handle.uid)
@@ -640,15 +642,15 @@ class Relation:
         if start < 0 or not _same_tiles(snapshot[start:stop], old_tiles):
             return False  # replaced since the caller picked the run
         # pin one input at a time while draining its JSONB heap — the
-        # byte strings stay alive by reference, so mining/extraction
-        # run unpinned and the residency budget never needs the whole
-        # run resident at once.  The drained payloads are retained so
+        # rows are copied out of it, so mining/extraction run unpinned
+        # and the residency budget never needs the whole run resident
+        # at once.  The drained payloads are retained so
         # retiring the inputs never has to reload an evicted one.
         jsonb_rows: List[bytes] = []
         payloads: List[Tile] = []
         for handle in old_tiles:
             with handle.pinned() as payload:
-                jsonb_rows.extend(payload.jsonb_rows)
+                jsonb_rows.extend(payload.heap.rows())
                 payloads.append(payload)
         documents = [jsonb_decode(row) for row in jsonb_rows]
         transactions = None

@@ -14,7 +14,7 @@ Invalidation rides on tile identity: sealing, topping up the tail
 tile, tile recomputation and checkpoint reload all construct *new*
 ``Tile`` objects with fresh ``uid``s, so their cache entries simply
 become unreachable and age out.  The only in-place mutation in the
-system — ``Relation.update`` patching ``jsonb_rows`` — calls
+system — ``Relation.update`` swapping in a patched row heap — calls
 :meth:`invalidate_tile` explicitly.
 """
 

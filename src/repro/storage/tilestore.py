@@ -56,7 +56,7 @@ class TileHandle:
     """One tile of a relation: resident header, demand-loaded payload.
 
     Handles proxy the read-only surface of :class:`Tile` (``columns``,
-    ``jsonb_rows``, ``column`` …) by transparently materializing the
+    ``heap``, ``column`` …) by transparently materializing the
     payload, so code that only inspects a tile keeps working verbatim.
     Hot paths (scans, maintenance) use the explicit protocol instead::
 
@@ -194,17 +194,11 @@ class TileHandle:
         return self._materialize().columns
 
     @property
-    def jsonb_rows(self):
-        return self._materialize().jsonb_rows
+    def heap(self):
+        return self._materialize().heap
 
     def column(self, path):
         return self._materialize().column(path)
-
-    def jsonb_value(self, row: int):
-        return self._materialize().jsonb_value(row)
-
-    def lookup_fallback(self, row: int, path):
-        return self._materialize().lookup_fallback(row, path)
 
     def row_ids(self):
         return self._materialize().row_ids()

@@ -47,7 +47,7 @@ from repro.stats.histogram import EquiDepthHistogram
 from repro.stats.table_stats import TileStatistics
 from repro.storage.column import ColumnBuilder, ColumnVector, dtype_for
 from repro.tiles.header import ExtractedColumn, Span, TileHeader, merge_span
-from repro.tiles.tile import Tile
+from repro.tiles.tile import RowHeap, Tile
 
 
 @dataclass
@@ -404,7 +404,7 @@ def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
         timings["extract"] = timings.get("extract", 0.0) + (
             time.perf_counter() - mined_at
         )
-    return Tile(header, columns, list(jsonb_rows), first_row)
+    return Tile(header, columns, RowHeap.from_rows(jsonb_rows), first_row)
 
 
 def extend_tile(tail: Tile, documents: Sequence[object],
@@ -483,6 +483,6 @@ def extend_tile(tail: Tile, documents: Sequence[object],
         if meta.column_type in _HISTOGRAM_TYPES:
             stats.histogram = EquiDepthHistogram.from_values(
                 vector.data[~vector.null_mask])
-    return (Tile(header, columns, tail.jsonb_rows + batch.jsonb_rows,
+    return (Tile(header, columns, tail.heap.concat(batch.heap),
                  tail.first_row),
             added.statistics)

@@ -5,15 +5,18 @@ step of it for the reference that step must equal, leaving everything
 around it — extracted columns, row spans, conflict patching, selection
 vectors and the counters — the scan's own:
 
-* :func:`per_path_walk` replaces the single-pass shredder with one
-  ``JsonbValue(row).get_path(path)`` traversal per (tuple, path), and
-  ``KeyPath.lookup`` on the parsed document for the raw-text format;
+* :func:`per_path_walk` replaces the single-pass shredder — the
+  per-tuple walk and the vectorized heap kernel alike — with one
+  ``JsonbValue(heap, row start).get_path(path)`` traversal per (tuple,
+  path), and ``KeyPath.lookup`` on the parsed document for the
+  raw-text format;
 * :func:`all_conjuncts_late` makes every pushed-down conjunct *late*:
   no selection vector is built, every row of a tile slice is decoded
   and the conjuncts filter the completed batch (eager materialization).
 """
 
 import contextlib
+import sys
 
 import pytest
 
@@ -21,8 +24,8 @@ from repro.engine import scan
 from repro.jsonb.access import JsonbValue
 
 
-def _jsonb_per_path(plan, buffer):
-    return [JsonbValue(buffer).get_path(path) for path in plan.paths]
+def _jsonb_per_path(plan, buffer, pos=0):
+    return [JsonbValue(buffer, pos).get_path(path) for path in plan.paths]
 
 
 def _python_per_path(plan, document):
@@ -35,6 +38,9 @@ def per_path_walk(enabled=True):
     callers can draw the variant as a parameter)."""
     with pytest.MonkeyPatch.context() as patch:
         if enabled:
+            # every run takes the per-tuple walk, so the vectorized
+            # kernel is never its own reference
+            patch.setattr(scan, "VECTOR_MIN_ROWS", sys.maxsize)
             patch.setattr(scan, "shred_jsonb", _jsonb_per_path)
             patch.setattr(scan, "shred_python", _python_per_path)
         yield

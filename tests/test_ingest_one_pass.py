@@ -154,7 +154,7 @@ class TestSchemaPin:
         assert len(relation.tiles) > 4
         for handle in relation.tiles:
             with handle.pinned() as tile:
-                rows = [decode(row) for row in tile.jsonb_rows]
+                rows = [decode(row) for row in tile.heap.rows()]
             dictionary, transactions = encode_documents(
                 rows, CONFIG.max_array_elements)
             schema = choose_schema(dictionary, len(rows), CONFIG)

@@ -263,7 +263,8 @@ def assert_tiles_identical(left, right):
     assert len(left.tiles) == len(right.tiles)
     for one, other in zip(left.tiles, right.tiles):
         with one.pinned() as a, other.pinned() as b:
-            assert a.jsonb_rows == b.jsonb_rows
+            assert a.heap.buf == b.heap.buf
+            assert a.heap.rows() == b.heap.rows()
             assert list(a.columns) == list(b.columns)
             for path, column in a.columns.items():
                 loaded = b.columns[path]
@@ -354,21 +355,18 @@ class TestFormatV3:
     def test_string_refs_round_trip_bytes_and_nulls(self):
         from repro.core.types import ColumnType
         from repro.storage.column import ColumnVector
-        from repro.storage.persist import (
-            _encode_rows,
-            _resolve_string_refs,
-            _row_starts,
-            _string_refs,
-        )
+        from repro.storage.persist import _resolve_string_refs, _string_refs
+        from repro.tiles.tile import RowHeap
 
         rows = [b"\x01abc", b"xyz\xc3\xa9", b"", b"zz"]
         data = np.array([b"bc", b"\xc3\xa9", b"not there", None],
                         dtype=object)
         nulls = np.array([False, False, False, True])
         vector = ColumnVector(ColumnType.JSONB, data, nulls)
-        refs, overflow = _string_refs(vector, rows, _row_starts(rows))
+        heap = RowHeap.from_rows(rows)
+        refs, overflow = _string_refs(vector, heap)
         assert overflow == b"not there"
-        restored = _resolve_string_refs(refs, _encode_rows(rows), overflow,
+        restored = _resolve_string_refs(refs, heap.buf, overflow,
                                         nulls, ColumnType.JSONB)
         assert list(restored) == [b"bc", b"\xc3\xa9", b"not there", None]
 

@@ -71,7 +71,7 @@ def assert_spans_sound(relation):
         header = handle.header
         assert header.spans is not None
         with handle.pinned() as tile:
-            rows = list(tile.jsonb_rows)
+            rows = tile.heap.rows()
         documents = [decode(row) for row in rows]
         paths = set(PROBE_PATHS) | set(header.spans)
         for path in paths:

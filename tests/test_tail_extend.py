@@ -107,7 +107,7 @@ def tile_facts(tile) -> dict:
     groups the leaf spans by span, so their order is not kept)."""
     header = tile.header
     return {
-        "rows": as_text(decode(row) for row in tile.jsonb_rows),
+        "rows": as_text(decode(row) for row in tile.heap.rows()),
         "columns": [(meta, as_text(tile.columns[path].to_list()))
                     for path, meta in header.columns.items()],
         "key_counts": header.key_counts,

@@ -9,6 +9,7 @@ from repro.core.datetimes import date_literal
 from repro.core.jsonpath import KeyPath
 from repro.core.types import ColumnType, JsonType
 from repro.jsonb import encode
+from repro.jsonb.access import JsonbValue
 from repro.tiles import ExtractionConfig, build_tile
 
 
@@ -102,7 +103,8 @@ class TestTypeConflicts:
         documents = [{"v": 1}, {"v": 2}, {"v": "three"}, {"v": 4}]
         tile = make_tile(documents, threshold=0.5)
         assert tile.column(KeyPath.parse("v")).to_list() == [1, 2, None, 4]
-        fallback = tile.lookup_fallback(2, KeyPath.parse("v"))
+        fallback = JsonbValue(tile.heap.buf, int(tile.heap.starts[2])) \
+            .get_path(KeyPath.parse("v"))
         assert fallback.as_python() == "three"
 
     def test_int_widens_into_float_column(self):
@@ -165,7 +167,8 @@ class TestPlainTile:
 
     def test_jsonb_rows_accessible(self):
         tile = make_tile_plain(TILE2_DOCS)
-        value = tile.jsonb_value(0).get_path(KeyPath.parse("user.id"))
+        value = JsonbValue(tile.heap.buf, int(tile.heap.starts[0])) \
+            .get_path(KeyPath.parse("user.id"))
         assert value.as_python() == 7
 
 
