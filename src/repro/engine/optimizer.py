@@ -60,7 +60,11 @@ class PlannedScan:
     def __init__(self, source: Source):
         self.source = source
         self.filters: List[ex.Expression] = list(source.filters)
+        #: paths null-rejected by a predicate, join or semi-join key
         self.skip_paths: Set[KeyPath] = set()
+        #: per aggregate of a null-skipping global aggregation, the
+        #: paths it null-rejects (Section 4.8's aggregate case)
+        self.aggregate_skip_paths: List[List[KeyPath]] = []
         self.cardinality: float = 1.0
 
 
@@ -233,7 +237,7 @@ class Planner:
         """Section 4.8: a predicate that skips NULLs or evaluates them
         as false makes every key path it rejects a skip candidate."""
 
-        def add(names: Set[str]) -> None:
+        def scan_paths(names: Set[str]):
             for name in names:
                 alias = alias_of_column(name)
                 item = planned.get(alias)
@@ -241,7 +245,11 @@ class Planner:
                     continue
                 path = item.source.request_paths().get(name)
                 if path is not None and path != ROWID_PATH:
-                    item.skip_paths.add(path)
+                    yield item, path
+
+        def add(names: Set[str]) -> None:
+            for item, path in scan_paths(names):
+                item.skip_paths.add(path)
 
         for item in planned.values():
             for flt in item.filters:
@@ -257,10 +265,12 @@ class Planner:
                     add(key.null_rejected_refs())
         # Section 4.8's aggregate case: a global aggregation whose
         # aggregates all skip NULLs (sum/avg/min/max/count(x)) gains
-        # nothing from tiles lacking the aggregated paths.  Restricted
-        # to single-source blocks without grouping — with GROUP BY the
-        # all-NULL group would be observable, and with joins a skipped
-        # row could still feed another table's aggregate.
+        # nothing from tiles lacking, for *every* aggregate, a path it
+        # reads — one aggregate's absent path leaves the others' rows
+        # to count.  Restricted to single-source blocks without
+        # grouping — with GROUP BY the all-NULL group would be
+        # observable, and with joins a skipped row could still feed
+        # another table's aggregate.
         null_skipping = {"sum", "avg", "min", "max", "count",
                          "count_distinct"}
         if (not block.group_keys and block.aggregates
@@ -268,9 +278,14 @@ class Planner:
                 and not block.left_joins and not block.subquery_filters
                 and all(spec.func in null_skipping
                         for spec in block.aggregates)):
-            for spec in block.aggregates:
-                if spec.expr is not None:
-                    add(spec.expr.null_rejected_refs())
+            groups = [[] if spec.expr is None else sorted(
+                          {path for _item, path
+                           in scan_paths(spec.expr.null_rejected_refs())},
+                          key=str)
+                      for spec in block.aggregates]
+            item = planned.get(block.sources[0].alias)
+            if item is not None and all(groups):
+                item.aggregate_skip_paths = groups
 
     # ------------------------------------------------------------------
     # cardinality estimation
@@ -562,6 +577,7 @@ class Planner:
                 list(source.requests.values()),
                 predicates=list(item.filters),
                 skip_paths=sorted(item.skip_paths),
+                aggregate_skip_paths=item.aggregate_skip_paths,
                 range_prunes=self._range_prunes(source, item.filters),
                 enable_skipping=self.options.enable_skipping,
                 batch_rows=self.options.batch_rows,

@@ -238,6 +238,7 @@ def _fragment_scan(planner: Planner, source: ScanSource,
         list(source.requests.values()),
         predicates=item.filters + list(extra_predicates),
         skip_paths=sorted(item.skip_paths),
+        aggregate_skip_paths=item.aggregate_skip_paths,
         range_prunes=planner._range_prunes(source, item.filters),
         enable_skipping=options.enable_skipping,
         batch_rows=options.batch_rows,

@@ -18,22 +18,25 @@ per tile:
 
 Tiles whose header proves a null-rejected path cannot occur are skipped
 entirely (Section 4.8).  Inside a tile that is scanned, the header's
-row spans (DESIGN.md §5i) bound the fallback: a path absent from the
-tile becomes an all-NULL vector without opening a document, and a
-fallback group decodes only the rows inside the union span of its
-paths.
+row spans and per-row key presence (DESIGN.md §5i) bound the fallback:
+a path absent from the tile becomes an all-NULL vector without opening
+a document, rows lacking a null-rejected path are dropped before any
+decode, and a fallback group decodes only the rows inside the union
+span of its paths.
 
 All fallback sites shred *every* requested path of a tuple in one pass
 over its binary representation (``repro.jsonb.shred``, Sinew/Dremel
 style) instead of walking the document once per path.  A fallback run
-of at least ``VECTOR_MIN_ROWS`` selected tuples is shredded for all of
+of at least ``VECTOR_MIN_ROWS`` selected tuples is located for all of
 them at once, by numpy over the tile's row heap
-(``repro.jsonb.vector_shred``); ``fallback_rows_vectorized`` counts
-those tuples.
+(``repro.jsonb.vector_shred``; ``fallback_rows_vectorized`` counts
+those tuples), a shorter one by the per-tuple walk; either way the
+numpy column kernels decode the located values.
 ``fallback_lookups`` counts the (tuple, path) resolutions that visit
 the binary (Table-5-style), ``header_nulls`` those the row spans
-answered NULL instead, while ``shred_passes`` / ``shred_paths`` expose
-the physical walk sharing.
+answered NULL instead and ``presence_rows_skipped`` those inside the
+spans that presence dropped, while ``shred_passes`` / ``shred_paths``
+expose the physical walk sharing.
 
 Late materialization (DESIGN.md §9): every tile slice is one
 selection-vector scan.  The directly-resolved (extracted) columns are
@@ -64,9 +67,9 @@ from repro.engine.expressions import Expression
 from repro.engine.functions import PROBES, probe_text
 from repro.engine.morsels import Morsel, canonical_chop, run_ordered
 from repro.jsonb.access import JsonbValue
-from repro.jsonb.shred import ShredPlan, compile_paths, shred_jsonb, \
-    shred_python
-from repro.jsonb.vector_shred import HeapView, Kernel, locate, typed_column
+from repro.jsonb.shred import ShredPlan, compile_paths, locate_rows, \
+    shred_jsonb, shred_python
+from repro.jsonb.vector_shred import Kernel, locate, typed_columns
 from repro.storage.column import ColumnBuilder, ColumnVector, fits_int64, \
     null_vector
 from repro.storage.formats import StorageFormat
@@ -76,10 +79,11 @@ from repro.tiles.tile import Tile
 
 ROWID_PATH = KeyPath(("#rowid",))
 
-#: fallback runs of at least this many selected rows are shredded by
+#: fallback runs of at least this many selected rows are located by
 #: the vectorized heap kernel, shorter ones by the per-tuple walk, whose
-#: fixed cost per row is lower (DESIGN.md §5d has the sweep behind it)
-VECTOR_MIN_ROWS = 256
+#: cost per row is lower than the kernel's fixed cost (DESIGN.md §5d
+#: has the sweep behind it)
+VECTOR_MIN_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,12 @@ class ScanCounters:
     #: selection vector avoided: rows the cheap extracted-column
     #: conjuncts already rejected were never shredded.
     fallback_rows_skipped: int = 0
-    #: of the ``shred_passes``, the tuples shredded by the vectorized
+    #: (tuple, path) fallback decodes skipped because the tuple lacks
+    #: a key path that a pushed-down conjunct null-rejects: the tile
+    #: header's per-row presence (DESIGN.md §5i) dropped the tuple
+    #: before the decode, the row-level twin of tile skipping
+    presence_rows_skipped: int = 0
+    #: of the ``shred_passes``, the tuples located by the vectorized
     #: heap kernel (runs of at least ``VECTOR_MIN_ROWS`` rows, DESIGN.md
     #: §5d) rather than by the per-tuple walk
     fallback_rows_vectorized: int = 0
@@ -236,6 +245,7 @@ class TableScan:
     def __init__(self, relation: Relation, requests: Sequence[AccessRequest],
                  predicates: Sequence[Expression] = (),
                  skip_paths: Sequence[KeyPath] = (),
+                 aggregate_skip_paths: Sequence[Sequence[KeyPath]] = (),
                  range_prunes: Sequence[RangePrune] = (),
                  enable_skipping: bool = True,
                  batch_rows: int = 4096,
@@ -247,7 +257,15 @@ class TableScan:
         #: the late-materialization split works on (Kleene AND
         #: keep-masks intersect, so conjunct order is immaterial)
         self.predicates: List[Expression] = list(predicates)
-        self.skip_paths = list(skip_paths)
+        #: paths null-rejected by a predicate, join key or semi-join
+        #: key: a tile or row lacking any of them yields nothing
+        self.skip_paths = [path for path in skip_paths
+                           if path != ROWID_PATH]
+        #: one path group per aggregate of a global aggregation whose
+        #: aggregates all skip NULLs: a tile is only worthless when
+        #: every aggregate reads a path the tile lacks
+        self.aggregate_skip_paths = [list(group)
+                                     for group in aggregate_skip_paths]
         self.range_prunes = list(range_prunes)
         self.enable_skipping = enable_skipping
         self.batch_rows = batch_rows
@@ -259,11 +277,11 @@ class TableScan:
         #: enumeration time; EXPLAIN ANALYZE renders it so operators
         #: see which LSM levels a query actually touched
         self.levels_scanned: Dict[int, int] = {}
-        #: compiled shred plans per distinct path tuple; worker threads
-        #: may race to build the same plan — compilation is pure, so
+        #: compiled shred plans per request list; worker threads may
+        #: race to build the same plan — compilation is pure, so
         #: last-write-wins is harmless
         self._shred_plans: Dict[tuple, ShredPlan] = {}
-        #: vectorized column kernels per request name (same race rule)
+        #: vectorized probe kernels per request name (same race rule)
         self._kernels: Dict[str, Kernel] = {}
 
     def add_predicate(self, conjunct: Expression) -> None:
@@ -370,9 +388,12 @@ class TableScan:
             return False
         if not self.relation.format.supports_skipping:
             return False
-        if any(not tile.header.may_contain(path)
-               for path in self.skip_paths
-               if path != ROWID_PATH):
+        header = tile.header
+        if any(not header.may_contain(path) for path in self.skip_paths):
+            return True
+        if self.aggregate_skip_paths and all(
+                any(not header.may_contain(path) for path in group)
+                for group in self.aggregate_skip_paths):
             return True
         # zone maps: a comparison no value in the tile's range can
         # satisfy skips the tile (the comparison is null-rejecting, so
@@ -487,7 +508,7 @@ class TableScan:
         # patched before the split, so an early conjunct never sees an
         # unpatched outlier NULL
         if conflicts:
-            self._patch_conflicts(tile, conflicts, start, counters)
+            self._patch_conflicts(tile, conflicts, start, counters, header)
         early, late = self._split_predicates(resolved)
         keep = None
         if early:
@@ -499,19 +520,45 @@ class TableScan:
                 keep &= _keep_mask(conjunct, direct_batch)
             if keep.all():
                 keep = None
+        absent = None
+        if fallback and header is not None and self.skip_paths:
+            # row-level skipping (DESIGN.md §5i): a row lacking a
+            # null-rejected path yields nothing, so it is dropped
+            # before any fallback decode.  Only paths the fallback
+            # reads here narrow: an extracted path's early conjuncts
+            # already rejected the rows lacking it
+            present = self._present_rows(header, fallback, start, stop)
+            if present is not None:
+                absent = np.flatnonzero(~present if keep is None
+                                        else keep & ~present)
+                keep = present if keep is None else keep & present
         selection = None if keep is None else np.flatnonzero(keep)
         decoded: Dict[str, ColumnVector] = {}
         if fallback:
             span = (span_lo, span_hi) if header is not None else None
             decoded = self._fallback_group(tile, fallback, start, stop,
                                            counters, selection=selection,
-                                           span=span)
+                                           span=span, absent=absent)
         columns = {name: (decoded[name] if vector is None
                           else vector if keep is None
                           else vector.filter(keep))
                    for name, vector in resolved.items()}
         batch = Batch(columns, total if selection is None else len(selection))
         return _filter_batch(batch, late)
+
+    def _present_rows(self, header, fallback: List[AccessRequest],
+                      start: int, stop: int) -> Optional[np.ndarray]:
+        """The rows of ``[start, stop)`` holding every skip path the
+        *fallback* requests read, or ``None`` when all of them do."""
+        read = {request.path for request in fallback}
+        present = None
+        for path in self.skip_paths:
+            if path not in read:
+                continue
+            rows = header.rows_of(path)[start:stop]
+            if not rows.all():
+                present = rows if present is None else present & rows
+        return present
 
     def _split_predicates(
             self, resolved: Dict[str, Optional[ColumnVector]]
@@ -593,29 +640,38 @@ class TableScan:
     # ------------------------------------------------------------------
     # JSONB / text fallbacks
 
-    def _plan_for(self, paths: Tuple[KeyPath, ...]) -> ShredPlan:
-        plan = self._shred_plans.get(paths)
+    def _plan_for(self, requests: Sequence[AccessRequest]) -> ShredPlan:
+        """The shred plan of *requests*' distinct paths (in sorted
+        order), cached per request list."""
+        key = tuple(request.name for request in requests)
+        plan = self._shred_plans.get(key)
         if plan is None:
-            plan = self._shred_plans[paths] = compile_paths(paths)
+            paths = tuple(sorted({request.path for request in requests}))
+            plan = self._shred_plans[key] = compile_paths(paths)
         return plan
 
     def _fallback_group(self, tile: Tile, requests: List[AccessRequest],
                         start: int, stop: int,
                         counters: ScanCounters,
                         selection: Optional[np.ndarray] = None,
-                        span: Optional[Tuple[int, int]] = None) \
-            -> Dict[str, ColumnVector]:
+                        span: Optional[Tuple[int, int]] = None,
+                        absent: Optional[np.ndarray] = None
+                        ) -> Dict[str, ColumnVector]:
         """*selection* (slice-local row offsets, or ``None`` for all)
         is the late-materialization selection vector: only selected
-        tuples are decoded.  The cache path ignores it for *storing* —
-        a miss still decodes the full tile so cache keys stay
+        tuples are decoded; *absent* (slice-local offsets) of the
+        unselected rows were dropped for lacking a skip path, the rest
+        by early conjuncts.
+        The cache path ignores the selection for *storing* — a miss
+        still decodes the full tile so cache keys stay
         selection-independent — and applies it when slicing out the
         result.  *span* is the union row span of the requests' paths
         (``None``: the whole tile); rows outside it are NULL."""
         counters.fallback_tiles += len(requests)
         if not self.use_cache:
             return self._decode_fallback_group(tile, requests, start, stop,
-                                               counters, selection, span)
+                                               counters, selection, span,
+                                               absent)
         keys = {request.name: make_key(self.relation.name, tile.uid,
                                        request.path, request.target,
                                        request.as_text, request.probe)
@@ -660,8 +716,9 @@ class TableScan:
                                start: int, stop: int,
                                counters: ScanCounters,
                                selection: Optional[np.ndarray] = None,
-                               span: Optional[Tuple[int, int]] = None) \
-            -> Dict[str, ColumnVector]:
+                               span: Optional[Tuple[int, int]] = None,
+                               absent: Optional[np.ndarray] = None
+                               ) -> Dict[str, ColumnVector]:
         """Resolve a group of fallback requests over one tuple range.
 
         Only the run of tuples inside *span* (the union row span of the
@@ -670,8 +727,15 @@ class TableScan:
         visited tuple is shredded once for all the requests' paths.
         ``fallback_lookups`` counts the visited (tuple, path) pairs,
         ``header_nulls`` the padded ones.  With a *selection*, only the
-        selected tuples count (the spared ones go to
-        ``fallback_rows_skipped``): the decode never touches them."""
+        selected tuples count: the decode never touches the others.
+        The *absent* ones go to ``presence_rows_skipped`` inside the
+        span and to ``header_nulls`` outside it (the span alone answers
+        those), the rest to ``fallback_rows_skipped``.
+
+        The run is located by the vectorized heap kernel when it is
+        long enough, else by the per-tuple walk; either way the
+        column kernels (``typed_columns`` and the probes) decode every
+        value position (DESIGN.md §5d)."""
         lo, hi = span if span is not None else (start, stop)
         if selection is None:
             first = min(max(start, lo), stop)
@@ -679,69 +743,92 @@ class TableScan:
             run = np.arange(first, end)
             before, after = first - start, stop - end
         else:
+            dropped = 0 if absent is None else len(absent)
             counters.fallback_rows_skipped += \
-                ((stop - start) - len(selection)) * len(requests)
+                ((stop - start) - len(selection) - dropped) * len(requests)
+            if dropped:
+                inside = np.searchsorted(absent, (lo - start, hi - start))
+                inside = int(inside[1] - inside[0])
+                counters.presence_rows_skipped += inside * len(requests)
+                counters.header_nulls += (dropped - inside) * len(requests)
             # the selection is sorted: the in-span run is one slice
             cut = np.searchsorted(selection, (lo - start, hi - start))
             run = selection[cut[0]:cut[1]] + start
             before, after = int(cut[0]), len(selection) - int(cut[1])
         counters.fallback_lookups += len(run) * len(requests)
         counters.header_nulls += (before + after) * len(requests)
-        plan = self._plan_for(tuple(sorted({r.path for r in requests})))
+        plan = self._plan_for(requests)
         counters.shred_passes += len(run)
         counters.shred_paths += len(run) * len(plan)
+        if not len(run):
+            return {request.name: null_vector(request.target, before + after)
+                    for request in requests}
         heap = tile.heap
+        view = heap.view()
+        starts, ends = heap.starts[run], heap.ends[run]
         if len(run) >= VECTOR_MIN_ROWS:
             counters.fallback_rows_vectorized += len(run)
-            view = HeapView(heap.buf)
-            pos, end = locate(plan, view, heap.starts[run], heap.ends[run])
-            return {request.name: self._kernel_for(request)(
-                        view, pos[plan.slots[request.path]],
-                        end[plan.slots[request.path]], before, after)
-                    for request in requests}
-        builders = {request.name: ColumnBuilder(request.target)
-                    for request in requests}
-        for builder in builders.values():
-            builder.extend_nulls(before)
-        buf = heap.buf
-        slots = [(plan.slots[request.path], _jsonb_getter(request),
-                  builders[request.name].append, request.probe is not None)
-                 for request in requests]
-        for row_start, row_end in zip(heap.starts[run].tolist(),
-                                      heap.ends[run].tolist()):
-            values = shred_jsonb(plan, buf, row_start)
-            for slot, getter, append, probe in slots:
-                value = values[slot]
-                append(None if value is None
-                       else getter(value, row_end) if probe
-                       else getter(value))
-        for builder in builders.values():
-            builder.extend_nulls(after)
-        return {name: builder.finish() for name, builder in builders.items()}
+            pos, end = locate(plan, view, starts, ends)
+        else:
+            pos = np.array(locate_rows(plan, heap.buf, starts.tolist()),
+                           dtype=np.int64).reshape(len(run), len(plan)).T
+            # a probe's byte search may run to the end of the row
+            end = None
+        found = (pos >= 0).any(axis=1).tolist()
+        decoded = {}
+        typed: Dict[ColumnType, List[AccessRequest]] = {}
+        for request in requests:
+            slot = plan.slots[request.path]
+            if not found[slot]:
+                # no selected row holds the path: what every kernel
+                # answers for absent values
+                decoded[request.name] = null_vector(
+                    request.target, before + len(run) + after)
+            elif request.probe:
+                decoded[request.name] = self._probe_kernel(request)(
+                    view, pos[slot], ends if end is None else end[slot],
+                    before, after)
+            else:
+                typed.setdefault(request.target, []).append(request)
+        # one decode per target: the group's requests share its setup
+        for target, group in typed.items():
+            columns = typed_columns(
+                target, _jsonb_getter(group[0]), view,
+                pos[[plan.slots[request.path] for request in group]],
+                before, after)
+            decoded.update(zip((request.name for request in group),
+                               columns))
+        return decoded
 
-    def _kernel_for(self, request: AccessRequest) -> Kernel:
+    def _probe_kernel(self, request: AccessRequest) -> Kernel:
         kernel = self._kernels.get(request.name)
         if kernel is None:
-            if request.probe:
-                name, *args = request.probe
-                kernel = PROBES[name].vector(*args)
-            else:
-                kernel = partial(typed_column, request.target,
-                                 _jsonb_getter(request))
-            self._kernels[request.name] = kernel
+            name, *args = request.probe
+            kernel = self._kernels[request.name] = PROBES[name].vector(*args)
         return kernel
 
     def _patch_conflicts(self, tile: Tile,
                          conflicts: List[Tuple[AccessRequest, ColumnVector,
                                                np.ndarray]],
-                         start: int, counters: ScanCounters) -> None:
+                         start: int, counters: ScanCounters,
+                         header=None) -> None:
         """Section 3.4: on access, traverse the binary representation
         when the *stored* extracted value is NULL (a type outlier).
-        All conflicted requests of the tile patch in one pass: each
+        With a *header*, a stored NULL in a row that lacks the path is
+        a genuine NULL (``header_nulls``) and is not visited.  All
+        conflicted requests of the tile patch in one pass: each
         outlier tuple is shredded once for every conflicted path."""
-        plan = self._plan_for(tuple(sorted({r.path for r, _v, _n
-                                            in conflicts})))
-        needed = np.zeros(len(conflicts[0][2]), dtype=bool)
+        plan = self._plan_for([request for request, _v, _n in conflicts])
+        stop = start + len(conflicts[0][2])
+        if header is not None:
+            narrowed = []
+            for request, vector, stored_nulls in conflicts:
+                held = stored_nulls & header.rows_of(request.path)[start:stop]
+                counters.header_nulls += int(np.count_nonzero(stored_nulls
+                                                              & ~held))
+                narrowed.append((request, vector, held))
+            conflicts = narrowed
+        needed = np.zeros(stop - start, dtype=bool)
         for _request, _vector, stored_nulls in conflicts:
             counters.fallback_lookups += int(np.count_nonzero(stored_nulls))
             needed |= stored_nulls
@@ -779,7 +866,7 @@ class TableScan:
         counters.fallback_tiles += len(requests)
         builders = {request.name: ColumnBuilder(request.target)
                     for request in requests}
-        plan = self._plan_for(tuple(sorted({r.path for r in requests})))
+        plan = self._plan_for(requests)
         slots = [(plan.slots[request.path], request,
                   builders[request.name].append) for request in requests]
         for row in chunk:

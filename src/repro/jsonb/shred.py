@@ -14,7 +14,8 @@ layout:
   whose object keys are pre-encoded to UTF-8 once per plan and sorted
   in byte order — the order object slots are stored in (Section 5.1);
 * :func:`shred_jsonb` walks one document's buffer depth-first and
-  fills every requested path simultaneously.  Common prefixes like
+  fills every requested path simultaneously (:func:`locate_rows` runs
+  the same walk over several rows and keeps only value positions).  Common prefixes like
   ``a.b.c`` / ``a.b.d`` descend once.  At an object node the sorted
   trie children binary-search the sorted offset table with a
   *shrinking window*: once child *j* is located (or proven absent) at
@@ -155,15 +156,29 @@ def shred_jsonb(plan: ShredPlan, buf: bytes,
     """Walk the document at *pos* of *buf* (a tile's row heap, or one
     row's bytes) once; return one ``JsonbValue`` (or ``None``) per plan
     slot."""
-    out: List[Optional[JsonbValue]] = [None] * len(plan.paths)
+    out = [-1] * len(plan.paths)
     _walk(buf, pos, plan.root, out)
+    return [None if found < 0 else JsonbValue(buf, found) for found in out]
+
+
+def locate_rows(plan: ShredPlan, buf: bytes,
+                starts: Sequence[int]) -> List[int]:
+    """Walk the documents at *starts* of *buf* one at a time: every
+    row's value position for each plan slot (``-1`` when absent), row
+    after row — the per-tuple twin of ``vector_shred.locate``."""
+    width = len(plan.paths)
+    root = plan.root
+    out: List[int] = []
+    for start in starts:
+        found = [-1] * width
+        _walk(buf, start, root, found)
+        out += found
     return out
 
 
-def _walk(buf: bytes, pos: int, node: TrieNode,
-          out: List[Optional[JsonbValue]]) -> None:
+def _walk(buf: bytes, pos: int, node: TrieNode, out: List[int]) -> None:
     if node.terminal >= 0:
-        out[node.terminal] = JsonbValue(buf, pos)
+        out[node.terminal] = pos
     header = buf[pos]
     type_id = header >> 5
     if type_id == _TYPE_OBJECT:
@@ -198,7 +213,7 @@ def _walk(buf: bytes, pos: int, node: TrieNode,
                 candidate = buf[key_pos:value_pos]
                 if candidate == target:
                     if leaf >= 0:
-                        out[leaf] = JsonbValue(buf, value_pos)
+                        out[leaf] = value_pos
                     else:
                         _walk(buf, value_pos, child, out)
                     base = mid + 1
@@ -230,7 +245,7 @@ def _walk(buf: bytes, pos: int, node: TrieNode,
                 else:
                     offset = unpack(buf, table + index * width)[0]
                 if leaf >= 0:
-                    out[leaf] = JsonbValue(buf, slot_area + offset)
+                    out[leaf] = slot_area + offset
                 else:
                     _walk(buf, slot_area + offset, child, out)
 

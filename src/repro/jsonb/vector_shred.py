@@ -9,13 +9,13 @@ same compiled :class:`~repro.jsonb.shred.ShredPlan` that way:
 
 * :func:`locate` gives, per plan slot, each row's value position and
   value end (``-1`` when the path is absent), with ``shred_jsonb``'s
-  semantics.  An object step is a vectorized binary search over the
-  sorted offset tables of all rows (any offset width, compact counts
-  and key lengths, byte-order keys).  Rows repeat shapes, so the
-  search starts at the slot the key was last found in
-  (``TrieNode.obj_hints``): one key compare settles most rows, two an
-  absent key.  An array step reads one offset.  A value ends where the
-  next slot of its container starts, or where its container ends.
+  semantics.  An object step probes, in all rows at once, the slot the
+  key was last found in (``TrieNode.obj_hints``): rows repeat shapes,
+  so one key compare settles most rows holding the key.  The rows it
+  misses are settled by one equality pass over all their slots (any
+  offset width, compact counts and key lengths).  An array step reads
+  one offset.  A value ends where the next slot of its container
+  starts, or where its container ends.
 * :func:`typed_column` turns the positions into the column that
   ``ColumnBuilder`` builds from the scan's typed getters, decoding the
   common encodings (integers, floats, strings, literals, JSON null) in
@@ -45,7 +45,26 @@ _WIDTHS = np.array(fmt.OFFSET_WIDTHS, dtype=np.int64)
 #: never written)
 _COMPACT_WIDTHS = np.array([2, 4, 8, 8, 8], dtype=np.int64)
 _NULL_HEADER = fmt.make_header(fmt.TYPE_LITERAL, fmt.LITERAL_NULL)
-_FLOAT_CODES = ((2, "<f2"), (4, "<f4"), (8, "<f8"))
+#: per INT header byte (info 0-15; the other bytes never index these):
+#: the offset from the header of the word ending at the value's last
+#: byte (the header itself for an inline value), the arithmetic shift
+#: that brings those bytes down from the word's top, and what to
+#: subtract after (an inline value's type bits)
+def _int_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    last, shifts, bias = (np.zeros(256, dtype=np.int64) for _ in range(3))
+    for info in range(16):
+        nbytes = max(0, info - fmt.MAX_INLINE_INT)
+        header = fmt.make_header(fmt.TYPE_INT, info)
+        last[header] = nbytes - 7
+        shifts[header] = 64 - 8 * nbytes if nbytes else 56
+        bias[header] = 0 if nbytes else fmt.TYPE_INT << 5
+    return last, shifts, bias
+
+
+_INT_LAST_WORD, _INT_SHIFTS, _INT_BIAS = _int_tables()
+#: targets an INT value decodes to in numpy
+_INT_TARGETS = (ColumnType.INT64, ColumnType.FLOAT64, ColumnType.DECIMAL,
+                ColumnType.TIMESTAMP, ColumnType.BOOL, ColumnType.STRING)
 #: cells of one (rows x key bytes) comparison block
 _GATHER_CELLS = 1 << 16
 
@@ -56,14 +75,33 @@ Kernel = Callable[["HeapView", np.ndarray, np.ndarray, int, int],
                   ColumnVector]
 
 
-class HeapView:
-    """A zero-copy ``uint8`` view of a buffer plus clipped reads."""
+def _rows(mask: np.ndarray) -> np.ndarray:
+    """The indices of the true entries of a 1-D mask
+    (``np.flatnonzero`` without its Python-level ``ravel``)."""
+    return mask.nonzero()[0]
 
-    __slots__ = ("buf", "data")
+
+class HeapView:
+    """A zero-copy ``uint8`` view of a row heap (``RowHeap.buf``) plus
+    clipped reads, and ``words``: the heap's 8-byte little-endian words
+    at *every* byte offset (an unaligned ``int64`` view, no copy).  No
+    value of a heap ends before its byte 8 (the row count and the first
+    length prefix come first), so the word *ending* at a value's last
+    byte always exists and carries the value's bytes at its top."""
+
+    __slots__ = ("buf", "data", "words")
 
     def __init__(self, buf: bytes):
         self.buf = buf
         self.data = np.frombuffer(buf, dtype=np.uint8)
+        self.words = self.every("<i8")
+
+    def every(self, code: str) -> np.ndarray:
+        """The buffer's values of numpy type *code* starting at every
+        byte offset (an unaligned view)."""
+        size = np.dtype(code).itemsize
+        return np.ndarray((max(0, len(self.buf) - size + 1),), dtype=code,
+                          buffer=self.buf, strides=(1,))
 
     def byte(self, pos: np.ndarray) -> np.ndarray:
         return self.data.take(pos, mode="clip")
@@ -76,24 +114,46 @@ class HeapView:
         last = len(data) - size
         if last < 0:
             return self.byte(pos[:, None] + np.arange(size))
-        windows = np.lib.stride_tricks.as_strided(
-            data, shape=(last + 1, size), strides=(1, 1), writeable=False)
+        windows = np.ndarray((last + 1, size), dtype=np.uint8,
+                             buffer=self.buf, strides=(1, 1))
         out = windows[np.minimum(pos, last)]
-        over = np.flatnonzero(pos > last)
+        over = _rows(pos > last)
         if over.size:
             out[over] = self.byte(pos[over, None] + np.arange(size))
         return out
 
+    def matches(self, pos: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Which of the ``len(target)``-byte strings at *pos* (inside
+        the heap, at byte 8 or later) are the bytes *target*: one
+        8-byte word compare up to 8 bytes (the word ending at the
+        string's last byte, shifted down), two up to 16 (its first and
+        last words), a byte gather beyond."""
+        size = len(target)
+        if size == 0:
+            return np.ones(len(pos), dtype=bool)
+        if size > 16:
+            out = np.zeros(len(pos), dtype=bool)
+            step = max(1, _GATHER_CELLS // size)
+            for lo in range(0, len(pos), step):
+                out[lo:lo + step] = (self.window(pos[lo:lo + step], size)
+                                     == target).all(axis=1)
+            return out
+        tail = self.words[pos + (size - 8)].view(np.uint64)
+        if size < 8:
+            expected = np.uint64(int.from_bytes(target.tobytes(), "little"))
+            return tail >> np.uint64(64 - 8 * size) == expected
+        last = np.frombuffer(target[-8:].tobytes(), dtype="<u8")[0]
+        first = np.frombuffer(target[:8].tobytes(), dtype="<i8")[0]
+        return (tail == last) & (self.words[pos] == first)
+
     def uint(self, pos: np.ndarray, width: np.ndarray) -> np.ndarray:
         """The little-endian unsigned integers of *width* (1..8, per
-        element) bytes at *pos*, as ``uint64``."""
-        value = self.byte(pos).astype(np.uint64)
-        top = int(width.max()) if len(width) else 1
-        for k in range(1, top):
-            wide = np.flatnonzero(width > k)
-            value[wide] |= self.byte(pos[wide] + k).astype(np.uint64) \
-                << np.uint64(8 * k)
-        return value
+        element) bytes at *pos* (at byte 8 or later), as ``uint64``:
+        the word ending at each integer's last byte, shifted down."""
+        if not len(pos) or int(width.max()) == 1:
+            return self.byte(pos).astype(np.uint64)
+        top = self.words[pos + width - 8].view(np.uint64)
+        return top >> (64 - 8 * width).astype(np.uint64)
 
     def offsets(self, pos: np.ndarray, width: np.ndarray) -> np.ndarray:
         return self.uint(pos, width).astype(np.int64)
@@ -102,7 +162,7 @@ class HeapView:
         """Compact unsigned integers at *pos*: ``(value, next_pos)``."""
         value = self.byte(pos).astype(np.int64)
         following = pos + 1
-        big = np.flatnonzero(value > 250)
+        big = _rows(value > 250)
         if big.size:
             width = _COMPACT_WIDTHS[value[big] - 251]
             value[big] = self.offsets(pos[big] + 1, width)
@@ -132,92 +192,72 @@ class _Containers:
         """End of the value in slot *index* of *rows*: where the next
         slot starts, or where the container ends."""
         end = parent_end.copy()
-        inner = np.flatnonzero(index + 1 < self.count[rows])
+        inner = _rows(index + 1 < self.count[rows])
         if inner.size:
             end[inner] = self.slot(view, index[inner] + 1, rows[inner])
         return end
 
 
-def _compare(view: HeapView, key_pos: np.ndarray, key_len: np.ndarray,
-             target: np.ndarray) -> np.ndarray:
-    """Sign of ``candidate - target`` in byte order for each candidate
-    key ``[key_pos, key_pos + key_len)``."""
-    size = len(target)
-    out = np.sign(key_len - size)
-    if size == 0 or len(key_pos) == 0:
-        return out
-    step = max(1, _GATHER_CELLS // size)
-    for lo in range(0, len(key_pos), step):
-        got = view.window(key_pos[lo:lo + step], size)
-        differs = got != target
-        # the first difference decides when it lies inside the
-        # candidate; past its end, the common prefix is equal
-        first = differs.argmax(axis=1)
-        rows = np.flatnonzero(differs[np.arange(len(first)), first]
-                              & (first < key_len[lo:lo + step]))
-        if rows.size:
-            at = first[rows]
-            out[lo + rows] = np.where(got[rows, at] < target[at], -1, 1)
-    return out
+def _equals(view: HeapView, key_pos: np.ndarray, key_len: np.ndarray,
+            target: np.ndarray) -> np.ndarray:
+    """Which candidate keys ``[key_pos, key_pos + key_len)`` are the
+    bytes *target*: a length test, then one comparison of the
+    candidates of the right length."""
+    equal = key_len == len(target)
+    same = _rows(equal)
+    if same.size:
+        equal[same] = view.matches(key_pos[same], target)
+    return equal
 
 
 def _find(view: HeapView, objects: _Containers, target: np.ndarray,
           hints: List[Tuple[bool, int]],
           item: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Binary-search every object's sorted slots for the key *target*.
+    """Find the key *target* among every object's slots.
 
     Returns ``(index, value_pos)``: the member's slot index and value
-    position, or the insertion point and ``-1`` when the key is absent.
-    The first probe is at the hint ``hints[item]``, the second at its
-    neighbour on the side the first one pointed to, then the search
-    halves.  The hint is then reset to the most common index found (or
-    insertion point, when most objects lack the key), counted from the
+    position, ``-1`` as the position when the key is absent.  The first
+    probe is at the hint ``hints[item]``; rows repeat shapes, so it
+    settles most objects holding the key.  The others are settled by
+    one equality pass over all their slots (object keys are unique, so
+    an object has at most one hit).  When that pass finds a key, the
+    hint is reset to the most common index found, counted from the
     object's first or last slot, whichever repeats more often: optional
     members on one side of the key shift its position from that side
     only."""
     count = objects.count
-    lo = np.zeros(len(count), dtype=np.int64)
-    hi = count - 1
     value_pos = np.full(len(count), -1, dtype=np.int64)
     index = np.zeros(len(count), dtype=np.int64)
-    active = np.flatnonzero(hi >= 0)
+    rows = _rows(count > 0)
+    if not rows.size:
+        return index, value_pos
     from_end, hint = hints[item]
-    last = None
-    probe = 0
-    while active.size:
-        a_lo, a_hi = lo[active], hi[active]
-        if probe == 0:
-            seed = count[active] - hint if from_end else hint
-            mid = np.minimum(np.maximum(seed, a_lo), a_hi)
-        elif probe == 1:
-            mid = np.where(last < 0, a_lo, a_hi)
-        else:
-            mid = (a_lo + a_hi) >> 1
-        key_len, key_pos = view.compact(objects.slot(view, mid, active))
-        cmp = _compare(view, key_pos, key_len, target)
-        equal = cmp == 0
-        if equal.any():
-            hit = active[equal]
-            value_pos[hit] = key_pos[equal] + key_len[equal]
-            index[hit] = mid[equal]
-        a_lo = np.where(cmp < 0, mid + 1, a_lo)
-        a_hi = np.where(cmp > 0, mid - 1, a_hi)
-        lo[active] = a_lo
-        hi[active] = a_hi
-        keep = ~equal & (a_lo <= a_hi)
-        active = active[keep]
-        last = cmp[keep]
-        probe += 1
-    absent = value_pos < 0
-    index[absent] = lo[absent]
-    pick = ~absent if 2 * np.count_nonzero(~absent) >= len(index) \
-        else absent
-    if pick.any():
-        forward = np.bincount(index[pick])
-        backward = np.bincount(count[pick] - index[pick])
-        hints[item] = (False, int(forward.argmax())) \
-            if forward.max() >= backward.max() \
-            else (True, int(backward.argmax()))
+    seed = count[rows] - hint if from_end else np.full(rows.size, hint)
+    seed = np.minimum(np.maximum(seed, 0), count[rows] - 1)
+    key_len, key_pos = view.compact(objects.slot(view, seed, rows))
+    equal = _equals(view, key_pos, key_len, target)
+    hit = rows[equal]
+    value_pos[hit] = key_pos[equal] + key_len[equal]
+    index[hit] = seed[equal]
+    missed = rows[~equal]
+    if not missed.size:
+        return index, value_pos  # the hint found every key: keep it
+    sizes = count[missed]
+    owner = np.repeat(missed, sizes)
+    slot = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    key_len, key_pos = view.compact(objects.slot(view, slot, owner))
+    equal = _equals(view, key_pos, key_len, target)
+    if not equal.any():
+        return index, value_pos  # nowhere else: the hint stays as good
+    found = owner[equal]
+    value_pos[found] = key_pos[equal] + key_len[equal]
+    index[found] = slot[equal]
+    present = value_pos >= 0
+    forward = np.bincount(index[present])
+    backward = np.bincount(count[present] - index[present])
+    hints[item] = (False, int(forward.argmax())) \
+        if forward.max() >= backward.max() \
+        else (True, int(backward.argmax()))
     return index, value_pos
 
 
@@ -246,25 +286,25 @@ def _walk(view: HeapView, node: TrieNode, rows: np.ndarray,
     header = view.byte(pos)
     kind = header >> 5
     if node.obj_items:
-        on = np.flatnonzero(kind == fmt.TYPE_OBJECT)
+        on = _rows(kind == fmt.TYPE_OBJECT)
         if on.size:
             objects = _Containers(view, pos[on], header[on])
             for item, (key, child, _leaf) in enumerate(node.obj_items):
                 index, found = _find(view, objects,
                                      np.frombuffer(key, dtype=np.uint8),
                                      node.obj_hints, item)
-                hit = np.flatnonzero(found >= 0)
+                hit = _rows(found >= 0)
                 if hit.size:
                     _walk(view, child, rows[on[hit]], found[hit],
                           objects.value_end(view, hit, index[hit],
                                             end[on[hit]]),
                           out_pos, out_end)
     if node.arr_items:
-        on = np.flatnonzero(kind == fmt.TYPE_ARRAY)
+        on = _rows(kind == fmt.TYPE_ARRAY)
         if on.size:
             arrays = _Containers(view, pos[on], header[on])
             for index, child, _leaf in node.arr_items:
-                hit = np.flatnonzero(arrays.count > index) if index >= 0 \
+                hit = _rows(arrays.count > index) if index >= 0 \
                     else np.zeros(0, dtype=np.int64)
                 if hit.size:
                     at = np.full(hit.size, index, dtype=np.int64)
@@ -285,16 +325,13 @@ def _frame(target: ColumnType, before: int, count: int,
     return vector.data, vector.null_mask
 
 
-def _ints(view: HeapView, pos: np.ndarray, info: np.ndarray) -> np.ndarray:
-    """INT values: inline in the header, or 1-8 sign-extended bytes."""
-    values = info.astype(np.int64)
-    wide = np.flatnonzero(info > fmt.MAX_INLINE_INT)
-    if wide.size:
-        nbytes = values[wide] - fmt.MAX_INLINE_INT
-        shift = (64 - 8 * nbytes).astype(np.uint64)
-        raw = view.uint(pos[wide] + 1, nbytes) << shift
-        values[wide] = raw.view(np.int64) >> shift.astype(np.int64)
-    return values
+def _ints(view: HeapView, pos: np.ndarray, header: np.ndarray) -> np.ndarray:
+    """INT values (*header*: their header bytes), from the word ending
+    at each value's last byte, arithmetically shifted down: 1-8
+    sign-extended payload bytes, or the header byte itself for an
+    inline value, less its type bits."""
+    word = view.words[pos + _INT_LAST_WORD[header]]
+    return (word >> _INT_SHIFTS[header]) - _INT_BIAS[header]
 
 
 def _string_spans(view: HeapView, pos: np.ndarray,
@@ -302,7 +339,7 @@ def _string_spans(view: HeapView, pos: np.ndarray,
     """``(start, length)`` of the payloads of STRING / NUMSTR values."""
     start = pos + 1
     length = info.astype(np.int64)
-    long = np.flatnonzero(info > fmt.MAX_INLINE_STRLEN)
+    long = _rows(info > fmt.MAX_INLINE_STRLEN)
     if long.size:
         width = _WIDTHS[info[long] - (fmt.MAX_INLINE_STRLEN + 1)]
         length[long] = view.offsets(pos[long] + 1, width)
@@ -310,76 +347,135 @@ def _string_spans(view: HeapView, pos: np.ndarray,
     return start, length
 
 
+#: decode classes of a (header byte, target) pair in :func:`typed_column`
+_NULL, _INT, _FLOAT2, _FLOAT4, _FLOAT8, _TEXT, _BOOL, _OTHER = range(8)
+
+
+def _class_table(target: ColumnType) -> np.ndarray:
+    """The decode class of every header byte for *target*."""
+    table = np.full(256, _OTHER, dtype=np.int64)
+    for header in range(256):
+        kind, info = header >> 5, header & 0x1F
+        if header == _NULL_HEADER:
+            table[header] = _NULL
+        elif kind == fmt.TYPE_INT and info <= 15 and target in _INT_TARGETS:
+            table[header] = _INT
+        elif kind == fmt.TYPE_FLOAT and target in (ColumnType.FLOAT64,
+                                                   ColumnType.DECIMAL):
+            table[header] = {2: _FLOAT2, 4: _FLOAT4, 8: _FLOAT8}.get(
+                info, _OTHER)
+        elif kind in (fmt.TYPE_STRING, fmt.TYPE_NUMSTR) \
+                and target == ColumnType.STRING:
+            table[header] = _TEXT
+        elif kind == fmt.TYPE_LITERAL and target == ColumnType.BOOL \
+                and info in (fmt.LITERAL_TRUE, fmt.LITERAL_FALSE):
+            table[header] = _BOOL
+    return table
+
+
+_CLASSES = {target: _class_table(target) for target in ColumnType}
+_FLOAT_READS = {_FLOAT2: "<f2", _FLOAT4: "<f4", _FLOAT8: "<f8"}
+
+
 def typed_column(target: ColumnType, getter: Callable[[JsonbValue], object],
                  view: HeapView, pos: np.ndarray, end: np.ndarray,
                  before: int = 0, after: int = 0) -> ColumnVector:
     """The column a ``ColumnBuilder(target)`` finishes to after
     *before* NULLs, ``getter(JsonbValue(buf, p))`` for every located
-    position (NULL where ``p < 0``) and *after* NULLs.
+    position (NULL where ``p < 0``) and *after* NULLs: one row of
+    :func:`typed_columns`."""
+    return typed_columns(target, getter, view, pos[None, :],
+                         before, after)[0]
 
-    Integers (to INT64 / FLOAT64 / DECIMAL / TIMESTAMP / BOOL), floats
-    (to FLOAT64 / DECIMAL), strings (to STRING), true / false (to BOOL)
-    and JSON null (NULL for every target) are decoded here; every other
-    (encoding, target) pair calls *getter*, under the builder's
-    NULL-on-uncoercible rule.  A JSONB target builds its Python values
-    through the builder as the row walk does."""
+
+def typed_columns(target: ColumnType, getter: Callable[[JsonbValue], object],
+                  view: HeapView, pos: np.ndarray, before: int = 0,
+                  after: int = 0) -> List[ColumnVector]:
+    """:func:`typed_column` of every row of the position matrix *pos*
+    (one row per request of the same target and getter), decoded in
+    one pass: a fallback group's requests share the fixed numpy cost.
+
+    Integers (to INT64 / FLOAT64 / DECIMAL / TIMESTAMP / BOOL, and to
+    STRING as their decimal text), floats (to FLOAT64 / DECIMAL),
+    strings and numeric strings (to STRING), true / false (to BOOL) and
+    JSON null (NULL for every target) are decoded here, one numpy pass
+    per encoding present; every other (encoding, target) pair calls
+    *getter*, under the builder's NULL-on-uncoercible rule.  A JSONB
+    target builds its Python values through the builder as the row
+    walk does."""
     buf = view.buf
+    requests, count = pos.shape
+    size = before + count + after
     if target == ColumnType.JSONB:
-        builder = ColumnBuilder(target)
-        builder.extend_nulls(before)
-        for value_pos in pos.tolist():
-            builder.append(None if value_pos < 0
-                           else getter(JsonbValue(buf, value_pos)))
-        builder.extend_nulls(after)
-        return builder.finish()
-    data, nulls = _frame(target, before, len(pos), after)
-    present = np.flatnonzero(pos >= 0)
-    where = present + before
-    at = pos[present]
-    header = view.byte(at)
-    kind = header >> 5
-    info = header & 0x1F
-    rest = header != _NULL_HEADER
+        columns = []
+        for row in pos.tolist():
+            builder = ColumnBuilder(target)
+            builder.extend_nulls(before)
+            for value_pos in row:
+                builder.append(None if value_pos < 0
+                               else getter(JsonbValue(buf, value_pos)))
+            builder.extend_nulls(after)
+            columns.append(builder.finish())
+        return columns
+    data, nulls = _frame(target, 0, requests * size, 0)
+    flat = pos.ravel()
+    present = (flat >= 0).nonzero()[0]
+    if present.size:
+        # row r, column c of *pos* lands at r * size + before + c
+        where = present + before
+        if requests > 1 and before + after:
+            where += present // count * (before + after)
+        _decode(target, getter, view, flat[present], where, data, nulls)
+    return [ColumnVector(target, data[index * size:(index + 1) * size],
+                         nulls[index * size:(index + 1) * size])
+            for index in range(requests)]
 
-    def fill(rows: np.ndarray, values) -> None:
-        data[where[rows]] = values
-        nulls[where[rows]] = False
-        rest[rows] = False
 
-    if target in (ColumnType.INT64, ColumnType.FLOAT64, ColumnType.DECIMAL,
-                  ColumnType.TIMESTAMP, ColumnType.BOOL):
-        rows = np.flatnonzero((kind == fmt.TYPE_INT) & (info <= 15))
-        if rows.size:
-            values = _ints(view, at[rows], info[rows])
-            fill(rows, values != 0 if target == ColumnType.BOOL else values)
-    if target in (ColumnType.FLOAT64, ColumnType.DECIMAL):
-        for width, code in _FLOAT_CODES:
-            rows = np.flatnonzero((kind == fmt.TYPE_FLOAT) & (info == width))
-            if rows.size:
-                raw = view.window(at[rows] + 1, width)
-                fill(rows, raw.view(code).ravel())
-    elif target == ColumnType.STRING:
-        rows = np.flatnonzero(kind == fmt.TYPE_STRING)
-        if rows.size:
-            start, length = _string_spans(view, at[rows], info[rows])
-            fill(rows, [buf[first:first + size].decode("utf-8")
-                        for first, size in zip(start.tolist(),
-                                               length.tolist())])
-    elif target == ColumnType.BOOL:
-        rows = np.flatnonzero((kind == fmt.TYPE_LITERAL)
-                              & ((info == fmt.LITERAL_TRUE)
-                                 | (info == fmt.LITERAL_FALSE)))
-        if rows.size:
-            fill(rows, info[rows] == fmt.LITERAL_TRUE)
-    rows = np.flatnonzero(rest)
-    if rows.size:
-        builder = ColumnBuilder(target)
-        for value_pos in at[rows].tolist():
-            builder.append(getter(JsonbValue(buf, value_pos)))
-        generic = builder.finish()
-        data[where[rows]] = generic.data
-        nulls[where[rows]] = generic.null_mask
-    return ColumnVector(target, data, nulls)
+def _decode(target: ColumnType, getter: Callable[[JsonbValue], object],
+            view: HeapView, at: np.ndarray, where: np.ndarray,
+            data: np.ndarray, nulls: np.ndarray) -> None:
+    """Decode the values at positions *at* into ``data[where]`` and
+    clear ``nulls[where]`` (left set for JSON null and uncoercible
+    values)."""
+    buf = view.buf
+    header = view.data[at]
+    classes = _CLASSES[target][header]
+    counts = np.bincount(classes, minlength=_OTHER + 1)
+    for kind in counts.nonzero()[0].tolist():
+        if kind == _NULL:
+            continue  # JSON null is NULL for every target
+        if counts[kind] == len(at):
+            rows, into, headers = at, where, header
+        else:
+            chosen = (classes == kind).nonzero()[0]
+            rows, into, headers = at[chosen], where[chosen], header[chosen]
+        if kind == _OTHER:
+            builder = ColumnBuilder(target)
+            for value_pos in rows.tolist():
+                builder.append(getter(JsonbValue(buf, value_pos)))
+            generic = builder.finish()
+            data[into] = generic.data
+            nulls[into] = generic.null_mask
+            continue
+        if kind == _INT:
+            values = _ints(view, rows, headers)
+            if target == ColumnType.BOOL:
+                values = values != 0
+            elif target == ColumnType.STRING:
+                # ``->>`` on an integer is its decimal text
+                values = list(map(str, values.tolist()))
+        elif kind in _FLOAT_READS:
+            values = view.every(_FLOAT_READS[kind])[rows + 1]
+        elif kind == _TEXT:
+            start, length = _string_spans(view, rows, headers & 0x1F)
+            values = [buf[first:first + size].decode("utf-8")
+                      for first, size in zip(start.tolist(),
+                                             length.tolist())]
+        else:  # _BOOL
+            values = headers == fmt.make_header(fmt.TYPE_LITERAL,
+                                                fmt.LITERAL_TRUE)
+        data[into] = values
+        nulls[into] = False
 
 
 # ----------------------------------------------------------------------
@@ -392,10 +488,9 @@ def length_kernel() -> Kernel:
     def column(view: HeapView, pos: np.ndarray, end: np.ndarray,
                before: int, after: int) -> ColumnVector:
         data, nulls = _frame(ColumnType.INT64, before, len(pos), after)
-        present = np.flatnonzero(pos >= 0)
+        present = _rows(pos >= 0)
         kind = view.byte(pos[present]) >> 5
-        rows = np.flatnonzero((kind == fmt.TYPE_OBJECT)
-                              | (kind == fmt.TYPE_ARRAY))
+        rows = _rows((kind == fmt.TYPE_OBJECT) | (kind == fmt.TYPE_ARRAY))
         if rows.size:
             where = present[rows] + before
             data[where] = view.compact(pos[present[rows]] + 1)[0]
@@ -411,20 +506,12 @@ def _string_equals(view: HeapView, pos: np.ndarray,
     header = view.byte(pos)
     kind = header >> 5
     out = np.zeros(len(pos), dtype=bool)
-    text = np.flatnonzero((kind == fmt.TYPE_STRING)
-                          | (kind == fmt.TYPE_NUMSTR))
+    text = _rows((kind == fmt.TYPE_STRING) | (kind == fmt.TYPE_NUMSTR))
     if not text.size:
         return out
     start, length = _string_spans(view, pos[text], header[text] & 0x1F)
-    same = np.flatnonzero(length == len(needle))
-    if not len(needle):
-        out[text[same]] = True
-        return out
-    step = max(1, _GATHER_CELLS // len(needle))
-    for lo in range(0, same.size, step):
-        part = same[lo:lo + step]
-        equal = (view.window(start[part], len(needle)) == needle).all(axis=1)
-        out[text[part[equal]]] = True
+    same = _rows(length == len(needle))
+    out[text[same[view.matches(start[same], needle)]]] = True
     return out
 
 
@@ -448,7 +535,7 @@ def contains_kernel(key: object, value: object) -> Kernel:
     def column(view: HeapView, pos: np.ndarray, end: np.ndarray,
                before: int, after: int) -> ColumnVector:
         data, nulls = _frame(ColumnType.BOOL, before, len(pos), after)
-        present = np.flatnonzero(pos >= 0)
+        present = _rows(pos >= 0)
         at = pos[present]
         if not vectorized:
             builder = ColumnBuilder(ColumnType.BOOL)
@@ -463,7 +550,7 @@ def contains_kernel(key: object, value: object) -> Kernel:
         header = view.byte(at)
         # JSON null answers NULL, any other non-array FALSE
         nulls[present[header != _NULL_HEADER] + before] = False
-        on = np.flatnonzero(header >> 5 == fmt.TYPE_ARRAY)
+        on = _rows(header >> 5 == fmt.TYPE_ARRAY)
         if not on.size:
             return ColumnVector(ColumnType.BOOL, data, nulls)
         arrays = _Containers(view, at[on], header[on])
@@ -473,7 +560,7 @@ def contains_kernel(key: object, value: object) -> Kernel:
         elements = arrays.slot(view, index, owner)
         if target is not None:
             kind = view.byte(elements) >> 5
-            objects = np.flatnonzero(kind == fmt.TYPE_OBJECT)
+            objects = _rows(kind == fmt.TYPE_OBJECT)
             found = _find(view, _Containers(view, elements[objects],
                                             view.byte(elements[objects])),
                           target, hints, 0)[1]

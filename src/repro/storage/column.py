@@ -149,9 +149,14 @@ def null_vector(column_type: ColumnType, length: int) -> ColumnVector:
     """The all-NULL vector a :class:`ColumnBuilder` finishes to after
     *length* :meth:`~ColumnBuilder.append_null` calls (same type, same
     values under the mask)."""
-    data = np.full(length, _ZERO_FOR_TYPE[column_type],
-                   dtype=dtype_for(column_type))
-    return ColumnVector(column_type, data, np.ones(length, dtype=bool))
+    dtype = dtype_for(column_type)
+    # zeros are every numeric type's NULL value, and an empty object
+    # array holds None (``_ZERO_FOR_TYPE``)
+    data = np.empty(length, dtype=object) if dtype is object \
+        else np.zeros(length, dtype=dtype)
+    nulls = np.empty(length, dtype=bool)
+    nulls.fill(True)
+    return ColumnVector(column_type, data, nulls)
 
 
 def fits_int64(value: int) -> bool:

@@ -99,7 +99,7 @@ _OVERFLOW = 0xFFFFFFFF
 #: file size
 BLOB_KINDS = ("row_heap", "string_refs", "string_overflow",
               "fixed_columns", "null_bitmaps", "statistics", "bloom",
-              "insert_buffer")
+              "insert_buffer", "presence")
 
 
 class _BlobWriter:
@@ -112,6 +112,13 @@ class _BlobWriter:
         self._handle = handle
         self.index: List[List[int]] = []
         self.stored: Dict[str, int] = {}
+        #: tiles' hole bitmaps, gathered into one blob at the end
+        self.presence_parts: List[bytes] = []
+        self.presence_size = 0
+
+    def add_presence(self, bitmap: bytes) -> None:
+        self.presence_parts.append(bitmap)
+        self.presence_size += len(bitmap)
 
     def add(self, data: bytes, kind: str) -> int:
         packed = zlib.compress(data, _ZLIB_LEVEL)
@@ -433,11 +440,23 @@ def _tile_payload_meta(tile: Tile, blobs: _BlobWriter) -> dict:
         # one span): raw step lists, not path text, so keys with dots
         # or empty keys round-trip; container spans are re-derived at
         # load
-        groups: Dict[Tuple[int, int], list] = {}
+        groups: Dict[Tuple[int, int], List[KeyPath]] = {}
         for path, span in header.leaf_spans.items():
-            groups.setdefault(span, []).append(list(path.steps))
-        tile_meta["spans"] = [[first, end, *paths]
+            groups.setdefault(span, []).append(path)
+        tile_meta["spans"] = [[first, end, *(list(path.steps)
+                                             for path in paths)]
                               for (first, end), paths in groups.items()]
+        if header.leaf_holes:
+            # hole bitmaps: [offset, i, j, ...] where i, j, ... number
+            # the paths in the order "spans" lists them and their
+            # bitmaps lie back to back from *offset* in the file's one
+            # presence blob
+            order = [path for paths in groups.values() for path in paths]
+            numbered = [index for index, path in enumerate(order)
+                        if path in header.leaf_holes]
+            tile_meta["holes"] = [blobs.presence_size, *numbered]
+            for index in numbered:
+                blobs.add_presence(header.leaf_holes[order[index]])
     return tile_meta
 
 
@@ -450,9 +469,12 @@ def _tile_meta(tile, blobs: _BlobWriter) -> dict:
     return _tile_payload_meta(tile, blobs)
 
 
-def _restore_tile_header(meta: dict, blobs) -> TileHeader:
-    """The eagerly-resident part of a tile: schema, blooms, zone maps —
-    everything planning and tile skipping consult."""
+def _restore_tile_header(meta: dict, blobs,
+                         presence: Optional[bytes] = None) -> TileHeader:
+    """The eagerly-resident part of a tile: schema, blooms, zone maps,
+    row spans and presence — everything planning and tile skipping
+    consult.  *presence* is the file's presence blob, ``None`` for
+    files written before per-row presence: their spans count as full."""
     header = TileHeader(meta["tile_number"], meta["row_count"],
                         max_array_elements=meta["max_array_elements"],
                         # pre-LSM snapshots have no level key: level 0
@@ -481,9 +503,22 @@ def _restore_tile_header(meta: dict, blobs) -> TileHeader:
     # files written without row spans leave them None: those tiles
     # decode every row, as before spans existed
     if "spans" in meta:
-        header.set_leaf_spans({KeyPath(tuple(steps)): (first, end)
-                               for first, end, *paths in meta["spans"]
-                               for steps in paths})
+        spans = {KeyPath(tuple(steps)): (first, end)
+                 for first, end, *paths in meta["spans"] for steps in paths}
+        holes = None
+        if presence is not None:
+            # a file with presence lists the hole bitmaps of a tile
+            # whose spans have holes; no entry means none has
+            holes = {}
+            order = list(spans)
+            offset, *numbered = meta.get("holes", [0])
+            for index in numbered:
+                path = order[index]
+                first, end = spans[path]
+                size = (end - first + 7) // 8
+                holes[path] = presence[offset:offset + size]
+                offset += size
+        header.set_leaf_spans(spans, holes)
     return header
 
 
@@ -581,21 +616,22 @@ def _relation_meta(relation: Relation, blobs: _BlobWriter,
 
 
 def _restore_relation(meta: dict, source: _BlobSource,
-                      store: TileStore) -> Relation:
+                      store: TileStore,
+                      presence: Optional[bytes] = None) -> Relation:
     config = ExtractionConfig(**meta["config"])
     relation = Relation(meta["name"], StorageFormat(meta["format"]), config)
     relation.statistics = _restore_table_stats(meta["statistics"], source)
     relation.array_paths = [KeyPath.parse(p) for p in meta["array_paths"]]
     for path_text, child_meta in meta["children"].items():
         relation.children[path_text] = _restore_relation(
-            child_meta, source, store)
+            child_meta, source, store, presence)
     if "text_rows" in meta:
         relation.text_rows = [row.decode("utf-8") for row in
                               _decode_rows(source[meta["text_rows"]])]
     else:
         relation.text_rows = None
         for tile_meta in meta["tiles"]:
-            header = _restore_tile_header(tile_meta, source)
+            header = _restore_tile_header(tile_meta, source, presence)
             segment = TileSegment(tile_meta, source)
             handle = TileHandle.stored(header, tile_meta["first_row"],
                                        segment, store, relation.name)
@@ -648,6 +684,11 @@ def save_relation(relation: Relation, path: Union[str, Path],
         blobs = _BlobWriter(handle)
         catalog = _relation_meta(relation, blobs,
                                  rebinds if rebind else None)
+        # the hole bitmaps of every tile, as the file's last blob
+        # (empty when no span has holes: its presence alone tells a
+        # load that spans without bitmaps are full)
+        catalog["presence"] = blobs.add(b"".join(blobs.presence_parts),
+                                        "presence")
         catalog["codecs"] = list(CODECS)
         catalog["stored"] = blobs.stored
         catalog["blob_index"] = blobs.index
@@ -736,8 +777,12 @@ def load_relation(path: Union[str, Path],
     catalog, index = _open_catalog(path)
     source = _BlobSource(path, index)
     try:
+        # files written before per-row presence have no presence blob
+        presence = source[catalog["presence"]] \
+            if "presence" in catalog else None
         relation = _restore_relation(
-            catalog, source, store if store is not None else GLOBAL_TILE_STORE)
+            catalog, source, store if store is not None else GLOBAL_TILE_STORE,
+            presence)
     except (KeyError, IndexError, ValueError, struct.error) as exc:
         raise StorageError(f"{path} is corrupt: {exc}") from exc
     if "stored" in catalog:  # v1/v2 files carry no per-kind tally

@@ -473,12 +473,20 @@ class Relation:
             # a dirty handle is never evicted, so the patch can't be
             # lost to a reload of stale bytes
             handle.mark_dirty()
-            # widen the row spans before the new bytes are visible, so
-            # a concurrent scan never answers a new path NULL from them
+            old_paths = {path for path, _jtype in collect_key_paths(
+                jsonb_decode(tile.heap.row(local)),
+                self.config.max_array_elements)}
+            # widen the row spans and mark the row present before the
+            # new bytes are visible, so a concurrent scan never answers
+            # a new path NULL from them
             tile.header.widen_spans(new_paths, local)
             # a new immutable heap, swapped in with one store: a
             # concurrent scan holds either the old heap or this one
             tile.heap = tile.heap.replace(local, jsonb_encode(new_document))
+            # only now may the paths the old document alone held read
+            # absent: presence stays exact, and never too narrow
+            tile.header.clear_presence(old_paths.difference(new_paths),
+                                       local)
             # the only in-place tile mutation in the system: resolved
             # fallback columns cached for this tile are now stale
             GLOBAL_TILE_CACHE.invalidate_tile(handle.uid)

@@ -26,6 +26,7 @@ semantics for outliers.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -46,7 +47,15 @@ from repro.mining.dictionary import (
 from repro.stats.histogram import EquiDepthHistogram
 from repro.stats.table_stats import TileStatistics
 from repro.storage.column import ColumnBuilder, ColumnVector, dtype_for
-from repro.tiles.header import ExtractedColumn, Span, TileHeader, merge_span
+from repro.tiles.header import (
+    ExtractedColumn,
+    Span,
+    TileHeader,
+    merge_presence,
+    merge_span,
+    pack_rows,
+    unpack_rows,
+)
 from repro.tiles.tile import RowHeap, Tile
 
 
@@ -281,38 +290,47 @@ def _block_bounds(vector, block_rows: int, num_rows: int) -> List[Optional[list]
     return entries
 
 
-def _first_rows(transactions: Sequence[Sequence[int]], rows: Sequence[int],
-                num_items: int) -> List[int]:
-    """For each item id, the first row of *rows* (in that order) whose
-    transaction holds it; stops as soon as every item has been seen."""
-    found = [0] * num_items
-    unseen = set(range(num_items))
-    for row in rows:
-        hit = unseen.intersection(transactions[row])
-        if hit:
-            for item_id in hit:
-                found[item_id] = row
-            unseen -= hit
-            if not unseen:
-                break
-    return found
-
-
-def leaf_spans(dictionary: ItemDictionary,
-               transactions: Sequence[Sequence[int]]) -> Dict[KeyPath, Span]:
-    """Row span ``[first, end)`` of every non-root key path in a tile's
-    (dictionary, transactions) pair — one forward and one backward scan
-    over the transactions the tile build already holds, each stopping
-    once every item has been seen.  Types of one path share its span."""
-    num_items = len(dictionary)
-    count = len(transactions)
-    first = _first_rows(transactions, range(count), num_items)
-    last = _first_rows(transactions, range(count - 1, -1, -1), num_items)
-    spans: Dict[KeyPath, Span] = {}
+def leaf_presence(dictionary: ItemDictionary,
+                  transactions: Sequence[Sequence[int]]
+                  ) -> Tuple[Dict[KeyPath, Span], Dict[KeyPath, bytes]]:
+    """Per-row key presence of a tile's (dictionary, transactions)
+    pair, the input the tile build already holds: the row span
+    ``[first, end)`` of every non-root key path, and the
+    :func:`~repro.tiles.header.pack_rows` bitmap of each path whose
+    span has rows without it.  Types of one path share its rows (a
+    document holds one value per path)."""
+    num_rows = len(transactions)
+    path_ids: Dict[KeyPath, int] = {}
+    item_paths = np.full(len(dictionary), -1, dtype=np.int64)
     for (path, _jtype), item_id in dictionary.items():
         if path.steps:
-            merge_span(spans, path, (first[item_id], last[item_id] + 1))
-    return spans
+            item_paths[item_id] = path_ids.setdefault(path, len(path_ids))
+    lengths = np.fromiter(map(len, transactions), dtype=np.int64,
+                          count=num_rows)
+    items = np.fromiter(itertools.chain.from_iterable(transactions),
+                        dtype=np.int64, count=int(lengths.sum()))
+    rows = np.repeat(np.arange(num_rows, dtype=np.int64), lengths)
+    paths = item_paths[items]
+    if len(path_ids) < np.iinfo(np.int16).max:
+        paths = paths.astype(np.int16)  # numpy radix-sorts 16-bit keys
+    # rows are ascending within each path after a stable sort
+    order = np.argsort(paths, kind="stable")
+    paths, rows = paths[order], rows[order]
+    bounds = np.searchsorted(paths, np.arange(-1, len(path_ids) + 1))
+    lo, hi = bounds[1:-1], bounds[2:]
+    first = rows[lo]
+    end = rows[hi - 1] + 1
+    spans: Dict[KeyPath, Span] = {}
+    holes: Dict[KeyPath, bytes] = {}
+    sparse = set(np.flatnonzero(hi - lo < end - first).tolist())
+    for path, index in path_ids.items():
+        start, stop = int(first[index]), int(end[index])
+        spans[path] = (start, stop)
+        if index in sparse:
+            bits = np.zeros(stop - start, dtype=bool)
+            bits[rows[lo[index]:hi[index]] - start] = True
+            holes[path] = pack_rows(bits)
+    return spans, holes
 
 
 def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
@@ -350,7 +368,7 @@ def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
     if config.max_array_elements > 0:
         # with a zero cap a non-empty array records no item at all, so
         # "not recorded" would no longer mean "absent"
-        header.set_leaf_spans(leaf_spans(dictionary, transactions))
+        header.set_leaf_spans(*leaf_presence(dictionary, transactions))
     header.key_counts = dictionary.key_counts()
     for path_text, count in header.key_counts.items():
         header.statistics.observe_key(path_text, count)
@@ -443,9 +461,19 @@ def extend_tile(tail: Tile, documents: Sequence[object],
                         level=head.level)
     if head.leaf_spans is not None and added.leaf_spans is not None:
         spans = dict(head.leaf_spans)
-        for path, (first, end) in added.leaf_spans.items():
-            merge_span(spans, path, (first + offset, end + offset))
-        header.set_leaf_spans(spans)
+        if head.leaf_holes is None or added.leaf_holes is None:
+            holes = None
+            for path, (first, end) in added.leaf_spans.items():
+                merge_span(spans, path, (first + offset, end + offset))
+        else:
+            holes = dict(head.leaf_holes)
+            for path, span in added.leaf_spans.items():
+                packed = added.leaf_holes.get(path)
+                merge_presence(
+                    spans, holes, path, (span[0] + offset, span[1] + offset),
+                    None if packed is None
+                    else unpack_rows(packed, span[1] - span[0]))
+        header.set_leaf_spans(spans, holes)
     header.key_counts = combined_key_counts([head.key_counts,
                                              added.key_counts])
     header.statistics.key_counts = dict(header.key_counts)

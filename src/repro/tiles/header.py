@@ -11,12 +11,17 @@ Row spans (DESIGN.md §5i) extend what the header has seen from "which
 paths" to "which rows": every key path maps to the half-open range
 ``[first, end)`` of tile rows that contain it, so a scan decodes only
 that range and answers an absent path NULL without opening a document.
+A leaf path whose span has holes also keeps a bitmap of the span's rows
+that contain it, so :meth:`TileHeader.rows_of` knows every path's rows
+exactly and a scan drops the rows that lack a null-rejected path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.jsonpath import KeyPath
 from repro.core.types import ColumnType, JsonType
@@ -54,6 +59,54 @@ def merge_span(spans: Dict[KeyPath, Span], path: KeyPath, span: Span) -> None:
         spans[path] = span
     elif span[0] < old[0] or span[1] > old[1]:
         spans[path] = (min(old[0], span[0]), max(old[1], span[1]))
+
+
+def pack_rows(bits: np.ndarray) -> bytes:
+    """A hole bitmap: the ``bool`` rows of a span, packed 8 per byte
+    (row ``first + i`` is bit ``i % 8`` of byte ``i // 8``)."""
+    return np.packbits(bits, bitorder="little").tobytes()
+
+
+def unpack_rows(packed: bytes, rows: int) -> np.ndarray:
+    """The *rows* ``bool`` entries of a :func:`pack_rows` bitmap."""
+    return np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
+                         count=rows, bitorder="little").view(bool)
+
+
+def span_rows(span: Span, holes: Optional[bytes]) -> np.ndarray:
+    """The ``bool`` rows of *span* that contain its path: all of them,
+    or the ones its hole bitmap marks."""
+    first, end = span
+    if holes is None:
+        return np.ones(end - first, dtype=bool)
+    return unpack_rows(holes, end - first)
+
+
+def merge_presence(spans: Dict[KeyPath, Span], holes: Dict[KeyPath, bytes],
+                   path: KeyPath, span: Span,
+                   bits: Optional[np.ndarray]) -> None:
+    """Add the rows *bits* of *span* (``None``: all of them) to *path*'s
+    presence in (*spans*, *holes*): the span widens to cover both, and
+    the path keeps a hole bitmap exactly when a row of the widened span
+    lacks it."""
+    old = spans.get(path)
+    if old is None:
+        spans[path] = span
+        if bits is not None and not bits.all():
+            holes[path] = pack_rows(bits)
+        return
+    first, end = min(old[0], span[0]), max(old[1], span[1])
+    if (first, end) == old and path not in holes:
+        return  # every row of the span already contains the path
+    merged = np.zeros(end - first, dtype=bool)
+    merged[old[0] - first:old[1] - first] = span_rows(old, holes.get(path))
+    new = merged[span[0] - first:span[1] - first]
+    new |= True if bits is None else bits
+    spans[path] = (first, end)
+    if merged.all():
+        holes.pop(path, None)
+    else:
+        holes[path] = pack_rows(merged)
 
 
 @dataclass
@@ -104,30 +157,133 @@ class TileHeader:
         #: rows per bound-block (the extraction config's ``tile_size``
         #: at build time); 0 means no block bounds were recorded
         self.block_bounds_rows: int = 0
-        #: row span ``[first, end)`` of every recorded (non-root) leaf
-        #: path — what persists — and of those leaves plus their
-        #: container ancestors (:func:`fold_spans`) — what scans read.
-        #: ``None`` for tiles restored from files written without
-        #: spans: every path then spans the whole tile.
-        self.leaf_spans: Optional[Dict[KeyPath, Span]] = None
-        self.spans: Optional[Dict[KeyPath, Span]] = None
+        #: ``(leaf_spans, spans, leaf_holes, rows_of cache)``, replaced
+        #: as a whole on every change (copy on write), so a concurrent
+        #: scan always reads one consistent state; see the properties
+        self._presence: Tuple[Optional[Dict[KeyPath, Span]],
+                              Optional[Dict[KeyPath, Span]],
+                              Optional[Dict[KeyPath, bytes]],
+                              Dict[KeyPath, np.ndarray]] = \
+            (None, None, None, {})
 
-    def set_leaf_spans(self, leaf_spans: Dict[KeyPath, Span]) -> None:
-        self.leaf_spans = leaf_spans
-        self.spans = fold_spans(leaf_spans)
+    @property
+    def leaf_spans(self) -> Optional[Dict[KeyPath, Span]]:
+        """Row span ``[first, end)`` of every recorded (non-root) leaf
+        path — what persists.  ``None`` for tiles restored from files
+        written without spans: every path then spans the whole tile."""
+        return self._presence[0]
+
+    @leaf_spans.setter
+    def leaf_spans(self, value: Optional[Dict[KeyPath, Span]]) -> None:
+        _old, spans, holes, _cache = self._presence
+        self._presence = (value, spans, holes, {})
+
+    @property
+    def spans(self) -> Optional[Dict[KeyPath, Span]]:
+        """The leaf spans plus their container ancestors'
+        (:func:`fold_spans`) — what scans read."""
+        return self._presence[1]
+
+    @spans.setter
+    def spans(self, value: Optional[Dict[KeyPath, Span]]) -> None:
+        leaf_spans, _old, holes, _cache = self._presence
+        self._presence = (leaf_spans, value, holes, {})
+
+    @property
+    def leaf_holes(self) -> Optional[Dict[KeyPath, bytes]]:
+        """Per-row key presence (DESIGN.md §5i): the :func:`pack_rows`
+        bitmap over its span of every leaf path whose span has holes;
+        a leaf path without an entry is in every row of its span.
+        ``None`` when only the spans are known (files written before
+        presence, hand-set spans): each span then counts as full,
+        which over-approximates the rows and stays sound."""
+        return self._presence[2]
+
+    def set_leaf_spans(self, leaf_spans: Dict[KeyPath, Span],
+                       holes: Optional[Dict[KeyPath, bytes]] = None) -> None:
+        self._presence = (leaf_spans, fold_spans(leaf_spans), holes, {})
 
     def widen_spans(self, paths: Iterable[KeyPath], row: int) -> None:
         """Row *row* now contains *paths* (an in-place update): widen
-        their spans and their ancestors'.  Spans never shrink — a
-        stale-wide span only costs decode work, never a wrong NULL."""
-        if self.spans is None:
+        their spans and their ancestors', and mark the row present.
+        Spans never shrink — a stale-wide span only costs decode work,
+        never a wrong NULL."""
+        leaf_spans, spans, holes, _cache = self._presence
+        if spans is None:
             return
+        leaf_spans, spans = dict(leaf_spans), dict(spans)
+        holes = None if holes is None else dict(holes)
         span = (row, row + 1)
         for path in paths:
             if path.steps:
-                merge_span(self.leaf_spans, path, span)
-                merge_span(self.spans, path, span)
-                _merge_into_ancestors(self.spans, path, span)
+                if holes is None:
+                    merge_span(leaf_spans, path, span)
+                else:
+                    merge_presence(leaf_spans, holes, path, span, None)
+                merge_span(spans, path, span)
+                _merge_into_ancestors(spans, path, span)
+        self._presence = (leaf_spans, spans, holes, {})
+
+    def clear_presence(self, paths: Iterable[KeyPath], row: int) -> None:
+        """Row *row* no longer contains *paths* (leaf paths of the
+        document an update replaced): mark the row absent in their hole
+        bitmaps.  The spans stay as wide as they were."""
+        leaf_spans, spans, holes, _cache = self._presence
+        if holes is None or leaf_spans is None:
+            return
+        holes = dict(holes)
+        for path in paths:
+            span = leaf_spans.get(path)
+            if span is None or not span[0] <= row < span[1]:
+                continue
+            bits = span_rows(span, holes.get(path))
+            bits[row - span[0]] = False
+            holes[path] = pack_rows(bits)
+        self._presence = (leaf_spans, spans, holes, {})
+
+    def rows_of(self, path: KeyPath) -> np.ndarray:
+        """The rows of the tile that contain *path*, as a read-only
+        ``bool`` mask over the tile.
+
+        Exact for every recorded path: a leaf's span and hole bitmap,
+        a container's union of its own rows (an empty object or array)
+        and every descendant leaf's.  A path with an array step outside
+        ``[0, max_array_elements)`` takes its nearest recorded
+        ancestor's rows, as :meth:`span_of` takes its span; any other
+        unrecorded path is in no row.  Without spans every row counts;
+        without hole bitmaps every row of the span counts.
+        """
+        state = self._presence
+        if state[1] is None or not path.steps:
+            return np.ones(self.row_count, dtype=bool)
+        rows = state[3].get(path)
+        if rows is None:
+            rows = self._compute_rows(state, path)
+            rows.flags.writeable = False
+            state[3][path] = rows
+        return rows
+
+    def _compute_rows(self, state, path: KeyPath) -> np.ndarray:
+        leaf_spans, spans, holes, _cache = state
+        rows = np.zeros(self.row_count, dtype=bool)
+        span = spans.get(path)
+        if span is None:
+            if self.span_of(path) != EMPTY_SPAN:
+                # past the collection cap: the ancestor's rows
+                current = path.parent()
+                while current.steps and current not in spans:
+                    current = current.parent()
+                return self.rows_of(current).copy()
+            return rows
+        if holes is None or (leaf_spans.get(path) == span
+                             and path not in holes):
+            rows[span[0]:span[1]] = True
+            return rows
+        for leaf, leaf_span in leaf_spans.items():
+            if leaf.startswith(path):
+                rows[leaf_span[0]:leaf_span[1]] |= span_rows(
+                    leaf_span, holes.get(leaf))
+        return rows
 
     def span_of(self, path: KeyPath) -> Span:
         """Rows ``[first, end)`` outside which no row contains *path*.

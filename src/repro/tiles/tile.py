@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.jsonpath import KeyPath
+from repro.jsonb.vector_shred import HeapView
 from repro.storage.column import ColumnVector
 from repro.tiles.header import TileHeader
 
@@ -53,12 +54,21 @@ class RowHeap:
     build a new one, so a reader holding the old heap keeps a
     consistent view."""
 
-    __slots__ = ("buf", "starts", "ends")
+    __slots__ = ("buf", "starts", "ends", "_view")
 
     def __init__(self, buf: bytes, starts: np.ndarray, ends: np.ndarray):
         self.buf = buf
         self.starts = starts
         self.ends = ends
+        self._view: Optional[HeapView] = None
+
+    def view(self) -> HeapView:
+        """The numpy views the fallback kernels read the heap through,
+        made on first use (the heap never changes)."""
+        view = self._view
+        if view is None:
+            view = self._view = HeapView(self.buf)
+        return view
 
     @classmethod
     def from_rows(cls, rows: Sequence[bytes]) -> "RowHeap":

@@ -167,20 +167,25 @@ class TestSchemaPin:
 
 #: sha256 of the checkpointed ``yelp.jtile`` below: load-path
 #: optimizations must not move the stored file by a single byte.  This
-#: is the format v3 file; it is byte-identical to the format v2 file
-#: the previous load path wrote (sha256 76eb369e…), loaded and saved
-#: again, so only the encoding moved with v3
+#: is the format v3 file with per-row presence (sha256 bd92a21b… before
+#: it, equal to this one with presence stripped); that file is
+#: byte-identical to the format v2 file the previous load path wrote
+#: (sha256 76eb369e…), loaded and saved again, so only the encoding
+#: moved with v3
 GOLDEN_YELP_JTILE = \
-    "bd92a21b6af77a94d9094439d317dd3c89eefa897a39d8358923ea924557a2bf"
-#: the same file with the catalog's ``spans`` entries removed: row
+    "c8f5b70c4020754f603cc4a12746f19e7239a32e53935a749ff6f866e5987964"
+#: the same file with the catalog's ``spans`` entries and the per-row
+#: presence (the ``holes`` entries and the presence blob) removed: row
 #: spans live in the catalog only, never in a blob
 GOLDEN_YELP_JTILE_WITHOUT_SPANS = \
     "f7f3e292cbb554fcf0c0c16980e70203057c800693041467f799c27da6cac23c"
 
 
 def _strip_spans(data: bytes) -> bytes:
-    """The ``.jtile`` bytes with every tile's ``spans`` catalog entry
-    removed (blobs precede the catalog, so only the footer changes)."""
+    """The ``.jtile`` bytes with every tile's ``spans`` and ``holes``
+    catalog entries and the file's presence blob removed.  The presence
+    blob is the last one, right before the catalog, so the blobs ahead
+    of it keep their offsets and ids."""
     magic = data[-5:]
     (footer_len,) = struct.unpack("<Q", data[-13:-5])
     footer_start = len(data) - 13 - footer_len
@@ -189,12 +194,17 @@ def _strip_spans(data: bytes) -> bytes:
     def strip(relation):
         for tile in relation.get("tiles", []):
             tile.pop("spans", None)
+            tile.pop("holes", None)
         for child in relation["children"].values():
             strip(child)
 
     strip(catalog)
+    presence = catalog.pop("presence")
+    assert presence == len(catalog["blob_index"]) - 1
+    blobs_end = catalog["blob_index"].pop()[0]
+    catalog["stored"].pop("presence")
     footer = json.dumps(catalog, separators=(",", ":")).encode("utf-8")
-    return (data[:footer_start] + footer
+    return (data[:blobs_end] + footer
             + struct.pack("<Q", len(footer)) + magic)
 
 

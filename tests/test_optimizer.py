@@ -171,7 +171,10 @@ class TestSkipPathDerivation:
         planned = {s.alias: PlannedScan(s) for s in block.sources}
         edges, residuals = planner._classify_predicates(block, planned)
         planner._derive_skip_paths(block, planned, edges, residuals)
+        # predicate-derived paths and the per-aggregate groups alike
         return {alias: {str(p) for p in item.skip_paths}
+                | {str(p) for group in item.aggregate_skip_paths
+                   for p in group}
                 for alias, item in planned.items()}
 
     def test_predicates_reject(self, db):

@@ -239,8 +239,9 @@ class TestTilesEqualJsonb:
 class TestAccounting:
     """With every conjunct late (no selection vector) and the tile cache
     off, the spans move (tuple, path) resolutions from JSONB visits to
-    header NULLs and change nothing else: the sum equals the visits
-    without spans."""
+    header NULLs, and row presence those of rows lacking a skip path to
+    ``presence_rows_skipped``, and change nothing else: the sum equals
+    the visits without spans."""
 
     @pytest.mark.parametrize("name", ["tpch", "twitter", "yelp"])
     def test_lookups_plus_header_nulls_equal_unspanned_lookups(self, name):
@@ -257,8 +258,8 @@ class TestAccounting:
             assert with_spans.rows == without.rows, query
             got, base = with_spans.counters, without.counters
             assert base.header_nulls == 0, query
-            assert got.fallback_lookups + got.header_nulls == \
-                base.fallback_lookups, query
+            assert got.fallback_lookups + got.header_nulls \
+                + got.presence_rows_skipped == base.fallback_lookups, query
             assert got.tiles_skipped == base.tiles_skipped, query
             assert got.rows_scanned == base.rows_scanned, query
 

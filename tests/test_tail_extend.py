@@ -112,6 +112,7 @@ def tile_facts(tile) -> dict:
                     for path, meta in header.columns.items()],
         "key_counts": header.key_counts,
         "spans": header.leaf_spans,
+        "holes": header.leaf_holes,
         "bloom": header.unextracted_paths.bits.tolist(),
         "stats": {str(path): (stats.non_null_count,
                               as_text([stats.min_value, stats.max_value]),
