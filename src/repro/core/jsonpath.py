@@ -33,7 +33,7 @@ class KeyPath:
     tile headers, itemset mining and the query engine.
     """
 
-    __slots__ = ("steps", "_hash")
+    __slots__ = ("steps", "_hash", "_text")
 
     def __init__(self, steps: Tuple[Step, ...] = ()):
         for step in steps:
@@ -41,6 +41,8 @@ class KeyPath:
                 raise TypeError(f"invalid key path step: {step!r}")
         self.steps = tuple(steps)
         self._hash = hash(self.steps)
+        #: the textual form, rendered on first use
+        self._text: Optional[str] = None
 
     @classmethod
     def parse(cls, text: str) -> "KeyPath":
@@ -127,15 +129,18 @@ class KeyPath:
         return str(self) < str(other)
 
     def __str__(self) -> str:
-        parts: List[str] = []
-        for step in self.steps:
-            if isinstance(step, int):
-                parts.append(f"[{step}]")
-            else:
-                if parts:
-                    parts.append(".")
-                parts.append(_escape(step))
-        return "".join(parts)
+        text = self._text
+        if text is None:
+            parts: List[str] = []
+            for step in self.steps:
+                if isinstance(step, int):
+                    parts.append(f"[{step}]")
+                else:
+                    if parts:
+                        parts.append(".")
+                    parts.append(_escape(step))
+            text = self._text = "".join(parts)
+        return text
 
     def __repr__(self) -> str:
         return f"KeyPath({str(self)!r})"

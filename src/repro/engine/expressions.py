@@ -13,6 +13,7 @@ optimizer uses this to derive the tile-skipping property of Section
 
 from __future__ import annotations
 
+import copy
 import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -94,6 +95,40 @@ class ColumnRef(Expression):
 
     def __repr__(self) -> str:
         return f"ColumnRef({self.name})"
+
+
+def substitute(expr: Expression,
+               replacements: Dict[int, Expression]) -> Expression:
+    """*expr* with every node whose ``id`` is in *replacements* swapped
+    for its replacement.  Never modifies *expr*: subtrees without a
+    replaced node are shared, the others are shallow copies."""
+    replacement = replacements.get(id(expr))
+    if replacement is not None:
+        return replacement
+    changed = {}
+    for name, value in vars(expr).items():
+        fresh = _substitute_value(value, replacements)
+        if fresh is not value:
+            changed[name] = fresh
+    if not changed:
+        return expr
+    clone = copy.copy(expr)
+    vars(clone).update(changed)
+    return clone
+
+
+def _substitute_value(value: object,
+                      replacements: Dict[int, Expression]) -> object:
+    """:func:`substitute` through attribute values: expressions, and
+    lists / tuples of them (``Case.branches``, ``Coalesce.operands``)."""
+    if isinstance(value, Expression):
+        return substitute(value, replacements)
+    if isinstance(value, (list, tuple)):
+        items = [_substitute_value(item, replacements) for item in value]
+        if all(new is old for new, old in zip(items, value)):
+            return value
+        return type(value)(items)
+    return value
 
 
 def _combined_nulls(vectors: Sequence[ColumnVector]) -> np.ndarray:

@@ -704,16 +704,18 @@ class _SingleKeyState:
         keys = key_vector.data
         group_ids, key_values = self.group_ids, self.key_values
         if keys.dtype == object:
-            local = np.empty(batch.length, dtype=np.int64)
-            for row in range(batch.length):
-                value = (None if key_vector.null_mask[row]
-                         else keys[row])
-                gid = group_ids.get(value)
-                if gid is None:
-                    gid = len(key_values)
-                    group_ids[value] = gid
+            nulls = key_vector.null_mask
+            values = (np.where(nulls, None, keys) if nulls.any()
+                      else keys).tolist()
+            # dict.fromkeys keeps the first of equal keys, in order of
+            # appearance, under dict equality (1 == 1.0 == True; a NaN
+            # object matches only itself): gids by first appearance
+            for value in dict.fromkeys(values):
+                if value not in group_ids:
+                    group_ids[value] = len(key_values)
                     key_values.append(value)
-                local[row] = gid
+            local = np.fromiter(map(group_ids.__getitem__, values),
+                                dtype=np.int64, count=len(values))
         else:
             # factorize the non-null keys fully vectorized; NULL
             # keys get a dedicated sentinel group (never let the

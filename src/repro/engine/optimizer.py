@@ -3,14 +3,16 @@
 The optimizer turns a :class:`QueryBlock` into a physical operator
 tree:
 
-1. uncorrelated scalar subqueries are evaluated eagerly;
+1. uncorrelated scalar subqueries are evaluated eagerly, into a copy
+   of the block (a bound block is never written, so it can be cached
+   and shared by concurrent executions);
 2. WHERE conjuncts are classified into single-source scan filters,
    equi-join edges and residual predicates;
-3. base cardinalities come from the tile statistics — key-path
-   frequency counters give the presence fraction (crucial on combined
-   relations, where one physical table holds many document types) and
-   HyperLogLog sketches give distinct counts for equality and join
-   estimates;
+3. base cardinalities of joined sources come from the tile statistics
+   — key-path frequency counters give the presence fraction (crucial on
+   combined relations, where one physical table holds many document
+   types) and HyperLogLog sketches give distinct counts for equality
+   and join estimates;
 4. join orders are enumerated with dynamic programming over connected
    subsets, minimizing the sum of intermediate cardinalities (C_out);
    with ``use_statistics=False`` the FROM-clause order is kept, which
@@ -22,6 +24,7 @@ tree:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -52,6 +55,20 @@ from repro.engine.plan import (
 )
 from repro.engine.scan import ROWID_PATH, RangePrune, TableScan
 from repro.errors import ExecutionError
+
+
+class ScalarResult(ex.Expression):
+    """One execution's result of an uncorrelated scalar subquery.  It
+    evaluates like a literal but is not an :class:`ex.Literal`, so the
+    plan around it (selectivities, zone-map prunes) is the one the
+    unresolved subquery gets."""
+
+    def __init__(self, value: object, result_type: ColumnType):
+        self.value = value
+        self.result_type = result_type
+
+    def evaluate(self, batch):
+        return ex.Literal(self.value, self.result_type).evaluate(batch)
 
 
 class PlannedScan:
@@ -87,13 +104,15 @@ class Planner:
     # ------------------------------------------------------------------
 
     def plan_block(self, block: QueryBlock, raw: bool = False) -> Operator:
-        self._resolve_scalar_subqueries(block)
+        block = self._resolve_scalar_subqueries(block)
         planned = {source.alias: PlannedScan(source)
                    for source in block.sources}
         join_edges, residuals = self._classify_predicates(block, planned)
         self._derive_skip_paths(block, planned, join_edges, residuals)
-        for item in planned.values():
-            item.cardinality = self._estimate_source(item)
+        if len(block.sources) > 1:
+            # only join ordering reads the cardinalities
+            for item in planned.values():
+                item.cardinality = self._estimate_source(item)
 
         tree, tree_aliases = self._join_tree(block, planned, join_edges)
 
@@ -168,26 +187,20 @@ class Planner:
     # ------------------------------------------------------------------
     # scalar subqueries
 
-    def _resolve_scalar_subqueries(self, block: QueryBlock) -> None:
+    def _resolve_scalar_subqueries(self, block: QueryBlock) -> QueryBlock:
+        """Run every uncorrelated scalar subquery of *block* and return
+        the block with each one replaced by its result.  The bound
+        block itself is never written: a cached block is shared by
+        repeated and concurrent executions, each of which must see its
+        own subquery result.  A block without subqueries is returned
+        as is; one with them is copied where they occur."""
         from repro.sql.binder import UnresolvedScalarExpr
 
+        found: Dict[int, UnresolvedScalarExpr] = {}
+
         def visit(expr: ex.Expression) -> None:
-            if isinstance(expr, UnresolvedScalarExpr) and \
-                    not hasattr(expr, "resolved_value"):
-                sub_planner = Planner(self.options)
-                result = sub_planner.plan_block(expr.block).materialize()
-                self.scans.extend(sub_planner.scans)
-                self.kernel_ops.extend(sub_planner.kernel_ops)
-                if result is None or result.length == 0:
-                    value = None
-                else:
-                    value = result.column(expr.block.select[0][0]).value(0)
-                expr.resolved_value = value
-
-                def evaluate(batch, _value=value, _type=expr.result_type):
-                    return ex.Literal(_value, _type).evaluate(batch)
-
-                expr.evaluate = evaluate  # type: ignore[assignment]
+            if isinstance(expr, UnresolvedScalarExpr):
+                found.setdefault(id(expr), expr)
             for child in expr.children():
                 visit(child)
 
@@ -200,6 +213,32 @@ class Planner:
         for source in block.sources:
             for flt in source.filters:
                 visit(flt)
+        if not found:
+            return block
+
+        replacements: Dict[int, ex.Expression] = {}
+        for key, expr in found.items():
+            sub_planner = Planner(self.options)
+            result = sub_planner.plan_block(expr.block).materialize()
+            self.scans.extend(sub_planner.scans)
+            self.kernel_ops.extend(sub_planner.kernel_ops)
+            if result is None or result.length == 0:
+                value = None
+            else:
+                value = result.column(expr.block.select[0][0]).value(0)
+            replacements[key] = ScalarResult(value, expr.result_type)
+
+        def sub(expr: ex.Expression) -> ex.Expression:
+            return ex.substitute(expr, replacements)
+
+        return dataclasses.replace(
+            block,
+            predicates=[sub(predicate) for predicate in block.predicates],
+            select=[(name, sub(expr)) for name, expr in block.select],
+            having=None if block.having is None else sub(block.having),
+            sources=[dataclasses.replace(
+                         source, filters=[sub(flt) for flt in source.filters])
+                     for source in block.sources])
 
     # ------------------------------------------------------------------
     # predicate classification

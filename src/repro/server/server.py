@@ -815,6 +815,7 @@ class JsonTilesServer:
         return protocol.ok_response(
             request_id, tables=tables, counters=counters,
             cache=GLOBAL_TILE_CACHE.stats(),
+            statements=self.db.statement_cache_stats(),
             residency=GLOBAL_TILE_STORE.stats(), pool=pool,
             uptime_s=round(uptime, 3), role=self.role,
             read_only=self.read_only, **extra)

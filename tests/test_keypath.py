@@ -1,9 +1,33 @@
 """Tests for typed key paths (repro.core.jsonpath)."""
 
-import pytest
+import functools
+from typing import List
 
-from repro.core.jsonpath import KeyPath, collect_key_paths
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.jsonpath import KeyPath, _escape, collect_key_paths
 from repro.core.types import JsonType
+
+
+def rendered(path: KeyPath) -> str:
+    """The textual form, rendered afresh (no cached text)."""
+    parts: List[str] = []
+    for step in path.steps:
+        if isinstance(step, int):
+            parts.append(f"[{step}]")
+        else:
+            if parts:
+                parts.append(".")
+            parts.append(_escape(step))
+    return "".join(parts)
+
+
+#: keys with the characters the textual form escapes
+_KEYS = st.text(alphabet="ab.[]\\0", max_size=4)
+_PATHS = st.lists(st.one_of(_KEYS, st.integers(0, 12)),
+                  max_size=4).map(lambda steps: KeyPath(tuple(steps)))
 
 
 class TestKeyPathBasics:
@@ -51,6 +75,31 @@ class TestKeyPathBasics:
             KeyPath((1.5,))
         with pytest.raises(TypeError):
             KeyPath((True,))
+
+
+class TestCachedText:
+    """``str`` is rendered once per path; ordering is still the order
+    of the freshly rendered text."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_PATHS, max_size=12))
+    def test_sort_order_equals_rendered_text_order(self, paths):
+        by_text = sorted(paths, key=functools.cmp_to_key(
+            lambda a, b: (rendered(a) > rendered(b))
+            - (rendered(a) < rendered(b))))
+        assert [rendered(p) for p in sorted(paths)] == \
+            [rendered(p) for p in by_text]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_PATHS, _PATHS)
+    def test_lt_and_str_match_fresh_rendering(self, left, right):
+        assert (left < right) == (rendered(left) < rendered(right))
+        assert str(left) == rendered(left)
+        assert str(left) == rendered(left)  # the cached text, again
+
+    def test_text_is_rendered_once(self):
+        path = KeyPath(("entities", "hashtags", 0, "text"))
+        assert str(path) is str(path)
 
 
 class TestKeyPathLookup:

@@ -1,11 +1,13 @@
 """Focused tests for scan-time cast rewriting paths (Section 4.3/4.5)."""
 
+import numpy as np
 import pytest
 
 from repro.core.jsonpath import KeyPath
 from repro.core.types import ColumnType
 from repro.engine.batch import concat_batches
-from repro.engine.scan import AccessRequest, TableScan
+from repro.engine.scan import (AccessRequest, TableScan, _float64_to_text,
+                               _int64_to_text)
 from repro.mining.dictionary import encode_documents, subset_dictionary
 from repro.storage import StorageFormat, load_documents
 from repro.tiles import ExtractionConfig
@@ -145,3 +147,38 @@ class TestVectorizedTextRendering:
                                       storage_format=StorageFormat.JSONB)
         assert counters.fallback_lookups == len(docs)
         assert direct == fallback
+
+
+class TestNumberTextKernels:
+    """``_int64_to_text`` / ``_float64_to_text`` equal the
+    ``np.char.mod("%d")`` rendering they replaced, value for value."""
+
+    INT64 = [0, 1, -1, 7, -7, 10, -10, 123456789, 2**31, -(2**31),
+             2**53 + 1, 2**62, -(2**62), 2**63 - 1, -(2**63)]
+
+    def test_int64_extremes(self):
+        data = np.array(self.INT64, dtype=np.int64)
+        out = _int64_to_text(data)
+        assert out.dtype == object
+        assert out.tolist() == [str(n) for n in self.INT64]
+        assert out.tolist() == np.char.mod("%d", data).tolist()
+
+    def test_int64_empty(self):
+        out = _int64_to_text(np.zeros(0, dtype=np.int64))
+        assert out.dtype == object and len(out) == 0
+
+    def test_integral_floats_up_to_2_pow_63(self):
+        values = [0.0, -0.0, 1.0, -1.0, 1e15, -1e15, 2.0**52, 2.0**53,
+                  2.0**62, -(2.0**62), 2.0**63 - 1024, -(2.0**63),
+                  2.0**63, 1e20, -1e20]
+        data = np.array(values, dtype=np.float64)
+        assert _float64_to_text(data).tolist() == \
+            [str(int(value)) for value in values]
+        small = np.abs(data) < 2.0**63
+        assert _float64_to_text(data[small]).tolist() == np.char.mod(
+            "%d", data[small].astype(np.int64)).tolist()
+
+    def test_fractional_and_special_floats(self):
+        values = [0.5, -2.25, 1e-300, float("inf"), float("-inf")]
+        out = _float64_to_text(np.array(values, dtype=np.float64))
+        assert out.tolist() == [repr(value) for value in values]
