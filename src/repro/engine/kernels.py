@@ -98,7 +98,7 @@ def factorize(vector: ColumnVector) -> Optional[Factorized]:
             if any(isinstance(v, float) and v != v for v in values):
                 return None
         else:
-            values = [v.item() for v in uniques]
+            values = uniques.tolist()
     except TypeError:
         return None  # mixed incomparable types (e.g. str vs int)
     codes = np.full(n, len(values), dtype=np.int64)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from functools import partial as _bind
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +29,6 @@ from repro.engine.batch import Batch, concat_batches
 from repro.engine.expressions import Expression
 from repro.engine.kernels import (GroupByKernel, JoinCodeIndex,
                                   lexsort_indices, masked_sum)
-from repro.engine.morsels import run_ordered
 from repro.engine.scan import ScanCounters
 from repro.errors import ExecutionError
 from repro.storage.column import ColumnVector
@@ -548,8 +546,7 @@ class HashAggregateOp(Operator):
                 piece.update(batch)
                 return piece
 
-            pieces = run_ordered([_bind(task, morsel) for morsel in morsels],
-                                 scan.parallelism)
+            pieces = scan.run_morsels(task, morsels)
             for piece in pieces:
                 if piece is not None:
                     state.merge(piece)
@@ -576,8 +573,7 @@ class HashAggregateOp(Operator):
                 self._scalar_update(piece, batch)
                 return piece
 
-            pieces = run_ordered([_bind(task, morsel) for morsel in morsels],
-                                 scan.parallelism)
+            pieces = scan.run_morsels(task, morsels)
             for piece in pieces:
                 if piece is not None:
                     self._merge_scalar(states, piece)
@@ -1018,8 +1014,7 @@ class TopKOp(Operator):
             picks.sort()
             return batch.take(np.array(picks, dtype=np.int64))
 
-        pieces = run_ordered([_bind(task, morsel) for morsel in morsels],
-                             scan.parallelism)
+        pieces = scan.run_morsels(task, morsels)
         return [piece for piece in pieces if piece is not None]
 
 

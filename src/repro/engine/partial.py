@@ -80,7 +80,12 @@ from repro.engine.operators import (
 )
 from repro.engine.optimizer import Planner, PlannedScan
 from repro.engine.plan import QueryBlock, QueryOptions, ScanSource
-from repro.engine.scan import ROWID_PATH, ScanCounters, TableScan
+from repro.engine.scan import (
+    ROWID_PATH,
+    ScanCounters,
+    TableScan,
+    pinning_workers,
+)
 from repro.errors import ExecutionError
 from repro.storage.column import ColumnVector
 from repro.storage.formats import StorageFormat
@@ -258,8 +263,11 @@ def _run_chunks(scan: TableScan, relation, tile_rows: int,
                                       shard_index, shard_count,
                                       options.batch_rows)
     ]
-    return [piece for piece in
-            run_ordered(tasks, max(1, options.parallelism))
+    # a chunk pins the tiles its spans cover, one at a time
+    tiles = [] if relation.format == StorageFormat.JSON \
+        else relation.manifest().tiles
+    workers, window = pinning_workers(max(1, options.parallelism), tiles)
+    return [piece for piece in run_ordered(tasks, workers, window)
             if piece is not None]
 
 

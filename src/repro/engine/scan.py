@@ -12,9 +12,14 @@ per tile:
   strings refuse lossy text reconstruction, both falling back to JSONB;
 * NULL slots of type-conflicting columns re-check the binary fallback
   per tuple (Section 3.4);
+* a repeated column ``chain[*].key`` (DESIGN.md §5h) answers
+  ``json_contains(chain, key, '<string>')``, ``json_length(chain)`` and
+  reads of any slot ``chain[k].key`` from its codes; rows whose
+  ``chain`` is no array, and elements whose member is no string, go to
+  the JSONB like Section 3.4 outliers;
 * everything else is a per-tuple JSONB traversal (or a full text parse
   for the raw JSON format) — the expensive path the paper measures.
-  Probes always take it and run their byte kernel on the value found.
+  Other probes take it and run their byte kernel on the value found.
 
 Tiles whose header proves a null-rejected path cannot occur are skipped
 entirely (Section 4.8).  Inside a tile that is scanned, the header's
@@ -55,13 +60,14 @@ import json
 import threading
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    TypeVar)
 
 import numpy as np
 
 from repro.core.datetimes import parse_datetime_string
 from repro.core.jsonpath import KeyPath
-from repro.core.types import ColumnType, float_to_int
+from repro.core.types import ColumnType, JsonType, float_to_int
 from repro.engine.batch import Batch
 from repro.engine.expressions import Expression
 from repro.engine.functions import PROBES, probe_text
@@ -75,9 +81,13 @@ from repro.storage.column import ColumnBuilder, ColumnVector, fits_int64, \
 from repro.storage.formats import StorageFormat
 from repro.storage.relation import Relation
 from repro.storage.tile_cache import GLOBAL_TILE_CACHE, make_key
+from repro.tiles.header import ExtractedColumn
+from repro.tiles.repeated import repeated_slot
 from repro.tiles.tile import Tile
 
 ROWID_PATH = KeyPath(("#rowid",))
+
+T = TypeVar("T")
 
 #: fallback runs of at least this many selected rows are located by
 #: the vectorized heap kernel, shorter ones by the per-tuple walk, whose
@@ -97,8 +107,9 @@ class AccessRequest:
     #: a JSON function applied to the value at *path* inside the scan,
     #: ``(function name, *literal args)`` (``functions.PROBES``);
     #: *target* is then the function's result type.  Probes never read
-    #: an extracted column: they run on the JSONB bytes (or the parsed
-    #: text) of every tuple.
+    #: an extracted column; a tile's repeated column over *path* answers
+    #: ``json_length`` and a string-needle ``json_contains`` of its
+    #: member, the JSONB bytes (or the parsed text) everything else.
     probe: Optional[Tuple[object, ...]] = None
 
     @staticmethod
@@ -201,14 +212,17 @@ class ScanCounters:
     distjoin_declines: int = 0
 
     def merge(self, other: "ScanCounters") -> "ScanCounters":
-        for field in fields(self):
-            setattr(self, field.name,
-                    getattr(self, field.name) + getattr(other, field.name))
+        for name in _COUNTER_NAMES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
     def as_dict(self) -> Dict[str, int]:
-        return {field.name: getattr(self, field.name)
-                for field in fields(self)}
+        return {name: getattr(self, name) for name in _COUNTER_NAMES}
+
+
+#: the counter fields, in declaration order (merges run per morsel: the
+#: names are read once, not from ``dataclasses.fields`` per call)
+_COUNTER_NAMES = tuple(field.name for field in fields(ScanCounters))
 
 
 @dataclass(frozen=True)
@@ -367,18 +381,20 @@ class TableScan:
         return batch
 
     def batches(self) -> Iterator[Batch]:
-        morsels = self.morsels()
-        if self.parallelism > 1 and len(morsels) > 1:
-            tasks = [partial(self.resolve_morsel, morsel)
-                     for morsel in morsels]
-            for batch in run_ordered(tasks, self.parallelism):
-                if batch.length:
-                    yield batch
-            return
-        for morsel in morsels:
-            batch = self.resolve_morsel(morsel)
+        for batch in self.run_morsels(self.resolve_morsel, self.morsels()):
             if batch.length:
                 yield batch
+
+    def run_morsels(self, task: Callable[[Morsel], T],
+                    morsels: Sequence[Morsel]) -> Iterator[T]:
+        """``task(morsel)`` of every morsel, in morsel order, on up to
+        ``parallelism`` workers of the shared pool (inline when serial).
+        *task* resolves its morsel (:meth:`resolve_morsel`), pinning
+        the tile."""
+        return run_ordered([partial(task, morsel) for morsel in morsels],
+                           *pinning_workers(self.parallelism,
+                                            [morsel.tile for morsel in morsels
+                                             if morsel.tile is not None]))
 
     def _can_skip(self, tile) -> bool:
         # *tile* is a TileHandle; everything consulted here lives in
@@ -471,12 +487,7 @@ class TableScan:
                                  tile.first_row + stop, dtype=np.int64)
                 resolved[request.name] = ColumnVector(ColumnType.INT64, data)
                 continue
-            column = None if request.probe else tile.column(request.path)
-            direct = None
-            if column is not None:
-                meta = tile.header.columns[request.path]
-                direct = self._convert_column(column, meta, request,
-                                              start, stop)
+            direct, patch = self._direct(tile, request, start, stop)
             if direct is None:
                 if header is not None:
                     first, end = header.span_of(request.path)
@@ -491,19 +502,8 @@ class TableScan:
                 resolved[request.name] = None  # keeps the column order
                 fallback.append(request)
                 continue
-            if meta.has_type_conflicts and direct.null_mask.any():
-                # Section 3.4: only *stored* NULL slots mark "consult
-                # the JSONB"; NULLs the cast itself introduced
-                # (out-of-range float, unparseable string) are genuine
-                # SQL NULLs.  When the slice has no stored NULL, skip
-                # the fallback — and the defensive copy — entirely.
-                stored_nulls = column.null_mask[start:stop]
-                if stored_nulls.any():
-                    # the direct vector may alias tile storage: copy
-                    # before the fallback patches outlier values in
-                    direct = ColumnVector(direct.type, direct.data.copy(),
-                                          direct.null_mask)
-                    conflicts.append((request, direct, stored_nulls))
+            if patch is not None:
+                conflicts.append((request, direct, patch))
             resolved[request.name] = direct
         # patched before the split, so an early conjunct never sees an
         # unpatched outlier NULL
@@ -538,13 +538,59 @@ class TableScan:
             span = (span_lo, span_hi) if header is not None else None
             decoded = self._fallback_group(tile, fallback, start, stop,
                                            counters, selection=selection,
-                                           span=span, absent=absent)
+                                           span=span, absent=absent,
+                                           header=header)
         columns = {name: (decoded[name] if vector is None
                           else vector if keep is None
                           else vector.filter(keep))
                    for name, vector in resolved.items()}
         batch = Batch(columns, total if selection is None else len(selection))
         return _filter_batch(batch, late)
+
+    def _direct(self, tile: Tile, request: AccessRequest, start: int,
+                stop: int
+                ) -> Tuple[Optional[ColumnVector], Optional[np.ndarray]]:
+        """Resolve *request* over ``[start, stop)`` from tile storage:
+        ``(vector, patch)``, the vector and the ``bool`` rows the JSONB
+        must still answer (Section 3.4 outliers, and the rows a
+        repeated column leaves to it), or ``(None, None)`` when only
+        the fallback is correct.
+
+        An extracted column of *request*'s path converts to the
+        requested type.  A repeated column ``chain[*].key`` (DESIGN.md
+        §5h) answers ``json_contains(chain, key, '<string>')`` and
+        ``json_length(chain)`` in its array rows, and ``chain[k].key``
+        as a gather of its codes; any other probe runs on the JSONB."""
+        if request.probe:
+            return _repeated_probe(tile, request, start, stop)
+        column = tile.column(request.path)
+        if column is not None:
+            meta = tile.header.columns[request.path]
+            stored_nulls = column.null_mask[start:stop]
+        else:
+            slot = repeated_slot(request.path)
+            repeated = None if slot is None else \
+                tile.repeated_on(slot[0], slot[2])
+            if repeated is None:
+                return None, None
+            # a fresh STRING column of the slice's rows alone
+            column, stored_nulls = repeated.gather(slot[1], start, stop)
+            meta, start, stop = _GATHERED, 0, stop - start
+        direct = self._convert_column(column, meta, request, start, stop)
+        if direct is None or not meta.has_type_conflicts \
+                or not direct.null_mask.any():
+            return direct, None
+        # Section 3.4: only *stored* NULL slots mark "consult the
+        # JSONB"; NULLs the cast itself introduced (out-of-range float,
+        # unparseable string) are genuine SQL NULLs.  When the slice has
+        # no stored NULL, skip the fallback — and the defensive copy —
+        # entirely.
+        if not stored_nulls.any():
+            return direct, None
+        # the direct vector may alias tile storage: copy before the
+        # fallback patches outlier values in
+        return ColumnVector(direct.type, direct.data.copy(),
+                            direct.null_mask), stored_nulls
 
     def _present_rows(self, header, fallback: List[AccessRequest],
                       start: int, stop: int) -> Optional[np.ndarray]:
@@ -655,8 +701,8 @@ class TableScan:
                         counters: ScanCounters,
                         selection: Optional[np.ndarray] = None,
                         span: Optional[Tuple[int, int]] = None,
-                        absent: Optional[np.ndarray] = None
-                        ) -> Dict[str, ColumnVector]:
+                        absent: Optional[np.ndarray] = None,
+                        header=None) -> Dict[str, ColumnVector]:
         """*selection* (slice-local row offsets, or ``None`` for all)
         is the late-materialization selection vector: only selected
         tuples are decoded; *absent* (slice-local offsets) of the
@@ -666,12 +712,14 @@ class TableScan:
         still decodes the full tile so cache keys stay
         selection-independent — and applies it when slicing out the
         result.  *span* is the union row span of the requests' paths
-        (``None``: the whole tile); rows outside it are NULL."""
+        (``None``: the whole tile); rows outside it are NULL.  *header*
+        (``None`` when spans are not trusted) guides the vectorized
+        search by per-row presence."""
         counters.fallback_tiles += len(requests)
         if not self.use_cache:
             return self._decode_fallback_group(tile, requests, start, stop,
                                                counters, selection, span,
-                                               absent)
+                                               absent, header)
         keys = {request.name: make_key(self.relation.name, tile.uid,
                                        request.path, request.target,
                                        request.as_text, request.probe)
@@ -696,7 +744,7 @@ class TableScan:
             # a cache hit
             decoded = self._decode_fallback_group(tile, missing, 0,
                                                   tile.row_count, counters,
-                                                  span=span)
+                                                  span=span, header=header)
             GLOBAL_TILE_CACHE.store_many(
                 (keys[name], vector) for name, vector in decoded.items())
             resolved.update(decoded)
@@ -717,8 +765,8 @@ class TableScan:
                                counters: ScanCounters,
                                selection: Optional[np.ndarray] = None,
                                span: Optional[Tuple[int, int]] = None,
-                               absent: Optional[np.ndarray] = None
-                               ) -> Dict[str, ColumnVector]:
+                               absent: Optional[np.ndarray] = None,
+                               header=None) -> Dict[str, ColumnVector]:
         """Resolve a group of fallback requests over one tuple range.
 
         Only the run of tuples inside *span* (the union row span of the
@@ -735,7 +783,8 @@ class TableScan:
         The run is located by the vectorized heap kernel when it is
         long enough, else by the per-tuple walk; either way the
         column kernels (``typed_columns`` and the probes) decode every
-        value position (DESIGN.md §5d)."""
+        value position (DESIGN.md §5d).  With a *header*, the vectorized
+        search looks for a key only in the rows that hold it."""
         lo, hi = span if span is not None else (start, stop)
         if selection is None:
             first = min(max(start, lo), stop)
@@ -768,7 +817,9 @@ class TableScan:
         starts, ends = heap.starts[run], heap.ends[run]
         if len(run) >= VECTOR_MIN_ROWS:
             counters.fallback_rows_vectorized += len(run)
-            pos, end = locate(plan, view, starts, ends)
+            pos, end = locate(plan, view, starts, ends,
+                              None if header is None else header.rows_of,
+                              run)
         else:
             pos = np.array(locate_rows(plan, heap.buf, starts.tolist()),
                            dtype=np.int64).reshape(len(run), len(plan)).T
@@ -878,6 +929,54 @@ class TableScan:
         for name, builder in builders.items():
             columns[name] = builder.finish()
         return Batch(columns, len(chunk))
+
+
+def _repeated_probe(tile: Tile, request: AccessRequest, start: int,
+                    stop: int
+                    ) -> Tuple[Optional[ColumnVector], Optional[np.ndarray]]:
+    """A probe answered by a repeated column over its path (DESIGN.md
+    §5h): ``(vector, patch)`` over the slice, *patch* the rows whose
+    ``chain`` holds no array, which the JSONB answers; ``(None, None)``
+    when the tile has no such column or the probe needs the JSONB
+    (``json_contains`` of a non-string needle)."""
+    name, *args = request.probe
+    if name == "json_length":
+        repeated = tile.repeated_on(request.path)
+        if repeated is None:
+            return None, None
+        direct = repeated.length(start, stop)
+    elif name == "json_contains" and isinstance(args[1], str):
+        repeated = tile.repeated_on(request.path, args[0])
+        if repeated is None:
+            return None, None
+        direct = repeated.contains(args[1], start, stop)
+    else:
+        return None, None
+    patch = repeated.others(start, stop)
+    # the vector is fresh: the patch may write into it
+    return direct, patch if patch.any() else None
+
+
+#: the column metadata a gather from a repeated column resolves under:
+#: a STRING column whose stored NULLs (elements the codes cannot answer)
+#: the JSONB patches
+_GATHERED = ExtractedColumn(KeyPath(), JsonType.STRING, ColumnType.STRING,
+                            has_type_conflicts=True)
+
+
+def pinning_workers(parallelism: int,
+                    tiles: Sequence) -> Tuple[int, Optional[int]]:
+    """``(workers, window)`` for :func:`run_ordered` over tasks that each
+    pin one of *tiles* (handles) at a time.  Pinned tiles are exempt
+    from eviction: over a budgeted tile store, at most as many tasks run
+    (or wait in the window) at once as the budget holds pinned tiles,
+    and at least one."""
+    if parallelism <= 1 or not tiles:
+        return parallelism, None
+    capacity = tiles[0].store.pin_capacity(max(tile.nbytes for tile in tiles))
+    if capacity is None or capacity >= parallelism:
+        return parallelism, None
+    return capacity, capacity
 
 
 def _keep_mask(conjunct: Expression, batch: Batch) -> np.ndarray:

@@ -13,9 +13,10 @@ same compiled :class:`~repro.jsonb.shred.ShredPlan` that way:
   key was last found in (``TrieNode.obj_hints``): rows repeat shapes,
   so one key compare settles most rows holding the key.  The rows it
   misses are settled by one equality pass over all their slots (any
-  offset width, compact counts and key lengths).  An array step reads
-  one offset.  A value ends where the next slot of its container
-  starts, or where its container ends.
+  offset width, compact counts and key lengths).  Given the tile
+  header's per-row presence, both search only the rows that hold the
+  key.  An array step reads one offset.  A value ends where the next
+  slot of its container starts, or where its container ends.
 * :func:`typed_column` turns the positions into the column that
   ``ColumnBuilder`` builds from the scan's typed getters, decoding the
   common encodings (integers, floats, strings, literals, JSON null) in
@@ -23,6 +24,9 @@ same compiled :class:`~repro.jsonb.shred.ShredPlan` that way:
 * :func:`length_kernel` / :func:`contains_kernel` are the ``json_length``
   / ``json_contains`` probes over the same positions; a string needle
   is compared against all array elements of all rows at once.
+* :func:`array_members` reads one member of every element of the
+  arrays at the positions: the input of a repeated column
+  (``repro.tiles.repeated``).
 
 Every read clips at the heap's last byte instead of padding the heap
 (padding would copy it): clipped bytes are never part of a result.
@@ -30,10 +34,11 @@ Every read clips at the heap's last byte instead of padding the heap
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.jsonpath import KeyPath
 from repro.core.types import ColumnType
 from repro.jsonb import format as fmt
 from repro.jsonb.access import JsonbValue, contains_probe
@@ -211,12 +216,15 @@ def _equals(view: HeapView, key_pos: np.ndarray, key_len: np.ndarray,
 
 
 def _find(view: HeapView, objects: _Containers, target: np.ndarray,
-          hints: List[Tuple[bool, int]],
-          item: int) -> Tuple[np.ndarray, np.ndarray]:
+          hints: List[Tuple[bool, int]], item: int,
+          held: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Find the key *target* among every object's slots.
 
     Returns ``(index, value_pos)``: the member's slot index and value
-    position, ``-1`` as the position when the key is absent.  The first
+    position, ``-1`` as the position when the key is absent.  *held*
+    (``bool`` per object, from the tile header's per-row presence)
+    marks the objects that may hold the key; the others stay ``-1``
+    without a compare.  The first
     probe is at the hint ``hints[item]``; rows repeat shapes, so it
     settles most objects holding the key.  The others are settled by
     one equality pass over all their slots (object keys are unique, so
@@ -228,7 +236,7 @@ def _find(view: HeapView, objects: _Containers, target: np.ndarray,
     count = objects.count
     value_pos = np.full(len(count), -1, dtype=np.int64)
     index = np.zeros(len(count), dtype=np.int64)
-    rows = _rows(count > 0)
+    rows = _rows(count > 0 if held is None else held & (count > 0))
     if not rows.size:
         return index, value_pos
     from_end, hint = hints[item]
@@ -262,22 +270,35 @@ def _find(view: HeapView, objects: _Containers, target: np.ndarray,
 
 
 def locate(plan: ShredPlan, view: HeapView, starts: np.ndarray,
-           ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+           ends: np.ndarray,
+           rows_of: Optional[Callable[[KeyPath], np.ndarray]] = None,
+           run: Optional[np.ndarray] = None
+           ) -> Tuple[np.ndarray, np.ndarray]:
     """Shred the documents ``[starts[i], ends[i])`` of *view* for every
     path of *plan*: ``(pos, end)``, each of shape ``(len(plan), rows)``,
     the value's position and end per slot and row, ``-1`` when absent
-    (where ``shred_jsonb`` answers ``None``)."""
+    (where ``shred_jsonb`` answers ``None``).
+
+    *rows_of* (the tile header's :meth:`~repro.tiles.header.TileHeader.rows_of`)
+    with *run* (the tile rows of the documents) guides every object
+    step: only the rows holding the key are searched for it.  Presence
+    never under-reports a row, so the positions are the same without
+    it."""
     shape = (len(plan), len(starts))
     pos = np.full(shape, -1, dtype=np.int64)
     end = np.full(shape, -1, dtype=np.int64)
+    held = None if rows_of is None else \
+        (lambda path: rows_of(path)[run])
     _walk(view, plan.root, np.arange(len(starts)),
-          starts.astype(np.int64), ends.astype(np.int64), pos, end)
+          starts.astype(np.int64), ends.astype(np.int64), pos, end,
+          KeyPath(), held)
     return pos, end
 
 
 def _walk(view: HeapView, node: TrieNode, rows: np.ndarray,
           pos: np.ndarray, end: np.ndarray,
-          out_pos: np.ndarray, out_end: np.ndarray) -> None:
+          out_pos: np.ndarray, out_end: np.ndarray, prefix: KeyPath,
+          held: Optional[Callable[[KeyPath], np.ndarray]]) -> None:
     if node.terminal >= 0:
         out_pos[node.terminal, rows] = pos
         out_end[node.terminal, rows] = end
@@ -290,15 +311,18 @@ def _walk(view: HeapView, node: TrieNode, rows: np.ndarray,
         if on.size:
             objects = _Containers(view, pos[on], header[on])
             for item, (key, child, _leaf) in enumerate(node.obj_items):
+                path = prefix.child(node.obj_items_text[item][0])
                 index, found = _find(view, objects,
                                      np.frombuffer(key, dtype=np.uint8),
-                                     node.obj_hints, item)
+                                     node.obj_hints, item,
+                                     None if held is None
+                                     else held(path)[rows[on]])
                 hit = _rows(found >= 0)
                 if hit.size:
                     _walk(view, child, rows[on[hit]], found[hit],
                           objects.value_end(view, hit, index[hit],
                                             end[on[hit]]),
-                          out_pos, out_end)
+                          out_pos, out_end, path, held)
     if node.arr_items:
         on = _rows(kind == fmt.TYPE_ARRAY)
         if on.size:
@@ -311,7 +335,7 @@ def _walk(view: HeapView, node: TrieNode, rows: np.ndarray,
                     _walk(view, child, rows[on[hit]],
                           arrays.slot(view, at, hit),
                           arrays.value_end(view, hit, at, end[on[hit]]),
-                          out_pos, out_end)
+                          out_pos, out_end, prefix.child(index), held)
 
 
 # ----------------------------------------------------------------------
@@ -500,6 +524,69 @@ def length_kernel() -> Kernel:
     return column
 
 
+def _elements(view: HeapView, arrays: _Containers
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """Every element of *arrays*, in order: ``(owner, position)``, the
+    index of its array and its value position."""
+    count = arrays.count
+    owner = np.repeat(np.arange(len(count)), count)
+    index = np.arange(owner.size) - np.repeat(np.cumsum(count) - count,
+                                              count)
+    return owner, arrays.slot(view, index, owner)
+
+
+def _members(view: HeapView, elements: np.ndarray, target: np.ndarray,
+             hints: List[Tuple[bool, int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """The member *target* of the object elements at *elements*:
+    ``(objects, found)``, the indices of the object elements and, per
+    object, the member's value position (``-1`` when it lacks it)."""
+    objects = _rows(view.byte(elements) >> 5 == fmt.TYPE_OBJECT)
+    if not objects.size:
+        return objects, objects
+    return objects, _find(view, _Containers(view, elements[objects],
+                                            view.byte(elements[objects])),
+                          target, hints, 0)[1]
+
+
+def array_members(view: HeapView, pos: np.ndarray, key: str
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The member *key* of every element of the arrays at *pos* (``-1``:
+    absent), the input of a repeated column (``repro.tiles.repeated``).
+
+    Returns ``(lengths, start, size)``.  *lengths* has one entry per
+    position: the element count of an array, ``-1`` where the value is
+    absent and ``-2`` for any other value.  *start* / *size* have one
+    entry per array element, arrays in order: the UTF-8 payload of a
+    STRING or NUMSTR member, ``size`` ``-1`` where the element is no
+    object, lacks the member or holds another type."""
+    lengths = np.full(len(pos), -1, dtype=np.int64)
+    present = _rows(pos >= 0)
+    at = pos[present]
+    header = view.byte(at)
+    lengths[present] = -2
+    on = _rows(header >> 5 == fmt.TYPE_ARRAY)
+    if not on.size:
+        empty = np.zeros(0, dtype=np.int64)
+        return lengths, empty, empty
+    arrays = _Containers(view, at[on], header[on])
+    lengths[present[on]] = arrays.count
+    _owner, elements = _elements(view, arrays)
+    start = np.zeros(len(elements), dtype=np.int64)
+    size = np.full(len(elements), -1, dtype=np.int64)
+    objects, found = _members(view, elements,
+                              np.frombuffer(key.encode("utf-8"), np.uint8),
+                              [(False, 0)])
+    hit = _rows(found >= 0)
+    member = found[hit]
+    kind = view.byte(member) >> 5
+    text = _rows((kind == fmt.TYPE_STRING) | (kind == fmt.TYPE_NUMSTR))
+    if text.size:
+        where = objects[hit[text]]
+        start[where], size[where] = _string_spans(
+            view, member[text], view.byte(member[text]) & 0x1F)
+    return lengths, start, size
+
+
 def _string_equals(view: HeapView, pos: np.ndarray,
                    needle: np.ndarray) -> np.ndarray:
     """Which values at *pos* are STRING / NUMSTR with payload *needle*."""
@@ -553,17 +640,10 @@ def contains_kernel(key: object, value: object) -> Kernel:
         on = _rows(header >> 5 == fmt.TYPE_ARRAY)
         if not on.size:
             return ColumnVector(ColumnType.BOOL, data, nulls)
-        arrays = _Containers(view, at[on], header[on])
-        owner = np.repeat(np.arange(on.size), arrays.count)
-        index = np.arange(owner.size) - np.repeat(
-            np.cumsum(arrays.count) - arrays.count, arrays.count)
-        elements = arrays.slot(view, index, owner)
+        owner, elements = _elements(view, _Containers(view, at[on],
+                                                      header[on]))
         if target is not None:
-            kind = view.byte(elements) >> 5
-            objects = _rows(kind == fmt.TYPE_OBJECT)
-            found = _find(view, _Containers(view, elements[objects],
-                                            view.byte(elements[objects])),
-                          target, hints, 0)[1]
+            objects, found = _members(view, elements, target, hints)
             owner = owner[objects[found >= 0]]
             elements = found[found >= 0]
         hit = np.zeros(on.size, dtype=bool)

@@ -46,7 +46,8 @@ class LevelManifest:
             grouped.setdefault(tile.header.level, []).append(tile)
         report: Dict[int, Dict[str, object]] = {}
         for level, tiles in sorted(grouped.items()):
-            extracted = sum(len(tile.header.columns) for tile in tiles)
+            extracted = sum(tile.header.stored_path_count()
+                            for tile in tiles)
             seen = sum(len(tile.header.key_counts) for tile in tiles)
             report[level] = {
                 "tiles": len(tiles),

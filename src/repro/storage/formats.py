@@ -37,6 +37,13 @@ class StorageFormat(enum.Enum):
                         StorageFormat.TILES_STAR)
 
     @property
+    def repeats_arrays(self) -> bool:
+        """Mined STRING slot columns ``chain[k].key`` become one repeated
+        column ``chain[*].key`` (DESIGN.md §5h).  Tiles-* keeps the
+        paper's child relations instead, as the Table 3 baseline."""
+        return self is not StorageFormat.TILES_STAR
+
+    @property
     def uses_local_schemas(self) -> bool:
         """TILES detects schemas per tile; SINEW is global."""
         return self in (StorageFormat.TILES, StorageFormat.TILES_STAR)

@@ -134,7 +134,8 @@ def _build_partition(args: Tuple) -> Tuple[List[Tile], Dict[str, float]]:
                        first_tile_number + offset // tile_size,
                        first_row + offset,
                        schema=schema if extract and schema else None,
-                       mine=extract, timings=timings, encoded=encoded)
+                       mine=extract, timings=timings, encoded=encoded,
+                       repeat_arrays=storage_format.repeats_arrays)
         )
         if not detach_rows:
             jsonb_rows[offset : offset + tile_size] = \

@@ -7,7 +7,8 @@ smaller than its JSON text:
 * magic ``JTIL3`` (5 bytes),
 * the blobs, streamed in write order (HyperLogLog registers and
   histograms, JSONB row heaps, extracted column values, string
-  overflow, null bitmaps, bloom bits, the pending insert buffer),
+  overflow, null bitmaps, repeated ``chain[*].key`` columns, bloom
+  bits, the pending insert buffer),
 * the JSON *catalog* (a footer): structural metadata (format, config,
   tiles, extracted columns, statistics, bloom filters) where every
   bulk payload is replaced by a blob id, plus
@@ -79,6 +80,7 @@ from repro.storage.tilestore import (
 )
 from repro.tiles.extractor import ExtractionConfig
 from repro.tiles.header import ExtractedColumn, TileHeader
+from repro.tiles.repeated import RepeatedColumn
 from repro.tiles.tile import RowHeap, Tile
 
 MAGIC_V1 = b"JTIL1"
@@ -99,7 +101,7 @@ _OVERFLOW = 0xFFFFFFFF
 #: file size
 BLOB_KINDS = ("row_heap", "string_refs", "string_overflow",
               "fixed_columns", "null_bitmaps", "statistics", "bloom",
-              "insert_buffer", "presence")
+              "insert_buffer", "presence", "repeated")
 
 
 class _BlobWriter:
@@ -196,6 +198,7 @@ class TileSegment:
             blob_ids.append(vector["nulls"])
             if "overflow" in vector:
                 blob_ids.append(vector["overflow"])
+        blob_ids.extend(entry["blob"] for entry in meta.get("repeated", ()))
         self.nbytes = meta["nbytes"] if "nbytes" in meta else sum(
             source.decoded_length(blob_id) for blob_id in blob_ids)
         self.disk_bytes = sum(source.length(blob_id) for blob_id in blob_ids)
@@ -434,6 +437,13 @@ def _tile_payload_meta(tile: Tile, blobs: _BlobWriter) -> dict:
         # strings are refs on disk but full objects once loaded
         "nbytes": tile_nbytes(tile),
     }
+    if tile.repeated:
+        # repeated chain[*].key columns (DESIGN.md §5h): one blob each;
+        # files written before them have no entry
+        tile_meta["repeated"] = [
+            {**column.meta(), "blob": blobs.add(column.to_blob(),
+                                                "repeated")}
+            for column in tile.repeated]
     if header.leaf_spans is not None:
         # leaf row spans (DESIGN.md §5i), grouped by span as
         # [first, end, steps, steps, ...] (most paths of a tile share
@@ -495,6 +505,8 @@ def _restore_tile_header(meta: dict, blobs,
             nullable=column_meta["nullable"],
             is_datetime=column_meta["datetime"],
         ))
+    header.repeated = tuple((KeyPath(tuple(entry["chain"])), entry["key"])
+                            for entry in meta.get("repeated", ()))
     # pre-§9 snapshots carry no block bounds: block pruning simply
     # stays tile-granular for them
     header.block_bounds_rows = int(meta.get("block_rows", 0))
@@ -530,7 +542,10 @@ def _restore_tile_payload(meta: dict, header: TileHeader, blobs,
     for column_meta in meta["columns"]:
         columns[KeyPath.parse(column_meta["path"])] = \
             _restore_column(column_meta["vector"], blobs, heap)
-    return Tile(header, columns, RowHeap.from_blob(heap), first_row)
+    repeated = tuple(RepeatedColumn.from_blob(entry, blobs[entry["blob"]])
+                     for entry in meta.get("repeated", ()))
+    return Tile(header, columns, RowHeap.from_blob(heap), first_row,
+                repeated)
 
 
 def _table_stats_meta(stats: TableStatistics, blobs: _BlobWriter) -> dict:

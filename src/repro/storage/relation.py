@@ -38,6 +38,7 @@ from repro.storage.tilestore import GLOBAL_TILE_STORE, TileHandle
 from repro.tiles.extractor import ExtractionConfig, build_tile, extend_tile
 from repro.tiles.extractor import _materialize_value  # shared coercion
 from repro.tiles.reorder import apply_order, reorder_transactions
+from repro.tiles.repeated import RepeatedColumn
 from repro.tiles.tile import Tile
 
 #: test hook ``(relation, old_tiles, new_tiles)``: called between
@@ -346,7 +347,8 @@ class Relation:
                             documents, jsonb_rows, self.config,
                             tile_number, first_row,
                             mine=self.format.extracts_columns,
-                            encoded=(sink.dictionary, sink.transactions)))
+                            encoded=(sink.dictionary, sink.transactions),
+                            repeat_arrays=self.format.repeats_arrays))
                     else:
                         with tail.pinned() as payload:
                             extended, delta = extend_tile(
@@ -483,6 +485,11 @@ class Relation:
             # a new immutable heap, swapped in with one store: a
             # concurrent scan holds either the old heap or this one
             tile.heap = tile.heap.replace(local, jsonb_encode(new_document))
+            # repeated columns are rebuilt from the new heap (DESIGN.md
+            # §5h), swapped in with one store like the heap
+            tile.repeated = tuple(
+                RepeatedColumn.build(tile.heap, column.chain, column.key)
+                for column in tile.repeated)
             # only now may the paths the old document alone held read
             # absent: presence stays exact, and never too narrow
             tile.header.clear_presence(old_paths.difference(new_paths),
@@ -494,7 +501,13 @@ class Relation:
                 self._fire_event("update", handle)
                 return
 
-            overlapping = 0
+            # a repeated column overlaps when an element of the row's
+            # array holds a string member
+            overlapping = sum(
+                bool((column.codes[column.offsets[local]:
+                                   column.offsets[local + 1]]
+                      != column.sentinel).any())
+                for column in tile.repeated)
             for path, vector in tile.columns.items():
                 meta = tile.header.columns[path]
                 raw = path.lookup(new_document)
@@ -689,7 +702,7 @@ class Relation:
                 documents[rows], jsonb_rows[rows], self.config,
                 old.tile_number, old.first_row,
                 mine=self.format.extracts_columns, encoded=encoded,
-                level=level)))
+                level=level, repeat_arrays=self.format.repeats_arrays)))
             offset += count
         statistics = TableStatistics()
         for tile in snapshot[:start] + new_tiles + snapshot[stop:]:
@@ -792,6 +805,8 @@ class Relation:
                 for column in tile.columns.values():
                     report["lz4_tiles"] += len(compress(
                         column.raw_bytes(shared_strings=True)))
+                for repeated in tile.repeated:
+                    report["lz4_tiles"] += len(compress(repeated.to_blob()))
         for child in self.children.values():
             child_report = child._representation_sizes()
             for key in report:
@@ -829,9 +844,11 @@ class Relation:
         """
         if not self.tiles:
             return 0.0
-        # header.columns mirrors the payload's column dict key-for-key,
-        # so this never needs to fault a paged-out tile in
-        extracted = sum(len(tile.header.columns) for tile in self.tiles)
+        # the header mirrors the payload's columns key-for-key and names
+        # its repeated ones, so this never needs to fault a paged-out
+        # tile in
+        extracted = sum(tile.header.stored_path_count()
+                        for tile in self.tiles)
         seen = sum(len(tile.header.key_counts) for tile in self.tiles)
         return extracted / max(1, seen)
 
@@ -841,7 +858,7 @@ class Relation:
         Header-only, so polling it never faults a paged-out tile in."""
         if not tile.header.key_counts:
             return 1.0 if not tile.header.columns else 0.0
-        return len(tile.header.columns) / len(tile.header.key_counts)
+        return tile.header.stored_path_count() / len(tile.header.key_counts)
 
     def to_arrow(self, paths=None):
         """Export the relation as a ``pyarrow.Table`` (zero-copy for

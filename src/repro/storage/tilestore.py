@@ -128,6 +128,11 @@ class TileHandle:
         return self._pins
 
     @property
+    def store(self) -> "TileStore":
+        """The residency manager this handle is charged to."""
+        return self._store
+
+    @property
     def nbytes(self) -> int:
         """Payload bytes this handle charges against the budget while
         resident (the segment's decoded payload size for paged tiles,
@@ -453,6 +458,15 @@ class TileStore:
     def set_budget_mb(self, megabytes: Optional[float]) -> None:
         self.set_budget(None if megabytes is None or megabytes <= 0
                         else int(megabytes * 2**20))
+
+    def pin_capacity(self, nbytes: int) -> Optional[int]:
+        """How many payloads of *nbytes* the budget holds pinned at
+        once (at least one), or ``None`` without a budget.  Pinned
+        tiles are exempt from eviction, so concurrent pins beyond this
+        push residency past the budget."""
+        if self.budget_bytes is None:
+            return None
+        return max(1, self.budget_bytes // max(1, nbytes))
 
     def _over_budget_locked(self) -> bool:
         return (self.budget_bytes is not None

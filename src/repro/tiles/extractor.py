@@ -56,6 +56,7 @@ from repro.tiles.header import (
     pack_rows,
     unpack_rows,
 )
+from repro.tiles.repeated import RepeatedColumn, repeated_slot
 from repro.tiles.tile import RowHeap, Tile
 
 
@@ -95,6 +96,9 @@ class TileSchema:
     """The extraction decision for one tile (or, for Sinew, globally)."""
 
     columns: List[ExtractedColumn] = field(default_factory=list)
+    #: ``(chain, key)`` of every repeated ``chain[*].key`` column
+    #: (DESIGN.md §5h), in ``(chain text, key)`` order
+    repeated: List[Tuple[KeyPath, str]] = field(default_factory=list)
 
     def paths(self) -> List[KeyPath]:
         return [column.path for column in self.columns]
@@ -163,6 +167,22 @@ def _detect_datetime_columns(schema: TileSchema, documents: Sequence[object],
         if sampled and matched / sampled >= config.date_match_fraction:
             column.column_type = ColumnType.TIMESTAMP
             column.is_datetime = True
+
+
+def _repeat_string_slots(schema: TileSchema) -> None:
+    """DESIGN.md §5h: the STRING slot columns ``chain[k].key`` of a
+    mined schema give way to one repeated column ``chain[*].key`` per
+    ``(chain, key)``, which covers every element of the array."""
+    kept = []
+    for column in schema.columns:
+        slot = repeated_slot(column.path) \
+            if column.column_type == ColumnType.STRING else None
+        if slot is None:
+            kept.append(column)
+        elif (slot[0], slot[2]) not in schema.repeated:
+            schema.repeated.append((slot[0], slot[2]))
+    schema.columns = kept
+    schema.repeated.sort(key=lambda spec: (str(spec[0]), spec[1]))
 
 
 def _materialize_value(value: object, column: ExtractedColumn) -> object:
@@ -340,6 +360,7 @@ def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
                timings: Optional[Dict[str, float]] = None,
                encoded: Optional[Tuple[ItemDictionary, List[List[int]]]] = None,
                level: int = 0,
+               repeat_arrays: bool = True,
                ) -> Tile:
     """Construct one tile from parsed documents + their JSONB bytes.
 
@@ -353,7 +374,10 @@ def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
     :meth:`Relation.flush_inserts` collect it while encoding the JSONB
     rows — so the documents are not walked again here.  *level* stamps
     the LSM level onto the header (0 for freshly sealed tiles;
-    compaction merges pass the next level).
+    compaction merges pass the next level).  With *repeat_arrays* (every
+    format but Tiles-*, whose child relations are the paper's answer to
+    arrays), mined STRING slot columns ``chain[k].key`` become repeated
+    columns (DESIGN.md §5h); a given *schema* carries its own.
     """
     num_rows = len(documents)
     header = TileHeader(tile_number, num_rows,
@@ -377,6 +401,8 @@ def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
         schema = choose_schema(dictionary, num_rows, config)
         if config.detect_dates:
             _detect_datetime_columns(schema, documents, config)
+        if repeat_arrays:
+            _repeat_string_slots(schema)
     elif schema is None:
         schema = TileSchema()
     mined_at = time.perf_counter()
@@ -418,11 +444,15 @@ def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
     for (path, _jtype), _item_id in dictionary.items():
         if path not in columns:
             header.record_unextracted(path)
+    heap = RowHeap.from_rows(jsonb_rows)
+    header.repeated = tuple(schema.repeated)
+    repeated = tuple(RepeatedColumn.build(heap, chain, key)
+                     for chain, key in header.repeated)
     if timings is not None:
         timings["extract"] = timings.get("extract", 0.0) + (
             time.perf_counter() - mined_at
         )
-    return Tile(header, columns, RowHeap.from_rows(jsonb_rows), first_row)
+    return Tile(header, columns, heap, first_row, repeated)
 
 
 def extend_tile(tail: Tile, documents: Sequence[object],
@@ -439,8 +469,9 @@ def extend_tile(tail: Tile, documents: Sequence[object],
     shifted past the tail; no spans when either side has none),
     sketches merged and bounds folded on, bloom filters OR-ed.
     Histograms and block bounds are recomputed from the concatenated
-    vectors.  Extending by b1 then b2 therefore equals extending by
-    b1 + b2.
+    vectors; repeated columns are concatenated
+    (:meth:`~repro.tiles.repeated.RepeatedColumn.concat`).  Extending
+    by b1 then b2 therefore equals extending by b1 + b2.
 
     The delta statistics are the batch's own tile statistics: absorbing
     them into the relation's (an additive fold) accounts for the
@@ -452,7 +483,8 @@ def extend_tile(tail: Tile, documents: Sequence[object],
     jsonb_rows = [jsonb_encode(document, sink=sink) for document in documents]
     batch = build_tile(documents, jsonb_rows, config, head.tile_number,
                        tail.first_row + offset,
-                       schema=TileSchema(list(head.columns.values())),
+                       schema=TileSchema(list(head.columns.values()),
+                                         list(head.repeated)),
                        encoded=(sink.dictionary, sink.transactions),
                        level=head.level)
     added = batch.header
@@ -474,6 +506,7 @@ def extend_tile(tail: Tile, documents: Sequence[object],
                     None if packed is None
                     else unpack_rows(packed, span[1] - span[0]))
         header.set_leaf_spans(spans, holes)
+    header.repeated = head.repeated
     header.key_counts = combined_key_counts([head.key_counts,
                                              added.key_counts])
     header.statistics.key_counts = dict(header.key_counts)
@@ -511,6 +544,8 @@ def extend_tile(tail: Tile, documents: Sequence[object],
         if meta.column_type in _HISTOGRAM_TYPES:
             stats.histogram = EquiDepthHistogram.from_values(
                 vector.data[~vector.null_mask])
+    repeated = tuple(old.concat(new) for old, new
+                     in zip(tail.repeated, batch.repeated))
     return (Tile(header, columns, tail.heap.concat(batch.heap),
-                 tail.first_row),
+                 tail.first_row, repeated),
             added.statistics)

@@ -141,6 +141,10 @@ class TileHeader:
         #: runs off it, so it persists with the header.
         self.level = level
         self.columns: Dict[KeyPath, ExtractedColumn] = {}
+        #: ``(chain, key)`` of every repeated ``chain[*].key`` column of
+        #: the payload (DESIGN.md §5h), which stands in for the string
+        #: slot columns ``chain[k].key``
+        self.repeated: Tuple[Tuple[KeyPath, str], ...] = ()
         self.key_counts: Dict[str, int] = {}
         self.unextracted_paths = BloomFilter(expected_items=64)
         self.statistics = TileStatistics(row_count=row_count)
@@ -422,6 +426,18 @@ class TileHeader:
     def extracted_paths(self) -> List[KeyPath]:
         return list(self.columns)
 
+    def stored_path_count(self) -> int:
+        """Seen key paths the tile stores as columns: the extracted
+        ones plus every slot path ``chain[k].key`` a repeated column
+        covers."""
+        count = len(self.columns)
+        for chain, key in self.repeated:
+            prefix, suffix = f"{chain}[", f"].{KeyPath((key,))}"
+            count += sum(text.startswith(prefix) and text.endswith(suffix)
+                         and text[len(prefix):-len(suffix)].isdigit()
+                         for text in self.key_counts)
+        return count
+
     def describe(self) -> str:
         """Human-readable summary used by examples and debugging."""
         lines = [f"tile #{self.tile_number}: {self.row_count} rows, "
@@ -437,4 +453,6 @@ class TileHeader:
                 flags.append("nullable")
             suffix = f" ({', '.join(flags)})" if flags else ""
             lines.append(f"  {column.path} :: {column.column_type.name}{suffix}")
+        for chain, key in self.repeated:
+            lines.append(f"  {chain}[*].{KeyPath((key,))} :: repeated STRING")
         return "\n".join(lines)

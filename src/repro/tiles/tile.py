@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import struct
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from repro.core.jsonpath import KeyPath
 from repro.jsonb.vector_shred import HeapView
 from repro.storage.column import ColumnVector
 from repro.tiles.header import TileHeader
+from repro.tiles.repeated import RepeatedColumn
 
 #: process-unique tile identities; sealing, recomputation and
 #: checkpoint reload all build new Tile objects, so a uid never
@@ -137,15 +138,19 @@ class RowHeap:
 
 
 class Tile:
-    __slots__ = ("header", "columns", "heap", "first_row", "uid")
+    __slots__ = ("header", "columns", "heap", "first_row", "uid", "repeated")
 
     def __init__(self, header: TileHeader, columns: Dict[KeyPath, ColumnVector],
-                 heap: RowHeap, first_row: int = 0):
+                 heap: RowHeap, first_row: int = 0,
+                 repeated: Tuple[RepeatedColumn, ...] = ()):
         self.header = header
         self.columns = columns
         self.heap = heap
         self.first_row = first_row
         self.uid = next(_uid_counter)
+        #: the repeated ``chain[*].key`` columns (DESIGN.md §5h), in
+        #: ``(chain, key)`` order; replaced as a whole, never mutated
+        self.repeated = repeated
 
     @property
     def row_count(self) -> int:
@@ -154,17 +159,28 @@ class Tile:
     def column(self, path: KeyPath) -> Optional[ColumnVector]:
         return self.columns.get(path)
 
+    def repeated_on(self, chain: KeyPath,
+                    key: Optional[str] = None) -> Optional[RepeatedColumn]:
+        """The repeated column over the array at *chain* (of member *key*,
+        or any member when ``None``), if the tile stores one."""
+        for column in self.repeated:
+            if column.chain == chain and key in (None, column.key):
+                return column
+        return None
+
     def row_ids(self) -> np.ndarray:
         """Global row ids of the tuples in this tile."""
         return np.arange(self.first_row, self.first_row + self.row_count,
                          dtype=np.int64)
 
     def size_bytes(self, shared_strings: bool = False) -> int:
-        """Footprint of the materialized columns (the +Tiles overhead of
-        Table 6; the JSONB rows are accounted separately).  See
-        :meth:`ColumnVector.nbytes` for the shared-strings mode."""
+        """Footprint of the materialized columns, repeated ones included
+        (the +Tiles overhead of Table 6; the JSONB rows are accounted
+        separately).  See :meth:`ColumnVector.nbytes` for the
+        shared-strings mode."""
         return sum(column.nbytes(shared_strings)
-                   for column in self.columns.values())
+                   for column in self.columns.values()) + sum(
+            column.nbytes() for column in self.repeated)
 
     def jsonb_size_bytes(self) -> int:
         return self.heap.payload_bytes()

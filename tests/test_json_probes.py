@@ -287,12 +287,13 @@ class TestTwitterCounters:
             ExtractionConfig(tile_size=64, partition_size=4),
             evolving=True, seed=3)
 
-    # rows of the JSONB-decoding implementation.  It visited 640 rows;
-    # the header's row spans now answer the 37 rows outside the probed
-    # array's span NULL (header_nulls) and only 603 are in the span —
-    # together still the same 640 (tuple, path) resolutions.  Of the
-    # 603, the in-span rows that lack the probed (null-rejected) array
-    # are dropped by row presence and never walked.
+    # rows of the JSONB-decoding implementation.  It visited 640 rows.
+    # Tiles 1-9 (576 rows) store the probed array as a repeated column
+    # (DESIGN.md §5h) and answer from its codes without a JSONB visit.
+    # Tile 0 mined no slot column of it: its header's row spans answer
+    # the 24 rows outside the array's span NULL (header_nulls), and of
+    # the 40 in the span, the rows that lack the probed (null-rejected)
+    # array are dropped by row presence and never walked.
     @pytest.mark.parametrize("query, rows", [(3, [(144,)]), (4, [(155,)])])
     def test_same_rows_and_work(self, db, query, rows):
         result = db.sql(twitter.TWITTER_QUERIES[query],
@@ -302,8 +303,10 @@ class TestTwitterCounters:
         dropped = counters.presence_rows_skipped
         assert (counters.fallback_lookups + dropped, counters.header_nulls,
                 counters.shred_paths + dropped, counters.tiles_skipped,
-                counters.tiles_total) == (603, 37, 603, 1, 11)
+                counters.tiles_total) == (40, 24, 40, 1, 11)
         assert dropped > 0
+        assert sum(handle.row_count for handle in db.table("tweets").tiles
+                   if handle.header.repeated) == 576
 
 
 # ----------------------------------------------------------------------

@@ -82,6 +82,29 @@ class TestDifferentialOutOfCore:
         assert stats["evictions"] > 0  # the budget was actually exercised
         assert stats["loads"] > len(relation.tiles)  # tiles cycled back in
 
+    def test_parallel_scans_pin_no_more_than_the_budget_holds(self,
+                                                              tmp_path):
+        """Pinned tiles are exempt from eviction, so four morsel workers
+        pinning four tiles at once would push residency past a budget
+        that holds fewer: the scan runs only as many at once as fit."""
+        make, table, queries = SUITES["twitter"]
+        save_database(make(), tmp_path / "t")
+        store = TileStore(cache=ResolvedTileCache())
+        relation = load_relation(tmp_path / "t" / f"{table}.jtile",
+                                 store=store)
+        largest = max(handle.nbytes for handle in relation.tiles)
+        budget = largest + largest // 2
+        store.set_budget(budget)
+        assert store.pin_capacity(largest) == 1
+        paged_db = Database(StorageFormat.TILES, CONFIG)
+        paged_db.register(table, relation)
+        for _ in range(3):
+            for text in queries.values():
+                paged_db.sql(text, QueryOptions(parallelism=4,
+                                                tile_cache=False))
+        assert store.stats()["peak_resident_bytes"] <= budget
+        assert store.stats()["evictions"] > 0
+
     def test_documents_identical_under_budget(self, tmp_path):
         make, table, _queries = SUITES["twitter"]
         db = make()
