@@ -67,8 +67,10 @@ def yelp_db(storage_format: StorageFormat, tile_size: int = TILE_SIZE,
 @lru_cache(maxsize=None)
 def twitter_db(storage_format: StorageFormat, evolving: bool = False,
                tile_size: int = TILE_SIZE,
-               partition_size: int = PARTITION_SIZE):
+               partition_size: int = PARTITION_SIZE,
+               child_arrays: bool = True):
     config = ExtractionConfig(tile_size=tile_size,
                               partition_size=partition_size)
     return twitter.make_database(TWITTER_TWEETS, storage_format, config,
-                                 evolving=evolving)
+                                 evolving=evolving,
+                                 child_arrays=child_arrays)

@@ -713,11 +713,14 @@ def _sample_batch(relation, source: ScanSource, rows: List[int]):
                 builder.append(_typed_from_python(
                     request.path.lookup(document), request))
             else:
-                tile = relation.tile_of_row(row)
-                heap = tile.heap
-                value = JsonbValue(
-                    heap.buf, int(heap.starts[row - tile.first_row])
-                ).get_path(request.path)
+                with relation.tile_of_row(row).pinned() as tile:
+                    local = row - tile.first_row
+                    # the scan's rule: the complete row when the value
+                    # read may be one the rows leave out
+                    data = tile.full_rows([local]).row(0) \
+                        if tile.merges(request.path) \
+                        else tile.heap.row(local)
+                value = JsonbValue(data).get_path(request.path)
                 builder.append(_typed_from_jsonb(value, request))
         columns[request.name] = builder.finish()
     if not columns:

@@ -65,14 +65,16 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 
 import numpy as np
 
-from repro.core.datetimes import parse_datetime_string
 from repro.core.jsonpath import KeyPath
-from repro.core.types import ColumnType, JsonType, float_to_int
+from repro.core.types import (ColumnType, JsonType, float_to_int,
+                              is_numeric_string)
 from repro.engine.batch import Batch
 from repro.engine.expressions import Expression
 from repro.engine.functions import PROBES, probe_text
 from repro.engine.morsels import Morsel, canonical_chop, run_ordered
-from repro.jsonb.access import JsonbValue
+from repro.jsonb.access import (JsonbValue, float_text, text_as_bool,
+                                text_as_float, text_as_int,
+                                text_as_timestamp)
 from repro.jsonb.shred import ShredPlan, compile_paths, locate_rows, \
     shred_jsonb, shred_python
 from repro.jsonb.vector_shred import Kernel, locate, typed_columns
@@ -812,9 +814,14 @@ class TableScan:
         if not len(run):
             return {request.name: null_vector(request.target, before + after)
                     for request in requests}
-        heap = tile.heap
+        if any(tile.merges(request.path) for request in requests):
+            # a value the rows leave out is read: the complete rows
+            heap = tile.full_rows(run)
+            starts, ends = heap.starts, heap.ends
+        else:
+            heap = tile.heap
+            starts, ends = heap.starts[run], heap.ends[run]
         view = heap.view()
-        starts, ends = heap.starts[run], heap.ends[run]
         if len(run) >= VECTOR_MIN_ROWS:
             counters.fallback_rows_vectorized += len(run)
             pos, end = locate(plan, view, starts, ends,
@@ -883,9 +890,20 @@ class TableScan:
         for _request, _vector, stored_nulls in conflicts:
             counters.fallback_lookups += int(np.count_nonzero(stored_nulls))
             needed |= stored_nulls
-        buf, starts = tile.heap.buf, tile.heap.starts
-        for local in np.flatnonzero(needed).tolist():
-            values = shred_jsonb(plan, buf, int(starts[start + local]))
+        outliers = np.flatnonzero(needed)
+        if any(tile.merges(request.path) if request.probe
+               else tile.merges_below(request.path)
+               for request, _v, _n in conflicts):
+            # values the rows leave out are read: a probe's rows are
+            # any rows, a column's are its stored NULLs, where the row
+            # keeps the column's own value but not the leaves below it
+            heap = tile.full_rows(outliers + start)
+            buf, starts = heap.buf, heap.starts.tolist()
+        else:
+            buf = tile.heap.buf
+            starts = tile.heap.starts[outliers + start].tolist()
+        for local, row_start in zip(outliers.tolist(), starts):
+            values = shred_jsonb(plan, buf, row_start)
             counters.shred_passes += 1
             for request, vector, stored_nulls in conflicts:
                 if stored_nulls[local]:
@@ -1055,34 +1073,43 @@ def _float_to_int64(data: np.ndarray, nulls: np.ndarray) -> ColumnVector:
                         nulls | out_of_range)
 
 
+def _cast_int_text(text: str) -> Optional[int]:
+    value = text_as_int(text, is_numeric_string(text))
+    return value if value is None or fits_int64(value) else None
+
+
+#: ``->>'k'::<target>`` of a string, as the JSONB getters read a STRING
+#: or NUMSTR value (``repro.jsonb.access``); an out-of-range integer is
+#: NULL, as ``ColumnBuilder`` makes it
+_STRING_CASTS = {
+    ColumnType.INT64: _cast_int_text,
+    ColumnType.FLOAT64: text_as_float,
+    ColumnType.DECIMAL: text_as_float,
+    ColumnType.BOOL: text_as_bool,
+    ColumnType.TIMESTAMP: lambda text: text_as_timestamp(
+        text, is_numeric_string(text)),
+}
+_STRING_CAST_DTYPES = {ColumnType.INT64: np.int64,
+                       ColumnType.TIMESTAMP: np.int64,
+                       ColumnType.BOOL: np.bool_}
+
+
 def _parse_string_column(data: np.ndarray, nulls: np.ndarray,
                          target: ColumnType) -> ColumnVector:
+    """A string column (or a repeated column's gather) read as
+    *target*: each distinct string converted once, by the rule the
+    JSONB getters apply (:data:`_STRING_CASTS`)."""
+    cast = _STRING_CASTS[target]
+    present = np.flatnonzero(~nulls)
+    texts = data[present].tolist()
+    converted = {text: cast(text) for text in set(texts)}
+    values = [converted[text] for text in texts]
+    held = np.array([value is not None for value in values], dtype=bool)
+    out = np.zeros(len(data), dtype=_STRING_CAST_DTYPES.get(target,
+                                                            np.float64))
+    out[present[held]] = [value for value in values if value is not None]
     out_nulls = nulls.copy()
-    if target == ColumnType.TIMESTAMP:
-        out = np.zeros(len(data), dtype=np.int64)
-        for index, item in enumerate(data):
-            parsed = parse_datetime_string(item) if isinstance(item, str) else None
-            if parsed is None:
-                out_nulls[index] = True
-            else:
-                out[index] = parsed
-        return ColumnVector(target, out, out_nulls)
-    if target == ColumnType.BOOL:
-        out = np.zeros(len(data), dtype=bool)
-        for index, item in enumerate(data):
-            if item == "true":
-                out[index] = True
-            elif item != "false":
-                out_nulls[index] = True
-        return ColumnVector(target, out, out_nulls)
-    dtype = np.int64 if target == ColumnType.INT64 else np.float64
-    out = np.zeros(len(data), dtype=dtype)
-    caster = int if target == ColumnType.INT64 else float
-    for index, item in enumerate(data):
-        try:
-            out[index] = caster(item)
-        except (TypeError, ValueError):
-            out_nulls[index] = True
+    out_nulls[present[~held]] = True
     result_type = ColumnType.FLOAT64 if target == ColumnType.DECIMAL else target
     return ColumnVector(result_type, out, out_nulls)
 
@@ -1127,36 +1154,29 @@ def _typed_from_python(raw: object, request: AccessRequest) -> object:
     target = request.target
     if target == ColumnType.JSONB:
         return raw
+    if isinstance(raw, str):
+        if target == ColumnType.STRING:
+            return raw
+        return _STRING_CASTS[target](raw)
+    # the JSONB getters' rules for numbers and literals
     if target == ColumnType.INT64:
         if isinstance(raw, float):
             return float_to_int(raw)
-        try:
-            return int(raw)
-        except (TypeError, ValueError):
-            try:
-                return float_to_int(float(raw))
-            except (TypeError, ValueError):
-                return None
+        return int(raw) if isinstance(raw, int) else None
     if target in (ColumnType.FLOAT64, ColumnType.DECIMAL):
-        try:
-            return float(raw)
-        except (TypeError, ValueError):
-            return None
+        return float(raw) if isinstance(raw, (int, float)) else None
     if target == ColumnType.BOOL:
-        if isinstance(raw, bool):
-            return raw
-        return {"true": True, "false": False}.get(str(raw))
+        if isinstance(raw, float):
+            return text_as_bool(float_text(raw))
+        return raw != 0 if isinstance(raw, int) else None
     if target == ColumnType.TIMESTAMP:
-        if isinstance(raw, str):
-            return parse_datetime_string(raw)
-        if isinstance(raw, int):
-            return raw
-        return None
+        return raw if isinstance(raw, int) and not isinstance(raw, bool) \
+            else None
     # text semantics of ->> on containers: compact JSON
     if isinstance(raw, (dict, list)):
         return json.dumps(raw, separators=(",", ":"))
     if isinstance(raw, bool):
         return "true" if raw else "false"
-    if isinstance(raw, float) and raw.is_integer():
-        return str(int(raw))
+    if isinstance(raw, float):
+        return float_text(raw)
     return str(raw)

@@ -34,6 +34,54 @@ _JSON_TYPE_BY_ID = {
 }
 
 
+# ----------------------------------------------------------------------
+# casts of scalar text (Section 4.3): the getters below apply them to
+# STRING / NUMSTR values, and every other access path — an extracted
+# string column, a repeated column's gather, the JSON text format —
+# calls the same functions, so a cast answers alike whichever stores
+# the value
+
+def text_as_int(text: str, numeric: bool) -> Optional[int]:
+    """``::int`` of a string: ``int()`` of its text; failing that, a
+    numeric string (*numeric*: Section 5.2's test, ``is_numeric_string``)
+    reads as its number truncated (:func:`float_to_int`), any other
+    string as NULL."""
+    try:
+        return int(text)
+    except ValueError:
+        return float_to_int(float(text)) if numeric else None
+
+
+def text_as_float(text: str) -> Optional[float]:
+    """``::float`` of a string: ``float()`` of its text, else NULL."""
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def text_as_bool(text: Optional[str]) -> Optional[bool]:
+    """``::bool`` of a value's text (``->>``): ``true`` / ``t`` / ``1``
+    and ``false`` / ``f`` / ``0``, else NULL."""
+    if text in ("true", "t", "1"):
+        return True
+    if text in ("false", "f", "0"):
+        return False
+    return None
+
+
+def text_as_timestamp(text: str, numeric: bool) -> Optional[int]:
+    """``::timestamp`` of a string (Section 4.9): a parsed date/time in
+    epoch microseconds; a numeric string is no date (NULL)."""
+    return None if numeric else parse_datetime_string(text)
+
+
+def float_text(value: float) -> str:
+    """``->>`` of a float: integral values print as integers, others
+    (NaN and ±Infinity too) as their shortest round-trip ``repr``."""
+    return repr(int(value)) if value.is_integer() else repr(value)
+
+
 class JsonbValue:
     """A view of one value inside a JSONB buffer."""
 
@@ -160,10 +208,8 @@ class JsonbValue:
         if type_id == fmt.TYPE_INT:
             return str(self.as_python())
         if type_id == fmt.TYPE_FLOAT:
-            # integral values print as integers, NaN / ±Infinity as
-            # 'nan' / 'inf' / '-inf' — the extracted-column rendering
-            value = self.as_python()
-            return repr(int(value)) if value.is_integer() else repr(value)
+            # the extracted-column rendering
+            return float_text(self.as_python())
         return json.dumps(self.as_python(), separators=(",", ":"))
 
     # ------------------------------------------------------------------
@@ -178,17 +224,9 @@ class JsonbValue:
             return fmt.read_int_payload(self.buf, self.pos + 1, info - 7)
         if type_id == fmt.TYPE_FLOAT:
             return float_to_int(self.as_python())
-        if type_id == fmt.TYPE_NUMSTR:
-            text = self.as_python()
-            try:
-                return int(text)
-            except ValueError:
-                return float_to_int(float(text))
-        if type_id == fmt.TYPE_STRING:
-            try:
-                return int(self.as_python())
-            except ValueError:
-                return None
+        if type_id == fmt.TYPE_NUMSTR or type_id == fmt.TYPE_STRING:
+            return text_as_int(self.as_python(),
+                               type_id == fmt.TYPE_NUMSTR)
         if type_id == fmt.TYPE_LITERAL and info != fmt.LITERAL_NULL:
             return int(info == fmt.LITERAL_TRUE)
         return None
@@ -199,10 +237,7 @@ class JsonbValue:
         if type_id == fmt.TYPE_FLOAT or type_id == fmt.TYPE_INT:
             return float(self.as_python())
         if type_id in (fmt.TYPE_NUMSTR, fmt.TYPE_STRING):
-            try:
-                return float(self.as_python())
-            except ValueError:
-                return None
+            return text_as_float(self.as_python())
         if type_id == fmt.TYPE_LITERAL and info != fmt.LITERAL_NULL:
             return float(info == fmt.LITERAL_TRUE)
         return None
@@ -215,19 +250,15 @@ class JsonbValue:
             return info == fmt.LITERAL_TRUE
         if type_id == fmt.TYPE_INT:
             return self.as_int() != 0
-        text = self.as_text()
-        if text in ("true", "t", "1"):
-            return True
-        if text in ("false", "f", "0"):
-            return False
-        return None
+        return text_as_bool(self.as_text())
 
     def as_timestamp(self) -> Optional[int]:
         """``::Date`` / ``::Timestamp`` access: parse supported string
         formats into epoch microseconds (Section 4.9)."""
         type_id, _ = fmt.split_header(self.buf[self.pos])
-        if type_id == fmt.TYPE_STRING:
-            return parse_datetime_string(self.as_python())
+        if type_id == fmt.TYPE_STRING or type_id == fmt.TYPE_NUMSTR:
+            return text_as_timestamp(self.as_python(),
+                                     type_id == fmt.TYPE_NUMSTR)
         if type_id == fmt.TYPE_INT:
             return self.as_int()
         return None

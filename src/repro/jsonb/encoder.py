@@ -16,7 +16,7 @@ import math
 import struct
 from itertools import accumulate
 from operator import itemgetter
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.types import JsonType, is_numeric_string
 from repro.errors import JsonbEncodeError
@@ -231,13 +231,108 @@ def encode(value: object, detect_numeric_strings: bool = True,
     Section 5.2; turning it off stores all strings verbatim (used by the
     format ablation tests).  An item *sink* (``repro.mining.ItemSink``)
     additionally receives the document's typed key paths from the same
-    walk, as one transaction — the loader's single walk per document.
+    walk, as one transaction (what :func:`collect_items` reports).
     """
     if sink is None:
         return _encode(value, detect_numeric_strings, None, None)
     data = _encode(value, detect_numeric_strings, sink, sink.root)
     sink.end_document()
     return data
+
+
+def _items(value: object, sink, node) -> None:
+    """The item reports of :func:`_encode` (with numeric-string
+    detection), without building bytes."""
+    kind = type(value)
+    if kind not in _EXACT:
+        kind = _json_kind(value)
+    if kind is str:
+        jtype = (_NUMSTR_ITEM if value[:1] in _NUMBER_START
+                 and is_numeric_string(value) else _STRING_ITEM)
+    elif kind is int:
+        jtype = _INT_ITEM
+    elif kind is dict:
+        if not value:
+            sink.add(node, _OBJECT_ITEM)
+        for key, child in value.items():
+            if not isinstance(key, str):
+                raise JsonbEncodeError(
+                    f"object key must be a string, got {key!r}")
+            _items(child, sink, sink.child(node, key))
+        return
+    elif kind is float:
+        jtype = _FLOAT_ITEM
+    elif kind is list or kind is tuple:
+        if not value:
+            sink.add(node, _ARRAY_ITEM)
+        for slot, child in enumerate(value[:sink.max_array_elements]):
+            _items(child, sink, sink.child(node, slot))
+        return
+    else:
+        jtype = _NULL_ITEM if value is None else _BOOL_ITEM
+    sink.add(node, jtype)
+
+
+def collect_items(value: object, sink) -> None:
+    """Report a document's typed key paths to an item *sink* as one
+    transaction — the items ``encode(value, sink=sink)`` reports — but
+    build no bytes: the loader mines a partition first and encodes each
+    row once, under its tile's schema (:func:`encode_stripped`).  Values
+    the encoder rejects raise there, not here."""
+    _items(value, sink, sink.root)
+    sink.end_document()
+
+
+def _held(value: object) -> bool:
+    """Whether a leaf of its column's exact type is one the column holds:
+    an integer in int64 range, a string that encodes as UTF-8 (raises
+    :class:`JsonbEncodeError` as :func:`encode` would), any float or
+    bool."""
+    kind = type(value)
+    if kind is int:
+        return _INT_MIN <= value <= _INT_MAX
+    if kind is str and not value.isascii():
+        _utf8(value)
+    return True
+
+
+def _encode_stripped(value: dict, strip: dict) -> bytes:
+    """An object under a strip trie (see :func:`encode_stripped`)."""
+    slots = []
+    for key, child in value.items():
+        if not isinstance(key, str):
+            raise JsonbEncodeError(f"object key must be a string, got {key!r}")
+        entry = strip.get(key)
+        if entry is None:
+            data = _encode(child, True, None, None)
+        else:
+            exact, below = entry
+            if type(child) is exact and _held(child):
+                continue  # the column holds this value
+            if below is not None and type(child) is dict:
+                data = _encode_stripped(child, below)
+            else:
+                data = _encode(child, True, None, None)
+        raw, prefixed = _KEYS.get(key) or _key(key)
+        slots.append((raw, prefixed + data))
+    slots.sort(key=_first)
+    return _container(_OBJECT, [slot for _raw, slot in slots])
+
+
+def encode_stripped(value: object, strip: Optional[dict]) -> bytes:
+    """:func:`encode` (numeric strings detected) without the leaves that
+    a tile's extracted columns hold exactly (DESIGN.md §3, "one copy of
+    every value").
+
+    *strip* is a trie over object keys: ``{key: (exact type or None,
+    trie below or None)}``.  A member whose value's type is exactly the
+    entry's type (``int``, ``float``, ``str`` or ``bool``; see
+    :func:`_held`) is left out; every other value is encoded as usual,
+    and objects on the trie keep their slot even when it ends up
+    empty.  ``None`` (or a non-object document) encodes in full."""
+    if not strip or type(value) is not dict:
+        return _encode(value, True, None, None)
+    return _encode_stripped(value, strip)
 
 
 def encoded_size(value: object, detect_numeric_strings: bool = True) -> int:

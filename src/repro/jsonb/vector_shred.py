@@ -41,9 +41,10 @@ import numpy as np
 from repro.core.jsonpath import KeyPath
 from repro.core.types import ColumnType
 from repro.jsonb import format as fmt
-from repro.jsonb.access import JsonbValue, contains_probe
+from repro.jsonb.access import JsonbValue, contains_probe, text_as_int
 from repro.jsonb.shred import ShredPlan, TrieNode
-from repro.storage.column import ColumnBuilder, ColumnVector, null_vector
+from repro.storage.column import (ColumnBuilder, ColumnVector, fits_int64,
+                                  null_vector)
 
 _WIDTHS = np.array(fmt.OFFSET_WIDTHS, dtype=np.int64)
 #: payload width of the compact-uint markers 251..255 (254 and 255 are
@@ -372,7 +373,10 @@ def _string_spans(view: HeapView, pos: np.ndarray,
 
 
 #: decode classes of a (header byte, target) pair in :func:`typed_column`
-_NULL, _INT, _FLOAT2, _FLOAT4, _FLOAT8, _TEXT, _BOOL, _OTHER = range(8)
+(_NULL, _INT, _FLOAT2, _FLOAT4, _FLOAT8, _TEXT, _NUMTEXT, _BOOL,
+ _OTHER) = range(9)
+#: targets a numeric string (NUMSTR) decodes to from its text
+_NUMTEXT_TARGETS = (ColumnType.INT64, ColumnType.FLOAT64, ColumnType.DECIMAL)
 
 
 def _class_table(target: ColumnType) -> np.ndarray:
@@ -391,6 +395,8 @@ def _class_table(target: ColumnType) -> np.ndarray:
         elif kind in (fmt.TYPE_STRING, fmt.TYPE_NUMSTR) \
                 and target == ColumnType.STRING:
             table[header] = _TEXT
+        elif kind == fmt.TYPE_NUMSTR and target in _NUMTEXT_TARGETS:
+            table[header] = _NUMTEXT
         elif kind == fmt.TYPE_LITERAL and target == ColumnType.BOOL \
                 and info in (fmt.LITERAL_TRUE, fmt.LITERAL_FALSE):
             table[header] = _BOOL
@@ -421,9 +427,10 @@ def typed_columns(target: ColumnType, getter: Callable[[JsonbValue], object],
 
     Integers (to INT64 / FLOAT64 / DECIMAL / TIMESTAMP / BOOL, and to
     STRING as their decimal text), floats (to FLOAT64 / DECIMAL),
-    strings and numeric strings (to STRING), true / false (to BOOL) and
-    JSON null (NULL for every target) are decoded here, one numpy pass
-    per encoding present; every other (encoding, target) pair calls
+    strings and numeric strings (to STRING), numeric strings' text (to
+    INT64 / FLOAT64 / DECIMAL, by the getters' rule), true / false (to
+    BOOL) and JSON null (NULL for every target) are decoded here, one
+    numpy pass per encoding present; every other (encoding, target) pair calls
     *getter*, under the builder's NULL-on-uncoercible rule.  A JSONB
     target builds its Python values through the builder as the row
     walk does."""
@@ -490,11 +497,23 @@ def _decode(target: ColumnType, getter: Callable[[JsonbValue], object],
                 values = list(map(str, values.tolist()))
         elif kind in _FLOAT_READS:
             values = view.every(_FLOAT_READS[kind])[rows + 1]
-        elif kind == _TEXT:
+        elif kind == _TEXT or kind == _NUMTEXT:
             start, length = _string_spans(view, rows, headers & 0x1F)
             values = [buf[first:first + size].decode("utf-8")
                       for first, size in zip(start.tolist(),
                                              length.tolist())]
+            if kind == _NUMTEXT:
+                # the getters' rule for a numeric string's text
+                if target != ColumnType.INT64:
+                    values = list(map(float, values))
+                else:
+                    values = [text_as_int(text, True) for text in values]
+                    held = [value is not None and fits_int64(value)
+                            for value in values]
+                    if not all(held):
+                        into = into[np.array(held, dtype=bool)]
+                        values = [value for value, ok in zip(values, held)
+                                  if ok]
         else:  # _BOOL
             values = headers == fmt.make_header(fmt.TYPE_LITERAL,
                                                 fmt.LITERAL_TRUE)

@@ -103,9 +103,9 @@ class ColumnVector:
         With ``shared_strings=True``, variable-length payloads live in
         a shared region referenced by 8-byte ``(offset, length)`` pairs
         — Umbra's design (Section 4.7: "variable-length data is tracked
-        in a separate memory region with offsets"), and how a ``.jtile``
-        file stores an extracted string column: as refs into the tile's
-        JSONB row heap, not as a second copy of the bytes.
+        in a separate memory region with offsets"), the paper's Table 6
+        accounting.  (A ``.jtile`` file stores an extracted string
+        column as a per-tile dictionary plus codes instead.)
         """
         if self.data.dtype == object:
             if shared_strings:
@@ -218,9 +218,16 @@ class ColumnBuilder:
         return len(self._values)
 
     def finish(self) -> ColumnVector:
-        data = np.array(self._values, dtype=dtype_for(self.type))
-        if len(data) == 0:
-            data = np.zeros(0, dtype=dtype_for(self.type))
+        dtype = dtype_for(self.type)
+        if dtype is object:
+            # one element per value: np.array would turn equal-length
+            # lists (JSONB arrays) into a second dimension
+            data = np.fromiter(self._values, dtype=object,
+                               count=len(self._values))
+        else:
+            data = np.array(self._values, dtype=dtype)
+            if len(data) == 0:
+                data = np.zeros(0, dtype=dtype)
         null_mask = np.array(self._nulls, dtype=bool)
         return ColumnVector(self.type, data, null_mask)
 

@@ -4,19 +4,19 @@ The loader turns a stream of documents (parsed dicts or JSON text
 lines) into a :class:`~repro.storage.relation.Relation`:
 
 1. *parse* the text (when text is given),
-2. *write JSONB* — one walk per document encodes it into the binary
-   fallback and, in the same walk, collects its typed key
-   paths into the partition's item dictionary (the mining input),
+2. *walk* — one walk per document collects its typed key paths into
+   the partition's item dictionary (the mining input); without
+   extraction the same walk writes the document's JSONB,
 3. *reorder* each partition of ``partition_size`` tiles (TILES only),
 4. *mine + extract* tiles (TILES/SINEW) and collect statistics; each
-   tile copies its rows into its one row heap, and the per-row bytes
-   are released as the heaps are built,
+   tile encodes its rows once, under its schema, without the values
+   its columns hold (``repro.tiles.tile``),
 5. for TILES_STAR, detect high-cardinality arrays and load them into
    child relations first.
 
-Each phase is timed into ``relation.load_breakdown`` (Figure 16); the
-fused walk of step 2 is reported as ``write_jsonb``, so ``mining`` is
-what remains after the walk: per-tile dictionaries, schema choice and
+Each phase is timed into ``relation.load_breakdown`` (Figure 16):
+``write_jsonb`` is the encoding of the rows, ``mining`` the item walk
+of extracting formats plus per-tile dictionaries, schema choice and
 date detection.  The walk runs in the calling process; partitions are
 disjoint, so ``num_workers > 1`` then builds them in parallel worker
 processes (Figure 17's parallel loading).
@@ -29,10 +29,8 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.jsonpath import KeyPath
-from repro.jsonb import encode as jsonb_encode
 from repro.mining.dictionary import (
     ItemDictionary,
-    ItemSink,
     encode_documents,
     subset_dictionary,
 )
@@ -48,9 +46,10 @@ from repro.tiles.extractor import (
     TileSchema,
     build_tile,
     choose_schema,
+    walk_documents,
 )
 from repro.tiles.reorder import apply_order, reorder_transactions
-from repro.tiles.tile import RowHeap, Tile
+from repro.tiles.tile import Tile
 
 DocumentInput = Union[str, dict, list]
 
@@ -65,16 +64,19 @@ def _parse_documents(rows: Sequence[DocumentInput],
 
 
 def _encode_partition(documents: Sequence[object], config: ExtractionConfig,
-                      timings: Dict[str, float],
-                      ) -> Tuple[List[bytes], ItemDictionary, List[List[int]]]:
-    """The one walk per document: JSONB bytes plus the partition's
-    dictionary-encoded (key path, type) transactions."""
+                      timings: Dict[str, float], extract: bool,
+                      ) -> Tuple[Optional[List[bytes]], ItemDictionary,
+                                 List[List[int]]]:
+    """The one walk per document (:func:`walk_documents`): the
+    partition's transactions, plus its JSONB rows when nothing is
+    extracted."""
     started = time.perf_counter()
-    sink = ItemSink(config.max_array_elements)
-    encoded = [jsonb_encode(document, sink=sink) for document in documents]
-    timings["write_jsonb"] = (timings.get("write_jsonb", 0.0)
-                              + time.perf_counter() - started)
-    return encoded, sink.dictionary, sink.transactions
+    rows, (dictionary, transactions) = walk_documents(
+        documents, config, encode=not extract)
+    phase = "mining" if extract else "write_jsonb"
+    timings[phase] = (timings.get(phase, 0.0)
+                      + time.perf_counter() - started)
+    return rows, dictionary, transactions
 
 
 def _sinew_schema(documents: Sequence[object],
@@ -88,38 +90,23 @@ def _sinew_schema(documents: Sequence[object],
     return choose_schema(dictionary, len(documents), config)
 
 
-#: the heap a worker's tiles carry back while detached from their rows
-_DETACHED = RowHeap.from_rows([])
-
-
 def _build_partition(args: Tuple) -> Tuple[List[Tile], Dict[str, float]]:
     """Build all tiles of one partition (worker-process entry point).
 
-    The partition's documents were walked once, by the JSONB encoder;
-    the transactions of that walk drive both the reordering and the
-    per-tile extraction.
+    The partition's documents were walked once; the transactions of
+    that walk drive both the reordering and the per-tile extraction.
     """
     (documents, jsonb_rows, dictionary, transactions, config,
-     first_tile_number, first_row, storage_format, schema,
-     detach_rows) = args
+     first_tile_number, first_row, storage_format, schema) = args
     timings: Dict[str, float] = {}
-    order = list(range(len(documents)))
     extract = storage_format.extracts_columns
     if storage_format in (StorageFormat.TILES, StorageFormat.TILES_STAR) \
             and config.enable_reordering:
         started = time.perf_counter()
         order = reorder_transactions(transactions, config)
         documents = apply_order(documents, order)
-        jsonb_rows = apply_order(jsonb_rows, order)
         transactions = apply_order(transactions, order)
         timings["reorder"] = time.perf_counter() - started
-    if not detach_rows:
-        # each tile copies its rows into its heap: take the rows over
-        # from the caller's list and release them as the heaps are
-        # built, so they are never held twice (a parallel parent keeps
-        # its list to reattach the rows itself)
-        jsonb_rows = list(jsonb_rows)
-        args[1].clear()
     tiles = []
     tile_size = config.tile_size
     for offset in range(0, len(documents), tile_size):
@@ -130,23 +117,15 @@ def _build_partition(args: Tuple) -> Tuple[List[Tile], Dict[str, float]]:
                              + time.perf_counter() - started)
         tiles.append(
             build_tile(documents[offset : offset + tile_size],
-                       jsonb_rows[offset : offset + tile_size], config,
+                       None if jsonb_rows is None
+                       else jsonb_rows[offset : offset + tile_size], config,
                        first_tile_number + offset // tile_size,
                        first_row + offset,
                        schema=schema if extract and schema else None,
                        mine=extract, timings=timings, encoded=encoded,
                        repeat_arrays=storage_format.repeats_arrays)
         )
-        if not detach_rows:
-            jsonb_rows[offset : offset + tile_size] = \
-                [b""] * len(tiles[-1].heap)
-    if detach_rows:
-        # the parent already holds the JSONB rows; do not pickle them
-        # back through the process boundary (it would dominate the
-        # parallel-loading cost) — the parent reattaches them by order
-        for tile in tiles:
-            tile.heap = _DETACHED
-    return tiles, timings, order
+    return tiles, timings
 
 
 # partitions handed to forked workers by index (fork shares the parent
@@ -240,33 +219,18 @@ def load_documents(
     def encode_job(start: int) -> Tuple:
         part = documents[start : start + partition_rows]
         part_rows, dictionary, transactions = _encode_partition(
-            part, config, timings)
+            part, config, timings, storage_format.extracts_columns)
         return (part, part_rows, dictionary, transactions, config,
-                start // config.tile_size, start, storage_format, schema,
-                parallel)
+                start // config.tile_size, start, storage_format, schema)
 
     starts = range(0, len(documents), partition_rows)
     if parallel:
-        jobs = [encode_job(start) for start in starts]
-        results = _run_jobs_parallel(jobs, num_workers)
+        results = _run_jobs_parallel([encode_job(start) for start in starts],
+                                     num_workers)
     else:
-        # encode each partition just before it is built, so its rows
-        # reuse the memory the previous partition's rows were freed from
-        jobs = map(encode_job, starts)
-    for index, job in enumerate(jobs):
-        if parallel:
-            tiles, job_timings, order = results[index]
-            reordered = apply_order(job[1], order)
-            job[1].clear()
-            offset = 0
-            for tile in tiles:
-                count = tile.header.row_count
-                tile.heap = RowHeap.from_rows(
-                    reordered[offset : offset + count])
-                reordered[offset : offset + count] = [b""] * count
-                offset += count
-        else:
-            tiles, job_timings, order = _build_partition(job)
+        # walk each partition just before it is built
+        results = (_build_partition(encode_job(start)) for start in starts)
+    for tiles, job_timings in results:
         # bulk-loaded tiles enter as dirty handles (no on-disk copy
         # until the first checkpoint), so the store never evicts them
         relation.tiles.extend(relation.adopt_tile(tile) for tile in tiles)

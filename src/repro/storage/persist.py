@@ -1,14 +1,11 @@
 """On-disk persistence for relations.
 
-Format v3 (``JTIL3``) lays a relation out for *random* access so the
+Format v4 (``JTIL4``) lays a relation out for *random* access so the
 tile store can page individual tiles in and out, and stores each tile
 smaller than its JSON text:
 
-* magic ``JTIL3`` (5 bytes),
-* the blobs, streamed in write order (HyperLogLog registers and
-  histograms, JSONB row heaps, extracted column values, string
-  overflow, null bitmaps, repeated ``chain[*].key`` columns, bloom
-  bits, the pending insert buffer),
+* magic ``JTIL4`` (5 bytes),
+* the blobs, streamed in write order,
 * the JSON *catalog* (a footer): structural metadata (format, config,
   tiles, extracted columns, statistics, bloom filters) where every
   bulk payload is replaced by a blob id, plus
@@ -16,31 +13,45 @@ smaller than its JSON text:
     of every blob, the codec an index into ``codecs``,
   - ``codecs``: ``["raw", "zlib"]``.  Every blob is deflated with
     ``zlib`` level 1 and kept that way when it came out smaller,
-  - ``stored``: the blobs' stored bytes per kind (``BLOB_KINDS``),
+  - ``stored``: the blobs' stored bytes per kind,
 * a little-endian u64 with the catalog length, then the magic again
   as a trailer (its presence proves the file is complete).
 
-Extracted string columns store no string bytes of their own (Umbra's
-shared variable-length region, Section 4.7): each value is a ``uint32``
-``(offset, length)`` pair into the tile's encoded row heap, where the
-same UTF-8 bytes already sit inside the row's JSONB.  A value that does
-not occur verbatim in its own row (a stringified outlier) goes to the
-column's overflow blob under the offset ``0xFFFFFFFF``; NULL rows are
-``(0, 0)`` and the null bitmap marks them.  Tiles in memory are
-unchanged: a load decodes each string once from the heap.  Each tile's
-catalog entry records that in-memory size (``nbytes``), which the tile
-store charges while the tile is resident.
+Every value is stored once (DESIGN.md §3).  The blob kinds
+(``BLOB_KINDS``; ``Relation.size_report()["stored"]`` adds ``catalog``
+— magic, footer and trailer — so the kinds sum to the file size):
+
+* ``row_heap``: each tile's JSONB rows, without the leaves its
+  columns hold exactly (``repro.tiles.tile``); a JSON-format
+  relation's text rows,
+* ``string_columns``: one blob per extracted string column, its sorted
+  per-tile dictionary (``u32`` byte lengths, then the UTF-8 bytes) and
+  one ``u8`` / ``u16`` (``u32`` past 65,535 values) code per row —
+  the layout of the repeated columns; NULL rows code 0 and the null
+  bitmap marks them,
+* ``fixed_columns``: the other extracted columns' numpy values,
+* ``null_bitmaps``, ``statistics`` (HyperLogLog registers and
+  histograms), ``bloom``, ``presence`` (one blob of every tile's
+  row-presence bitmaps), ``repeated`` (``chain[*].key`` columns) and
+  ``insert_buffer`` (the pending inserts as JSON text).
+
+In memory a string column stays an object array (the dictionary
+gathered by the codes), and each tile's catalog entry records its
+in-memory size (``nbytes``), which the tile store charges while the
+tile is resident.
 
 Because every blob is independently addressable, ``load_relation``
 reads only the catalog eagerly: tile headers, statistics and sketches
 are restored up front (they drive planning and tile skipping), while
 each tile's columns and JSONB heap stay behind a
 :class:`TileSegment` that the :mod:`~repro.storage.tilestore` faults
-in on first pin.  Only v3 is written.  v2 (same layout, raw blobs,
-``[offset, length]`` index entries, strings stored as length-prefixed
+in on first pin.  Only v4 is written.  Older files stay readable and
+load through the same lazy path: v3 (rows holding every value, string
+columns as ``u32`` ``(offset, length)`` refs into the row heap, with
+an overflow blob for values no row holds), v2 (v3's layout with raw
+blobs, ``[offset, length]`` index entries, strings as length-prefixed
 copies) and v1 (leading catalog with ``blob_sizes``, blobs
-concatenated after it — offsets are the running sum of the sizes) are
-still readable and load through the same lazy path.
+concatenated after it — offsets are the running sum of the sizes).
 
 Durability: files are written to a temp sibling, fsynced, atomically
 renamed into place, and the containing directory is fsynced, so a
@@ -80,28 +91,31 @@ from repro.storage.tilestore import (
 )
 from repro.tiles.extractor import ExtractionConfig
 from repro.tiles.header import ExtractedColumn, TileHeader
-from repro.tiles.repeated import RepeatedColumn
+from repro.tiles.repeated import (RepeatedColumn, code_type, pack_dictionary,
+                                  unpack_dictionary)
 from repro.tiles.tile import RowHeap, Tile
 
 MAGIC_V1 = b"JTIL1"
 MAGIC_V2 = b"JTIL2"
-MAGIC = b"JTIL3"
+MAGIC_V3 = b"JTIL3"
+MAGIC = b"JTIL4"
 
-#: blob codecs of a v3 file, by the id its ``blob_index`` entries carry
+#: blob codecs of a v3 / v4 file, by the id its ``blob_index`` entries
+#: carry
 CODECS = ("raw", "zlib")
 _RAW, _ZLIB = 0, 1
 #: zlib level 1 deflates a Yelp JSONB heap to 0.22 at 81 MB/s; level 6
 #: reaches 0.18 at 31 MB/s, which checkpoints would pay on every load
 _ZLIB_LEVEL = 1
-#: the offset of a string ref whose bytes live in the overflow blob
+#: the offset of a v3 string ref whose bytes live in the overflow blob
 _OVERFLOW = 0xFFFFFFFF
 
-#: what each stored blob holds; ``Relation.size_report()["stored"]``
-#: adds ``"catalog"`` (magic, footer, trailer) so the parts sum to the
-#: file size
-BLOB_KINDS = ("row_heap", "string_refs", "string_overflow",
-              "fixed_columns", "null_bitmaps", "statistics", "bloom",
-              "insert_buffer", "presence", "repeated")
+#: what each stored blob of a v4 file holds (see the module docstring);
+#: ``Relation.size_report()["stored"]`` adds ``"catalog"`` (magic,
+#: footer, trailer) so the parts sum to the file size
+BLOB_KINDS = ("row_heap", "string_columns", "fixed_columns",
+              "null_bitmaps", "statistics", "bloom", "insert_buffer",
+              "presence", "repeated")
 
 
 class _BlobWriter:
@@ -229,39 +243,49 @@ def _decode_rows(blob: bytes) -> List[bytes]:
     return rows
 
 
-def _string_refs(vector: ColumnVector, heap: RowHeap) -> Tuple[bytes, bytes]:
-    """The refs and overflow blobs of an object-dtype column: each
-    non-NULL value as ``(offset, length)`` into the row heap where its
-    row's JSONB holds the same bytes, else ``(_OVERFLOW, length)`` with
-    the bytes appended to the overflow.  Any occurrence decodes to the
-    same value; NULL rows stay ``(0, 0)``."""
-    offsets = [0] * len(vector)
-    lengths = [0] * len(vector)
-    overflow: List[bytes] = []
-    values = vector.data.tolist()
-    buf, starts, ends = heap.buf, heap.starts.tolist(), heap.ends.tolist()
-    for index in np.flatnonzero(~vector.null_mask).tolist():
-        item = values[index]
-        value = (item if isinstance(item, bytes)
-                 else str(item).encode("utf-8"))
-        hit = buf.find(value, starts[index], ends[index])
-        if hit >= 0:
-            offsets[index] = hit
-        else:
-            offsets[index] = _OVERFLOW
-            overflow.append(value)
-        lengths[index] = len(value)
-    refs = np.empty((len(offsets), 2), dtype="<u4")
-    refs[:, 0] = offsets
-    refs[:, 1] = lengths
-    return refs.tobytes(), b"".join(overflow)
+def _string_column(vector: ColumnVector) -> Tuple[bytes, int]:
+    """The ``string_columns`` blob of an object-dtype column and its
+    dictionary size: the sorted distinct non-NULL values
+    (:func:`~repro.tiles.repeated.pack_dictionary`; a ``str`` as UTF-8,
+    whose byte order is its code point order), then one code per row
+    (0 under NULL)."""
+    present = ~vector.null_mask
+    values = [item if isinstance(item, bytes) else str(item).encode("utf-8")
+              for item in vector.data[present].tolist()]
+    distinct = sorted(set(values))
+    index = {value: code for code, value in enumerate(distinct)}
+    codes = np.zeros(len(vector),
+                     dtype=f"<u{code_type(len(distinct)).itemsize}")
+    codes[present] = [index[value] for value in values]
+    return pack_dictionary(distinct) + codes.tobytes(), len(distinct)
+
+
+def _restore_string_column(blob: bytes, count: int, nulls: np.ndarray,
+                           column_type: ColumnType) -> np.ndarray:
+    """Inverse of :func:`_string_column`: the dictionary decoded once,
+    gathered by the codes (``None`` under NULL)."""
+    values, pos = unpack_dictionary(blob, count)
+    dictionary = np.empty(count, dtype=object)
+    dictionary[:] = [value.decode("utf-8") for value in values] \
+        if column_type != ColumnType.JSONB else values
+    codes = np.frombuffer(blob[pos:],
+                          dtype=f"<u{code_type(count).itemsize}")
+    if len(codes) != len(nulls):
+        raise StorageError(f"string column blob holds {len(codes)} codes "
+                           f"for {len(nulls)} rows")
+    out = np.empty(len(codes), dtype=object)
+    present = ~nulls
+    out[present] = dictionary[codes[present]]
+    return out
 
 
 def _resolve_string_refs(refs: bytes, heap: bytes, overflow: bytes,
                          nulls: np.ndarray,
                          column_type: ColumnType) -> np.ndarray:
-    """Inverse of :func:`_string_refs`: slice every non-NULL value out
-    of the heap (or the overflow, in order) and decode it once."""
+    """A v3 string column: each non-NULL value is a ``u32`` ``(offset,
+    length)`` ref into the row heap, or into the overflow blob (in
+    order) under the offset ``_OVERFLOW``; slice every value out and
+    decode it once."""
     pairs = np.frombuffer(refs, dtype="<u4").reshape(-1, 2).tolist()
     as_text = column_type != ColumnType.JSONB
     out = np.empty(len(pairs), dtype=object)
@@ -293,15 +317,12 @@ def _decode_object_column(blob: bytes) -> np.ndarray:
     return out
 
 
-def _column_meta(vector: ColumnVector, heap: RowHeap,
-                 blobs: _BlobWriter) -> dict:
+def _column_meta(vector: ColumnVector, blobs: _BlobWriter) -> dict:
     meta = {"type": vector.type.value, "length": len(vector)}
     if vector.data.dtype == object:
-        refs, overflow = _string_refs(vector, heap)
-        meta["layout"] = "refs"
-        meta["data"] = blobs.add(refs, "string_refs")
-        if overflow:
-            meta["overflow"] = blobs.add(overflow, "string_overflow")
+        blob, meta["values"] = _string_column(vector)
+        meta["layout"] = "dict"
+        meta["data"] = blobs.add(blob, "string_columns")
     else:
         meta["layout"] = "raw"
         meta["data"] = blobs.add(vector.data.tobytes(), "fixed_columns")
@@ -317,7 +338,10 @@ def _restore_column(meta: dict, blobs, heap: bytes) -> ColumnVector:
         np.frombuffer(blobs[meta["nulls"]], dtype=np.uint8),
         count=length).astype(bool) if length else np.zeros(0, dtype=bool)
     layout = meta["layout"]
-    if layout == "refs":
+    if layout == "dict":
+        data = _restore_string_column(blobs[meta["data"]], meta["values"],
+                                      nulls, column_type)
+    elif layout == "refs":
         overflow = blobs[meta["overflow"]] if "overflow" in meta else b""
         data = _resolve_string_refs(blobs[meta["data"]], heap, overflow,
                                     nulls, column_type)
@@ -396,11 +420,7 @@ def _restore_bloom(meta: dict, blobs) -> BloomFilter:
 
 def _tile_payload_meta(tile: Tile, blobs: _BlobWriter) -> dict:
     header = tile.header
-    heap = tile.heap
-    if len(heap.buf) > _OVERFLOW:
-        raise StorageError("tile row heap exceeds the 4 GiB reach of "
-                           "string offsets")
-    heap_blob = blobs.add(heap.buf, "row_heap")
+    heap_blob = blobs.add(tile.heap.buf, "row_heap")
     columns = []
     for path, column in tile.columns.items():
         meta = header.columns[path]
@@ -411,7 +431,7 @@ def _tile_payload_meta(tile: Tile, blobs: _BlobWriter) -> dict:
             "conflicts": meta.has_type_conflicts,
             "nullable": meta.nullable,
             "datetime": meta.is_datetime,
-            "vector": _column_meta(column, heap, blobs),
+            "vector": _column_meta(column, blobs),
         })
     tile_meta = {
         "tile_number": header.tile_number,
@@ -434,7 +454,7 @@ def _tile_payload_meta(tile: Tile, blobs: _BlobWriter) -> dict:
                          for path, entries in header.block_bounds.items()},
         "rows": heap_blob,
         # the residency charge of the loaded tile (TileSegment.nbytes):
-        # strings are refs on disk but full objects once loaded
+        # strings are codes on disk but full objects once loaded
         "nbytes": tile_nbytes(tile),
     }
     if tile.repeated:
@@ -730,6 +750,8 @@ def _stored_breakdown(stored: Dict[str, int], file_size: int) -> Dict[str, int]:
     """Stored bytes per blob kind plus ``catalog`` (everything that is
     not a blob), summing to *file_size*."""
     breakdown = {kind: stored.get(kind, 0) for kind in BLOB_KINDS}
+    # a v3 file's string refs and overflow keep their own kinds
+    breakdown.update(stored)
     breakdown["catalog"] = file_size - sum(breakdown.values())
     return breakdown
 
@@ -743,7 +765,7 @@ def _open_catalog(path: Path) -> Tuple[dict, List[List[int]]]:
     with path.open("rb") as handle:
         magic = handle.read(len(MAGIC))
         try:
-            if magic in (MAGIC, MAGIC_V2):
+            if magic in (MAGIC, MAGIC_V3, MAGIC_V2):
                 if size < len(MAGIC) + trailer_len:
                     raise StorageError(f"{path} is truncated")
                 handle.seek(size - trailer_len)
@@ -758,7 +780,8 @@ def _open_catalog(path: Path) -> Tuple[dict, List[List[int]]]:
                 handle.seek(footer_start)
                 catalog = json.loads(
                     handle.read(footer_len).decode("utf-8"))
-                if magic == MAGIC and catalog.get("codecs") != list(CODECS):
+                if magic != MAGIC_V2 \
+                        and catalog.get("codecs") != list(CODECS):
                     raise StorageError(f"{path} uses unknown blob codecs "
                                        f"{catalog.get('codecs')}")
                 return catalog, catalog["blob_index"]

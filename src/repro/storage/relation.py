@@ -22,24 +22,23 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.jsonpath import KeyPath, collect_key_paths
 from repro.errors import StorageError
-from repro.jsonb import decode as jsonb_decode
-from repro.jsonb import encode as jsonb_encode
-from repro.jsonb.encoder import check_encodable
+from repro.jsonb.encoder import check_encodable, encode_stripped
 from repro.lsm.manifest import LevelManifest
-from repro.mining.dictionary import (
-    ItemSink,
-    encode_documents,
-    subset_dictionary,
-)
+from repro.mining.dictionary import encode_documents, subset_dictionary
 from repro.stats.table_stats import TableStatistics
 from repro.storage.formats import StorageFormat
 from repro.storage.tile_cache import GLOBAL_TILE_CACHE
 from repro.storage.tilestore import GLOBAL_TILE_STORE, TileHandle
-from repro.tiles.extractor import ExtractionConfig, build_tile, extend_tile
+from repro.tiles.extractor import (
+    ExtractionConfig,
+    build_tile,
+    extend_tile,
+    walk_documents,
+)
 from repro.tiles.extractor import _materialize_value  # shared coercion
 from repro.tiles.reorder import apply_order, reorder_transactions
 from repro.tiles.repeated import RepeatedColumn
-from repro.tiles.tile import Tile
+from repro.tiles.tile import Tile, strip_trie
 
 #: test hook ``(relation, old_tiles, new_tiles)``: called between
 #: building a rewrite's output tiles and committing the splice in
@@ -338,16 +337,15 @@ class Relation:
                                         for tile in self.tiles)
                 try:
                     if tail is None:
-                        # one walk per document: JSONB bytes + mining
-                        # items
-                        sink = ItemSink(self.config.max_array_elements)
-                        jsonb_rows = [jsonb_encode(document, sink=sink)
-                                      for document in documents]
+                        # one walk per document for the mining items
+                        # (and the rows, when nothing is extracted)
+                        mine = self.format.extracts_columns
+                        jsonb_rows, encoded = walk_documents(
+                            documents, self.config, encode=not mine)
                         tile = self.adopt_tile(build_tile(
                             documents, jsonb_rows, self.config,
-                            tile_number, first_row,
-                            mine=self.format.extracts_columns,
-                            encoded=(sink.dictionary, sink.transactions),
+                            tile_number, first_row, mine=mine,
+                            encoded=encoded,
                             repeat_arrays=self.format.repeats_arrays))
                     else:
                         with tail.pinned() as payload:
@@ -446,16 +444,23 @@ class Relation:
     # row access (point lookups; scans go through the engine)
 
     def document(self, row_id: int) -> object:
-        """Materialize the document stored at *row_id*."""
+        """Materialize the document stored at *row_id* (its row with
+        the column values put back, :meth:`Tile.documents`)."""
         if self.text_rows is not None:
             return json.loads(self.text_rows[row_id])
         handle = self.tile_of_row(row_id)
         with handle.pinned() as tile:
-            return jsonb_decode(tile.heap.row(row_id - handle.first_row))
+            return tile.documents([row_id - handle.first_row])[0]
 
     def documents(self) -> Iterator[object]:
-        for row_id in range(self.row_count):
-            yield self.document(row_id)
+        if self.text_rows is not None:
+            for row_id in range(self.row_count):
+                yield self.document(row_id)
+            return
+        for handle in list(self.tiles):
+            with handle.pinned() as tile:
+                documents = tile.documents()
+            yield from documents
 
     # ------------------------------------------------------------------
     # updates (Section 4.7)
@@ -476,19 +481,25 @@ class Relation:
             # lost to a reload of stale bytes
             handle.mark_dirty()
             old_paths = {path for path, _jtype in collect_key_paths(
-                jsonb_decode(tile.heap.row(local)),
+                tile.documents([local])[0],
                 self.config.max_array_elements)}
             # widen the row spans and mark the row present before the
             # new bytes are visible, so a concurrent scan never answers
             # a new path NULL from them
             tile.header.widen_spans(new_paths, local)
             # a new immutable heap, swapped in with one store: a
-            # concurrent scan holds either the old heap or this one
-            tile.heap = tile.heap.replace(local, jsonb_encode(new_document))
-            # repeated columns are rebuilt from the new heap (DESIGN.md
-            # §5h), swapped in with one store like the heap
+            # concurrent scan holds either the old heap or this one.
+            # The row leaves out what the patched columns below hold.
+            tile.heap = tile.heap.replace(local, encode_stripped(
+                new_document, strip_trie(tile.header.columns.values())))
+            overlapping = 0
+            if self.format.extracts_columns:
+                overlapping = self._patch_columns(tile, local, new_document)
+            # repeated columns are rebuilt from the new heap and columns
+            # (DESIGN.md §5h), swapped in with one store like the heap
             tile.repeated = tuple(
-                RepeatedColumn.build(tile.heap, column.chain, column.key)
+                RepeatedColumn.build(tile.heap, column.chain, column.key,
+                                     tile.columns.get(column.chain))
                 for column in tile.repeated)
             # only now may the paths the old document alone held read
             # absent: presence stays exact, and never too narrow
@@ -503,29 +514,11 @@ class Relation:
 
             # a repeated column overlaps when an element of the row's
             # array holds a string member
-            overlapping = sum(
+            overlapping += sum(
                 bool((column.codes[column.offsets[local]:
                                    column.offsets[local + 1]]
                       != column.sentinel).any())
                 for column in tile.repeated)
-            for path, vector in tile.columns.items():
-                meta = tile.header.columns[path]
-                raw = path.lookup(new_document)
-                value = _materialize_value(raw, meta)
-                if value is None:
-                    # absent key or type outlier: NULL marks "consult JSONB"
-                    vector.null_mask[local] = True
-                    meta.nullable = True
-                    if raw is not None:
-                        meta.has_type_conflicts = True
-                else:
-                    vector.null_mask[local] = False
-                    vector.data[local] = value
-                    overlapping += 1
-                    # widen the tile's zone map / sketch; bounds may only
-                    # grow (stale-wide bounds are safe for pruning)
-                    tile.header.statistics.column(path).observe(value)
-                    tile.header.widen_block_bounds(path, local, value)
 
             # every access path of the new document must be visible to
             # skipping, otherwise changed tiles could be skipped
@@ -541,6 +534,31 @@ class Relation:
             self._outlier_counts[handle.tile_number] = count
             if count > handle.row_count // 2:
                 self.recompute_tile(handle)
+
+    @staticmethod
+    def _patch_columns(tile: Tile, local: int, document: object) -> int:
+        """Patch row *local* of every extracted column with *document*'s
+        value; returns how many columns hold a value for it."""
+        overlapping = 0
+        for path, vector in tile.columns.items():
+            meta = tile.header.columns[path]
+            raw = path.lookup(document)
+            value = _materialize_value(raw, meta)
+            if value is None:
+                # absent key or type outlier: NULL marks "consult JSONB"
+                vector.null_mask[local] = True
+                meta.nullable = True
+                if raw is not None:
+                    meta.has_type_conflicts = True
+            else:
+                vector.null_mask[local] = False
+                vector.data[local] = value
+                overlapping += 1
+                # widen the tile's zone map / sketch; bounds may only
+                # grow (stale-wide bounds are safe for pruning)
+                tile.header.statistics.column(path).observe(value)
+                tile.header.widen_block_bounds(path, local, value)
+        return overlapping
 
     def recompute_tile(self, tile: TileHandle, append_guard=None) -> bool:
         """Re-run mining and extraction for one tile after heavy
@@ -662,18 +680,17 @@ class Relation:
         stop = start + len(old_tiles)
         if start < 0 or not _same_tiles(snapshot[start:stop], old_tiles):
             return False  # replaced since the caller picked the run
-        # pin one input at a time while draining its JSONB heap — the
-        # rows are copied out of it, so mining/extraction run unpinned
-        # and the residency budget never needs the whole run resident
-        # at once.  The drained payloads are retained so
-        # retiring the inputs never has to reload an evicted one.
-        jsonb_rows: List[bytes] = []
+        # pin one input at a time while decoding its documents, so
+        # mining/extraction run unpinned and the residency budget never
+        # needs the whole run resident at once.  The drained payloads
+        # are retained so retiring the inputs never has to reload an
+        # evicted one.
+        documents: List[object] = []
         payloads: List[Tile] = []
         for handle in old_tiles:
             with handle.pinned() as payload:
-                jsonb_rows.extend(payload.heap.rows())
+                documents.extend(payload.documents())
                 payloads.append(payload)
-        documents = [jsonb_decode(row) for row in jsonb_rows]
         transactions = None
         if reorder:
             dictionary, transactions = encode_documents(
@@ -684,7 +701,6 @@ class Relation:
             if order == list(range(len(order))):
                 return False
             documents = apply_order(documents, order)
-            jsonb_rows = apply_order(jsonb_rows, order)
             transactions = apply_order(transactions, order)
         if merge:
             head = old_tiles[0]
@@ -699,7 +715,7 @@ class Relation:
             encoded = None if transactions is None \
                 else subset_dictionary(dictionary, transactions[rows])
             new_tiles.append(self.adopt_tile(build_tile(
-                documents[rows], jsonb_rows[rows], self.config,
+                documents[rows], None, self.config,
                 old.tile_number, old.first_row,
                 mine=self.format.extracts_columns, encoded=encoded,
                 level=level, repeat_arrays=self.format.repeats_arrays)))
@@ -749,21 +765,22 @@ class Relation:
 
     def size_report(self) -> Dict[str, object]:
         """Bytes per representation: raw JSON text, JSONB, extracted
-        tile columns, and LZ4-compressed tile columns.
+        tile columns, and LZ4-compressed tile columns — the paper's
+        Table 6 accounting, where the tiles are stored in addition to
+        the complete JSONB (``jsonb`` counts the complete rows, although
+        a tile's heap leaves out what its columns hold, DESIGN.md §3).
 
         ``tiles`` / ``lz4_tiles`` use the shared-variable-length-region
         accounting of Umbra (Section 4.7): extracted string columns
-        store offsets, not payload copies — which is how the ``.jtile``
-        file stores them (``repro.storage.persist``, format v3).
-        ``tiles_standalone`` is the fully-materialized alternative for
-        comparison.
+        store offsets, not payload copies.  ``tiles_standalone`` is the
+        fully-materialized alternative for comparison.
 
         ``stored`` (present once the relation was saved to or loaded
-        from a v3 file) breaks that file's bytes down by blob kind —
-        row heap, string refs, string overflow, fixed columns, null
-        bitmaps, statistics, bloom, insert buffer, catalog — and sums
-        to its size.  It describes the last snapshot, not tiles sealed
-        since.
+        from a v3 or v4 file) breaks that file's bytes down by blob
+        kind — row heap, string columns, fixed columns, null bitmaps,
+        statistics, bloom, insert buffer, presence, repeated columns,
+        catalog (v3 files: string refs and overflow) — and sums to its
+        size.  It describes the last snapshot, not tiles sealed since.
 
         A relation with zero sealed tiles (empty table, or buffer-only
         state where every document still sits in the insert buffer)

@@ -222,11 +222,11 @@ class TileHandle:
 
 
 def tile_nbytes(tile: Tile) -> int:
-    """Budget charge of an in-memory tile: JSONB heap + standalone
-    column footprint (the same accounting ``size_report`` uses).  A
-    ``.jtile`` file records it per tile, so a paged tile is charged the
-    same before and after a checkpoint."""
-    return tile.jsonb_size_bytes() + tile.size_bytes()
+    """Budget charge of an in-memory tile: its JSONB heap's rows +
+    standalone column footprint.  A ``.jtile`` file records it per
+    tile, so a paged tile is charged the same before and after a
+    checkpoint."""
+    return tile.heap.payload_bytes() + tile.size_bytes()
 
 
 class TileStore:

@@ -37,7 +37,8 @@ import numpy as np
 from repro.core.datetimes import parse_datetime_string
 from repro.core.jsonpath import KeyPath
 from repro.core.types import COLUMN_TYPE_FOR_JSON, ColumnType, JsonType
-from repro.jsonb.encoder import encode as jsonb_encode
+from repro.jsonb.encoder import collect_items, encode_stripped
+from repro.jsonb.encoder import encode as jsonb_encode  # the fused walk
 from repro.mining.dictionary import (
     ItemDictionary,
     ItemSink,
@@ -57,7 +58,7 @@ from repro.tiles.header import (
     unpack_rows,
 )
 from repro.tiles.repeated import RepeatedColumn, repeated_slot
-from repro.tiles.tile import RowHeap, Tile
+from repro.tiles.tile import RowHeap, Tile, strip_trie
 
 
 @dataclass
@@ -196,7 +197,8 @@ def _materialize_value(value: object, column: ExtractedColumn) -> object:
     if ctype == ColumnType.FLOAT64:
         if isinstance(value, float):
             return value
-        if isinstance(value, int) and not isinstance(value, bool):
+        if isinstance(value, int) and not isinstance(value, bool) \
+                and _widens(value):
             return float(value)  # lossless widening, not a conflict
         return None
     if ctype == ColumnType.BOOL:
@@ -215,6 +217,17 @@ def _materialize_value(value: object, column: ExtractedColumn) -> object:
             return parse_datetime_string(value)
         return None
     raise AssertionError(f"unexpected column type {ctype}")
+
+
+#: every integer up to this magnitude is exact as a float (2^53)
+_EXACT_FLOAT_INT = 1 << 53
+
+
+def _widens(value: int) -> bool:
+    """Whether an integer converts to a float without loss (a FLOAT64
+    column holds it; a wider one stays in the JSONB as an outlier)."""
+    return -_EXACT_FLOAT_INT <= value <= _EXACT_FLOAT_INT \
+        or int(float(value)) == value
 
 
 def _lookup_step(value: object, step) -> object:
@@ -250,7 +263,8 @@ def _materialize_column(raws: List[object],
         return [raw if type(raw) is int else None if raw is None
                 else _materialize_value(raw, column) for raw in raws]
     if ctype == ColumnType.FLOAT64:
-        return [raw if type(raw) is float else float(raw) if type(raw) is int
+        return [raw if type(raw) is float
+                else float(raw) if type(raw) is int and _widens(raw)
                 else None if raw is None else _materialize_value(raw, column)
                 for raw in raws]
     if ctype == ColumnType.STRING:
@@ -353,7 +367,27 @@ def leaf_presence(dictionary: ItemDictionary,
     return spans, holes
 
 
-def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
+def walk_documents(documents: Sequence[object], config: ExtractionConfig,
+                   encode: bool
+                   ) -> Tuple[Optional[List[bytes]],
+                              Tuple[ItemDictionary, List[List[int]]]]:
+    """One walk per document: the (dictionary, transactions) pair
+    :func:`build_tile` takes as *encoded*, and with *encode* also the
+    complete JSONB rows from the same walk (for tiles that extract
+    nothing, which adopt them; an extracting tile encodes its rows
+    under its schema instead)."""
+    sink = ItemSink(config.max_array_elements)
+    rows = None
+    if encode:
+        rows = [jsonb_encode(document, sink=sink) for document in documents]
+    else:
+        for document in documents:
+            collect_items(document, sink)
+    return rows, (sink.dictionary, sink.transactions)
+
+
+def build_tile(documents: Sequence[object],
+               jsonb_rows: Optional[List[bytes]],
                config: ExtractionConfig, tile_number: int, first_row: int,
                schema: Optional[TileSchema] = None,
                mine: bool = True,
@@ -362,17 +396,23 @@ def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
                level: int = 0,
                repeat_arrays: bool = True,
                ) -> Tile:
-    """Construct one tile from parsed documents + their JSONB bytes.
+    """Construct one tile from parsed documents.
+
+    The rows are encoded once, after the schema is known, without the
+    leaves the columns hold exactly (``repro.tiles.tile``, DESIGN.md
+    §3).  A tile without such a column adopts *jsonb_rows* (the
+    documents' complete JSONB) when given, else encodes them in full.
 
     When *schema* is given (Sinew's global schema, or a recomputation
     after updates) the decision steps are skipped and the fixed schema
     is materialized.  ``mine=False`` extracts nothing (plain JSONB
     storage: the header only tracks key paths and row count).
-    *timings* accumulates per-phase seconds ("mining", "extract") for
-    the insertion-time breakdown of Figure 16.  *encoded* passes a
-    pre-computed (dictionary, transactions) pair — the loader and
-    :meth:`Relation.flush_inserts` collect it while encoding the JSONB
-    rows — so the documents are not walked again here.  *level* stamps
+    *timings* accumulates per-phase seconds ("mining", "extract",
+    "write_jsonb") for the insertion-time breakdown of Figure 16.
+    *encoded* passes a pre-computed (dictionary, transactions) pair —
+    the loader and :meth:`Relation.flush_inserts` collect it in one
+    walk per document (``repro.jsonb.encoder.collect_items``) — so the
+    documents are not walked again for it here.  *level* stamps
     the LSM level onto the header (0 for freshly sealed tiles;
     compaction merges pass the next level).  With *repeat_arrays* (every
     format but Tiles-*, whose child relations are the paper's answer to
@@ -406,8 +446,17 @@ def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
     elif schema is None:
         schema = TileSchema()
     mined_at = time.perf_counter()
+    trie = strip_trie(schema.columns)
+    if trie is not None or jsonb_rows is None:
+        # before the columns: a value no row can hold raises here
+        jsonb_rows = [encode_stripped(document, trie)
+                      for document in documents]
+    heap = RowHeap.from_rows(jsonb_rows)
+    encoded_at = time.perf_counter()
     if timings is not None:
         timings["mining"] = timings.get("mining", 0.0) + (mined_at - started)
+        timings["write_jsonb"] = timings.get("write_jsonb", 0.0) + (
+            encoded_at - mined_at)
 
     columns = {}
     for column_meta in schema.columns:
@@ -444,14 +493,13 @@ def build_tile(documents: Sequence[object], jsonb_rows: List[bytes],
     for (path, _jtype), _item_id in dictionary.items():
         if path not in columns:
             header.record_unextracted(path)
-    heap = RowHeap.from_rows(jsonb_rows)
     header.repeated = tuple(schema.repeated)
-    repeated = tuple(RepeatedColumn.build(heap, chain, key)
+    repeated = tuple(RepeatedColumn.build(heap, chain, key,
+                                          columns.get(chain))
                      for chain, key in header.repeated)
     if timings is not None:
         timings["extract"] = timings.get("extract", 0.0) + (
-            time.perf_counter() - mined_at
-        )
+            time.perf_counter() - encoded_at)
     return Tile(header, columns, heap, first_row, repeated)
 
 
@@ -479,14 +527,14 @@ def extend_tile(tail: Tile, documents: Sequence[object],
     """
     head = tail.header
     offset = tail.row_count
-    sink = ItemSink(config.max_array_elements)
-    jsonb_rows = [jsonb_encode(document, sink=sink) for document in documents]
+    jsonb_rows, encoded = walk_documents(
+        documents, config,
+        encode=strip_trie(head.columns.values()) is None)
     batch = build_tile(documents, jsonb_rows, config, head.tile_number,
                        tail.first_row + offset,
                        schema=TileSchema(list(head.columns.values()),
                                          list(head.repeated)),
-                       encoded=(sink.dictionary, sink.transactions),
-                       level=head.level)
+                       encoded=encoded, level=head.level)
     added = batch.header
     header = TileHeader(head.tile_number, offset + batch.row_count,
                         max_array_elements=head.max_array_elements,

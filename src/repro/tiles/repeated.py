@@ -35,7 +35,7 @@ row lengths, and a read of ``chain[k].key`` a gather of the codes.
 from __future__ import annotations
 
 import bisect
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,13 +66,30 @@ def repeated_slot(path: KeyPath) -> Optional[Tuple[KeyPath, int, str]]:
     return KeyPath(tuple(chain)), slot, key
 
 
-def _code_type(distinct: int) -> np.dtype:
+def code_type(distinct: int) -> np.dtype:
     """The narrowest unsigned code type whose maximum (the sentinel)
     is no value's code."""
     for code in (np.uint8, np.uint16, np.uint32):
         if distinct <= np.iinfo(code).max:
             return np.dtype(code)
     raise ValueError(f"{distinct} distinct values exceed a u32 code")
+
+
+def pack_dictionary(values: Sequence[bytes]) -> bytes:
+    """A dictionary as stored: ``u32`` byte lengths, then the bytes."""
+    sizes = np.array([len(value) for value in values], dtype="<u4")
+    return b"".join([sizes.tobytes(), *values])
+
+
+def unpack_dictionary(blob: bytes, count: int) -> Tuple[List[bytes], int]:
+    """The *count* values :func:`pack_dictionary` wrote at the start of
+    *blob*, and the position past them."""
+    pos = 4 * count
+    values = []
+    for size in np.frombuffer(blob[:pos], dtype="<u4").tolist():
+        values.append(blob[pos:pos + size])
+        pos += size
+    return values, pos
 
 
 def _length_type(lengths: np.ndarray) -> np.dtype:
@@ -109,14 +126,21 @@ class RepeatedColumn:
     # build
 
     @classmethod
-    def build(cls, heap, chain: KeyPath, key: str) -> "RepeatedColumn":
+    def build(cls, heap, chain: KeyPath, key: str,
+              column: Optional[ColumnVector] = None) -> "RepeatedColumn":
         """The column of every row of *heap* (a tile's ``RowHeap``):
         ``chain`` located in all rows at once, the member *key* of every
-        element searched like any object step, payloads factorized."""
+        element searched like any object step, payloads factorized.
+        *column* is the tile's extracted column over ``chain``, if any:
+        a row the heap lacks ``chain`` in but that column holds a value
+        for holds a scalar there (the rows leave out what a column
+        holds), so it is :data:`OTHER`, not :data:`ABSENT`."""
         view = heap.view()
         pos, _end = locate(compile_paths((chain,)), view, heap.starts,
                            heap.ends)
         lengths, start, size = array_members(view, pos[0], key)
+        if column is not None:
+            lengths[(lengths == ABSENT) & ~column.null_mask] = OTHER
         strings = (size >= 0).nonzero()[0]
         buf = heap.buf
         payloads = [buf[first:first + count] for first, count
@@ -124,8 +148,9 @@ class RepeatedColumn:
         # UTF-8 byte order is code point order: the decoded values stay
         # sorted
         distinct = sorted(set(payloads))
-        code_type = _code_type(len(distinct))
-        codes = np.full(len(size), np.iinfo(code_type).max, dtype=code_type)
+        codes_type = code_type(len(distinct))
+        codes = np.full(len(size), np.iinfo(codes_type).max,
+                        dtype=codes_type)
         if payloads:
             index = {payload: code for code, payload in enumerate(distinct)}
             codes[strings] = [index[payload] for payload in payloads]
@@ -138,13 +163,13 @@ class RepeatedColumn:
         build over both heaps produces."""
         values = sorted(set(self.values).union(other.values))
         index = {value: code for code, value in enumerate(values)}
-        code_type = _code_type(len(values))
+        codes_type = code_type(len(values))
         codes = []
         for part in (self, other):
             # each part's codes re-coded into the union, its sentinel
             # (the only code past its values) into the new sentinel
             remap = np.array([index[value] for value in part.values]
-                             + [np.iinfo(code_type).max], dtype=code_type)
+                             + [np.iinfo(codes_type).max], dtype=codes_type)
             codes.append(remap[np.minimum(part.codes, len(part.values))])
         return RepeatedColumn(self.chain, self.key, values,
                               np.concatenate(codes),
@@ -217,11 +242,9 @@ class RepeatedColumn:
         """The ``.jtile`` blob: the dictionary (``u32`` byte lengths, then
         the UTF-8 bytes), the codes, the row lengths — widths and counts
         go to the catalog entry (:meth:`meta`)."""
-        encoded = [value.encode("utf-8") for value in self.values]
-        sizes = np.array([len(value) for value in encoded], dtype="<u4")
         width = _length_type(self.lengths).itemsize
         return b"".join([
-            sizes.tobytes(), *encoded,
+            pack_dictionary([value.encode("utf-8") for value in self.values]),
             self.codes.astype(f"<u{self.codes.itemsize}").tobytes(),
             self.lengths.astype(f"<i{width}").tobytes()])
 
@@ -236,21 +259,17 @@ class RepeatedColumn:
     @classmethod
     def from_blob(cls, meta: dict, blob: bytes) -> "RepeatedColumn":
         count, elements, rows = meta["values"], meta["elements"], meta["rows"]
-        sizes = np.frombuffer(blob[:4 * count], dtype="<u4")
-        pos = 4 * count
-        values = []
-        for size in sizes.tolist():
-            values.append(blob[pos:pos + size].decode("utf-8"))
-            pos += size
-        code_type = _code_type(count)
-        end = pos + elements * code_type.itemsize
+        values, pos = unpack_dictionary(blob, count)
+        codes_type = code_type(count)
+        end = pos + elements * codes_type.itemsize
         codes = np.frombuffer(blob[pos:end],
-                              dtype=f"<u{code_type.itemsize}")
+                              dtype=f"<u{codes_type.itemsize}")
         lengths = np.frombuffer(blob[end:],
                                 dtype=f"<i{meta['length_width']}")
         if len(codes) != elements or len(lengths) != rows:
             raise ValueError(f"repeated column {meta['key']!r}: "
                              f"{len(blob)} blob bytes do not hold "
                              f"{elements} codes and {rows} rows")
-        return cls(KeyPath(tuple(meta["chain"])), meta["key"], values,
-                   codes.astype(code_type), lengths.astype(np.int64))
+        return cls(KeyPath(tuple(meta["chain"])), meta["key"],
+                   [value.decode("utf-8") for value in values],
+                   codes.astype(codes_type), lengths.astype(np.int64))

@@ -1,10 +1,21 @@
 """The tile: a chunk of tuples with materialized columns + JSONB rows.
 
-A tile owns its slice of binary JSON documents (the always-correct
-fallback representation) and, when the storage format extracts, one
+A tile owns its slice of binary JSON documents (the fallback
+representation) and, when the storage format extracts, one
 :class:`~repro.storage.column.ColumnVector` per materialized key path.
 Scans stream the vectors; accesses to non-extracted paths (or to
 type-conflicting NULL slots) traverse the JSONB bytes.
+
+Each value is stored once (DESIGN.md §3): a row's JSONB leaves out
+every leaf an extracted column holds exactly — an object-key path
+(no array step) whose INT64 / FLOAT64 / STRING / BOOL column is
+non-NULL at the row, with a raw value of exactly that JSON type
+(:data:`EXACT_TYPES`).  JSON nulls, Section 3.4 outliers, TIMESTAMP
+and DECIMAL source text, arrays and every object (possibly emptied)
+stay in the row.  :meth:`Tile.documents` and :meth:`Tile.full_rows`
+put the column values back; merging is idempotent (a key the row
+still holds wins), so tiles whose rows still hold every value, as
+``.jtile`` v1-v3 files store them, read the same.
 
 The JSONB rows live in one immutable :class:`RowHeap` per tile
 (DESIGN.md §5e): the bytes of the ``.jtile`` ``row_heap`` blob, so a
@@ -17,14 +28,18 @@ from __future__ import annotations
 
 import itertools
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from repro.core.jsonpath import KeyPath
+from repro.core.types import ColumnType
+from repro.jsonb.decoder import decode as jsonb_decode
+from repro.jsonb.encoder import encode as jsonb_encode
 from repro.jsonb.vector_shred import HeapView
 from repro.storage.column import ColumnVector
-from repro.tiles.header import TileHeader
+from repro.tiles.header import ExtractedColumn, TileHeader
 from repro.tiles.repeated import RepeatedColumn
 
 #: process-unique tile identities; sealing, recomputation and
@@ -37,6 +52,68 @@ from repro.tiles.repeated import RepeatedColumn
 _uid_counter = itertools.count(1)
 
 _U32 = struct.Struct("<I")
+
+
+#: the Python type of a leaf that an extracted column of each type holds
+#: exactly, so the row leaves it out (see the module docstring)
+EXACT_TYPES = {ColumnType.INT64: int, ColumnType.FLOAT64: float,
+               ColumnType.STRING: str, ColumnType.BOOL: bool}
+
+
+def holds_exactly(column: ExtractedColumn) -> bool:
+    """Whether rows leave out the leaves *column* holds exactly: a
+    column of an :data:`EXACT_TYPES` type over object keys only."""
+    steps = column.path.steps
+    return column.column_type in EXACT_TYPES and bool(steps) \
+        and all(type(step) is str for step in steps)
+
+
+def _trie(entries: Iterable[Tuple[Tuple[str, ...], object]]) -> dict:
+    """``{key: (leaf or None, trie below or None)}`` over ``(steps,
+    leaf)`` entries: a key path's last step carries its leaf value."""
+    root: dict = {}
+    for steps, leaf in entries:
+        node = root
+        *parents, last = steps
+        for step in parents:
+            value, below = node.get(step, (None, None))
+            node[step] = (value, {} if below is None else below)
+            node = node[step][1]
+        node[last] = (leaf, node.get(last, (None, None))[1])
+    return root
+
+
+def strip_trie(columns: Iterable[ExtractedColumn]) -> Optional[dict]:
+    """The trie :func:`repro.jsonb.encoder.encode_stripped` encodes a
+    row under — each column that :func:`holds_exactly` with its exact
+    Python type as the leaf — or ``None`` when there is none."""
+    return _trie((column.path.steps, EXACT_TYPES[column.column_type])
+                 for column in columns if holds_exactly(column)) or None
+
+
+def _merge_object(node: dict, trie: dict, values: List[list],
+                  row: int) -> None:
+    """Put the column values of *row* back into the object *node*:
+    ``trie`` has the index of a column into *values* as its leaves, and
+    ``values[column][row]`` is ``None`` where the column is NULL.  A key
+    the object holds keeps its value; inserted keys are re-sorted into
+    the JSONB key order (UTF-8 order is code point order)."""
+    inserted = False
+    for key, (column, below) in trie.items():
+        if column is not None and key not in node:
+            value = values[column][row]
+            if value is not None:
+                node[key] = value
+                inserted = True
+                continue
+        if below:
+            child = node.get(key)
+            if type(child) is dict:
+                _merge_object(child, below, values, row)
+    if inserted:
+        items = sorted(node.items())
+        node.clear()
+        node.update(items)
 
 
 def new_tile_uid() -> int:
@@ -138,7 +215,8 @@ class RowHeap:
 
 
 class Tile:
-    __slots__ = ("header", "columns", "heap", "first_row", "uid", "repeated")
+    __slots__ = ("header", "columns", "heap", "first_row", "uid", "repeated",
+                 "_merge")
 
     def __init__(self, header: TileHeader, columns: Dict[KeyPath, ColumnVector],
                  heap: RowHeap, first_row: int = 0,
@@ -151,6 +229,12 @@ class Tile:
         #: the repeated ``chain[*].key`` columns (DESIGN.md §5h), in
         #: ``(chain, key)`` order; replaced as a whole, never mutated
         self.repeated = repeated
+        #: ``(merge trie, prefixes, merge paths, held columns)`` of
+        #: :meth:`merges`, made on first use (the set of columns never
+        #: changes)
+        self._merge: Optional[Tuple[dict, FrozenSet[KeyPath],
+                                    FrozenSet[KeyPath],
+                                    List[ColumnVector]]] = None
 
     @property
     def row_count(self) -> int:
@@ -168,6 +252,66 @@ class Tile:
                 return column
         return None
 
+    # ------------------------------------------------------------------
+    # one copy of every value (see the module docstring)
+
+    def _merge_state(self) -> Tuple[dict, FrozenSet[KeyPath],
+                                    FrozenSet[KeyPath], List[ColumnVector]]:
+        state = self._merge
+        if state is None:
+            held = [path for path, meta in self.header.columns.items()
+                    if holds_exactly(meta)]
+            trie = _trie((path.steps, index)
+                         for index, path in enumerate(held))
+            # every proper prefix of a column, the root included
+            prefixes = frozenset(KeyPath(path.steps[:depth]) for path in held
+                                 for depth in range(len(path.steps)))
+            state = self._merge = (trie, prefixes, prefixes.union(held),
+                                   [self.columns[path] for path in held])
+        return state
+
+    def merges(self, path: KeyPath) -> bool:
+        """Whether a read of the JSONB value at *path* needs column
+        values put back: *path* is a column the rows leave out, or a
+        proper prefix of one (the root included)."""
+        return path in self._merge_state()[2]
+
+    def merges_below(self, path: KeyPath) -> bool:
+        """Whether *path* is a proper prefix of a column the rows leave
+        out: where such a column is NULL, the row still holds its own
+        value, so only a read above it needs values put back."""
+        return path in self._merge_state()[1]
+
+    def documents(self, rows: Optional[Sequence[int]] = None
+                  ) -> List[object]:
+        """The documents of *rows* (default: every row), decoded from
+        the heap with the column values put back."""
+        heap = self.heap
+        if rows is None:
+            rows = range(len(heap))
+        buf, starts, ends = heap.buf, heap.starts.tolist(), heap.ends.tolist()
+        documents = [jsonb_decode(buf[starts[row]:ends[row]])
+                     for row in rows]
+        trie, _prefixes, _paths, held = self._merge_state()
+        if held and documents:
+            index = np.asarray(rows, dtype=np.int64)
+            values = []
+            for vector in held:
+                column = vector.data[index].tolist()
+                for row in np.flatnonzero(vector.null_mask[index]).tolist():
+                    column[row] = None
+                values.append(column)
+            for row, document in enumerate(documents):
+                if type(document) is dict:
+                    _merge_object(document, trie, values, row)
+        return documents
+
+    def full_rows(self, rows: Sequence[int]) -> "RowHeap":
+        """A heap of *rows*' complete JSONB (column values put back):
+        the bytes the rows had before any value was left out."""
+        return RowHeap.from_rows([jsonb_encode(document)
+                                  for document in self.documents(rows)])
+
     def row_ids(self) -> np.ndarray:
         """Global row ids of the tuples in this tile."""
         return np.arange(self.first_row, self.first_row + self.row_count,
@@ -183,4 +327,10 @@ class Tile:
             column.nbytes() for column in self.repeated)
 
     def jsonb_size_bytes(self) -> int:
-        return self.heap.payload_bytes()
+        """The JSONB bytes of the complete rows — Table 6's ``jsonb``,
+        which the tiles are stored in addition to in the paper (the
+        heap itself holds fewer: ``heap.payload_bytes()``)."""
+        if not self._merge_state()[3]:
+            return self.heap.payload_bytes()
+        full = self.full_rows(range(len(self.heap)))
+        return full.payload_bytes()

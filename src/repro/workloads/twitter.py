@@ -208,13 +208,15 @@ def make_database(num_tweets: int = 2000,
                   config: Optional[ExtractionConfig] = None,
                   evolving: bool = False,
                   seed: int = 11,
-                  num_workers: int = 1) -> Database:
+                  num_workers: int = 1,
+                  child_arrays: bool = True) -> Database:
     """Load the tweet stream as the ``tweets`` table (plus array child
-    tables for TILES_STAR)."""
+    tables for TILES_STAR, unless *child_arrays* is False: then the
+    arrays stay in the tweets, as in the paper's plain Tiles)."""
     generator = TwitterGenerator(num_tweets, seed, evolving)
     db = Database(storage_format, config)
     kwargs = {}
-    if storage_format == StorageFormat.TILES_STAR:
+    if storage_format == StorageFormat.TILES_STAR and child_arrays:
         kwargs["array_paths"] = ARRAY_PATHS
     db.load_table("tweets", generator.stream(), storage_format, config,
                   num_workers=num_workers, **kwargs)

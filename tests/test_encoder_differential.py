@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.errors import JsonbEncodeError
 from repro.jsonb import encode, encoded_size
-from repro.jsonb.encoder import check_encodable
+from repro.jsonb.encoder import check_encodable, collect_items
 from repro.mining.dictionary import ItemSink
 from tests import reference_encoder as reference
 
@@ -89,15 +89,21 @@ def _sink_state(sink):
 
 
 def _assert_same(documents, detect=True, max_array_elements=8):
-    """Both encoders, with and without a sink, on a document stream."""
+    """Both encoders, with and without a sink, on a document stream;
+    with numeric-string detection also the byte-free item walk."""
     ours, theirs = ItemSink(max_array_elements), ItemSink(max_array_elements)
+    walked = ItemSink(max_array_elements)
     for document in documents:
         expected = reference.encode(document, detect)
         assert encode(document, detect) == expected
         assert encoded_size(document, detect) == len(expected)
         assert encode(document, detect, sink=ours) == \
             reference.encode(document, detect, sink=theirs)
+        if detect:
+            collect_items(document, walked)
     assert _sink_state(ours) == _sink_state(theirs)
+    if detect:
+        assert _sink_state(walked) == _sink_state(ours)
 
 
 class TestGenerated:

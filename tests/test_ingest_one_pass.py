@@ -16,7 +16,7 @@ import pytest
 
 from repro import Database, ExtractionConfig, StorageFormat
 from repro.core.types import COLUMN_TYPE_FOR_JSON, JsonType
-from repro.jsonb import decode, encode
+from repro.jsonb import encode
 from repro.mining.dictionary import ItemSink, encode_documents
 from repro.mining.fpgrowth import FPGrowth, ItemsetMatcher
 from repro.stats.hyperloglog import hash64
@@ -154,7 +154,7 @@ class TestSchemaPin:
         assert len(relation.tiles) > 4
         for handle in relation.tiles:
             with handle.pinned() as tile:
-                rows = [decode(row) for row in tile.heap.rows()]
+                rows = tile.documents()
             dictionary, transactions = encode_documents(
                 rows, CONFIG.max_array_elements)
             schema = choose_schema(dictionary, len(rows), CONFIG)
@@ -167,18 +167,18 @@ class TestSchemaPin:
 
 #: sha256 of the checkpointed ``yelp.jtile`` below: load-path
 #: optimizations must not move the stored file by a single byte.  This
-#: is the format v3 file with per-row presence (sha256 bd92a21b… before
-#: it, equal to this one with presence stripped); that file is
-#: byte-identical to the format v2 file the previous load path wrote
-#: (sha256 76eb369e…), loaded and saved again, so only the encoding
-#: moved with v3
+#: is the format v4 file (rows without the values their columns hold,
+#: dictionary-coded string columns); the v3 file before it was sha256
+#: c8f5b70c… (with per-row presence) and bd92a21b… (without), itself
+#: byte-identical to the format v2 file of the previous load path
+#: (sha256 76eb369e…) loaded and saved again
 GOLDEN_YELP_JTILE = \
-    "c8f5b70c4020754f603cc4a12746f19e7239a32e53935a749ff6f866e5987964"
+    "32002b8ef80560f2fd258bf0a2011548be977439f44cd97200c120f45da7d1bb"
 #: the same file with the catalog's ``spans`` entries and the per-row
 #: presence (the ``holes`` entries and the presence blob) removed: row
 #: spans live in the catalog only, never in a blob
 GOLDEN_YELP_JTILE_WITHOUT_SPANS = \
-    "f7f3e292cbb554fcf0c0c16980e70203057c800693041467f799c27da6cac23c"
+    "078819aa68fe7c6ffb78661de7578d199f72eba7996cbfa909d75e2ee3649da5"
 
 
 def _strip_spans(data: bytes) -> bytes:

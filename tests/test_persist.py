@@ -196,12 +196,12 @@ class TestFormatV1Compatibility:
         rows = [list(row) for row in db.sql(self.FIXTURE_QUERY).rows]
         assert rows == expected["query"]
 
-    def test_v1_rewrites_as_v3(self, tmp_path, fixture_paths):
+    def test_v1_rewrites_as_v4(self, tmp_path, fixture_paths):
         path, expected = fixture_paths
         relation = load_relation(path)
         new_path = tmp_path / "upgraded.jtile"
         save_relation(relation, new_path)
-        assert new_path.read_bytes()[:5] == b"JTIL3"
+        assert new_path.read_bytes()[:5] == b"JTIL4"
         db = Database(StorageFormat.TILES, CONFIG)
         db.register("old", load_relation(new_path))
         rows = [list(row) for row in db.sql(self.FIXTURE_QUERY).rows]
@@ -243,17 +243,67 @@ class TestFormatV2Compatibility:
         for sql, rows in expected["queries"].items():
             assert self.query_rows(relation, sql) == rows
 
-    def test_v2_rewrites_as_v3(self, tmp_path, fixture_paths):
+    def test_v2_rewrites_as_v4(self, tmp_path, fixture_paths):
         path, expected = fixture_paths
         old = load_relation(path)
         new_path = tmp_path / "upgraded.jtile"
         save_relation(old, new_path)
-        assert new_path.read_bytes()[:5] == b"JTIL3"
+        assert new_path.read_bytes()[:5] == b"JTIL4"
         upgraded = load_relation(new_path)
         assert list(upgraded.documents()) == list(old.documents())
         assert_tiles_identical(old, upgraded)
         for sql, rows in expected["queries"].items():
             assert self.query_rows(upgraded, sql) == rows
+
+
+class TestFormatV3Compatibility:
+    """``format_v3.jtile`` was written by the v3 serializer (rows that
+    hold every value, string columns as refs into the row heap): 48
+    documents in three 16-row tiles — multi-byte, empty and absent
+    strings, a float column with string outliers and integers, JSON
+    nulls, numeric strings, dates, an array of objects (a repeated
+    column) — plus one pending insert.  The expected JSON holds the
+    documents and the rows the v3 code returned for each query."""
+
+    @pytest.fixture
+    def fixture_paths(self):
+        return format_fixture("v3")
+
+    def test_v3_file_loads_lazily_with_expected_shape(self, fixture_paths):
+        path, expected = fixture_paths
+        assert path.read_bytes()[:5] == b"JTIL3"
+        relation = load_relation(path)
+        assert not any(handle.resident for handle in relation.tiles)
+        assert relation.row_count == expected["row_count"]
+        assert relation.pending_inserts == expected["pending"]
+        assert len(relation.tiles) == expected["tiles"]
+        stored = relation.size_report()["stored"]
+        assert stored["string_refs"] > 0
+        assert sum(stored.values()) == path.stat().st_size
+
+    def test_v3_documents_and_query_results_match(self, fixture_paths):
+        from repro.jsonb import encode
+
+        path, expected = fixture_paths
+        relation = load_relation(path)
+        assert [encode(document) for document in relation.documents()] \
+            == [encode(document) for document in expected["documents"]]
+        for sql, rows in expected["queries"].items():
+            assert TestFormatV2Compatibility.query_rows(relation, sql) \
+                == rows, sql
+
+    def test_v3_rewrites_as_v4(self, tmp_path, fixture_paths):
+        path, expected = fixture_paths
+        old = load_relation(path)
+        new_path = tmp_path / "upgraded.jtile"
+        save_relation(old, new_path)
+        assert new_path.read_bytes()[:5] == b"JTIL4"
+        upgraded = load_relation(new_path)
+        assert list(upgraded.documents()) == expected["documents"]
+        assert_tiles_identical(old, upgraded)
+        for sql, rows in expected["queries"].items():
+            assert TestFormatV2Compatibility.query_rows(upgraded, sql) \
+                == rows, sql
 
 
 def assert_tiles_identical(left, right):
@@ -329,7 +379,7 @@ class TestFormatV3:
         stored = (tmp_path / "store" / f"{table}.jtile").stat().st_size
         assert stored < doc_bytes
 
-    def test_strings_multibyte_empty_and_overflow(self, tmp_path):
+    def test_strings_multibyte_empty_and_stringified(self, tmp_path):
         from repro.core.types import ColumnType
 
         db = Database(StorageFormat.TILES, CONFIG)
@@ -339,7 +389,7 @@ class TestFormatV3:
         tile = relation.tiles[0].pin()
         name = tile.columns[KeyPath.parse("name")]
         assert name.type == ColumnType.STRING
-        # values that occur nowhere in their row take the overflow path
+        # values no row holds still come back from the dictionary
         name.data[0] = "stringified 12345 ✓"
         name.data[5] = "9"
         path = tmp_path / "t.jtile"
@@ -348,27 +398,47 @@ class TestFormatV3:
         assert_tiles_identical(relation, restored)
         relation.tiles[0].unpin()
         stored = restored.size_report()["stored"]
-        assert stored["string_overflow"] > 0
+        assert stored["string_columns"] > 0
         assert restored.tiles[0].column(KeyPath.parse("name")).value(0) == \
             "stringified 12345 ✓"
 
     def test_string_refs_round_trip_bytes_and_nulls(self):
+        """The v3 refs reader: values sliced out of the row heap, or
+        out of the overflow blob in order."""
         from repro.core.types import ColumnType
-        from repro.storage.column import ColumnVector
-        from repro.storage.persist import _resolve_string_refs, _string_refs
+        from repro.storage.persist import _OVERFLOW, _resolve_string_refs
         from repro.tiles.tile import RowHeap
 
         rows = [b"\x01abc", b"xyz\xc3\xa9", b"", b"zz"]
-        data = np.array([b"bc", b"\xc3\xa9", b"not there", None],
-                        dtype=object)
-        nulls = np.array([False, False, False, True])
-        vector = ColumnVector(ColumnType.JSONB, data, nulls)
         heap = RowHeap.from_rows(rows)
-        refs, overflow = _string_refs(vector, heap)
-        assert overflow == b"not there"
-        restored = _resolve_string_refs(refs, heap.buf, overflow,
+        starts = heap.starts.tolist()
+        refs = np.array([[starts[0] + 2, 2], [starts[1] + 3, 2],
+                         [_OVERFLOW, 9], [0, 0]], dtype="<u4").tobytes()
+        nulls = np.array([False, False, False, True])
+        restored = _resolve_string_refs(refs, heap.buf, b"not there",
                                         nulls, ColumnType.JSONB)
         assert list(restored) == [b"bc", b"\xc3\xa9", b"not there", None]
+
+    def test_string_columns_round_trip_bytes_and_nulls(self):
+        from repro.core.types import ColumnType
+        from repro.storage.column import ColumnVector
+        from repro.storage.persist import (_restore_string_column,
+                                           _string_column)
+
+        for values, column_type in (
+                ([b"bc", b"\xc3\xa9", b"bc", None], ColumnType.JSONB),
+                (["zz", "é", "", None, "zz", "a"], ColumnType.STRING),
+                ([f"v{i}" for i in range(300)], ColumnType.STRING)):
+            data = np.empty(len(values), dtype=object)
+            data[:] = values
+            nulls = np.array([value is None for value in values])
+            blob, count = _string_column(ColumnVector(column_type, data,
+                                                      nulls))
+            assert count == len({value for value in values
+                                 if value is not None})
+            restored = _restore_string_column(blob, count, nulls,
+                                              column_type)
+            assert list(restored) == values
 
     def test_checkpoints_are_byte_identical(self, tmp_path):
         db = Database(StorageFormat.TILES, CONFIG)
@@ -397,7 +467,7 @@ class TestFormatV3:
             stored = report["stored"]
             assert set(stored) == set(BLOB_KINDS) | {"catalog"}
             assert sum(stored.values()) == size == path.stat().st_size
-            for kind in ("row_heap", "string_refs", "fixed_columns",
+            for kind in ("row_heap", "string_columns", "fixed_columns",
                          "null_bitmaps", "statistics", "bloom",
                          "insert_buffer", "catalog"):
                 assert stored[kind] > 0, kind

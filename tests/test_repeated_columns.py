@@ -133,11 +133,10 @@ def differential_queries():
 
 
 def cast_queries():
-    """Typed slot reads.  A string column cast to INT parses the stored
-    text, where the JSONB reads a numeric string's number: ``'1e3'`` is
-    NULL through a slot column and 1000 through the JSONB, so these
-    compare against the slot columns only."""
-    return [_SELECT.format(f"{ARR}->{slot}->>'k'::int") for slot in SLOTS]
+    """Typed slot reads: a string column, a repeated column's gather and
+    the JSONB read a numeric string like ``'1e3'`` as its number."""
+    return [_SELECT.format(f"{ARR}->{slot}->>'k'::{target}")
+            for slot in SLOTS for target in ("int", "float", "bool")]
 
 
 def repeated_tiles(relation):
@@ -175,8 +174,9 @@ class TestDifferential:
             assert dbs["slots"].sql(text, options).rows == expected, text
             assert dbs["repeated"].sql(text, options).rows == expected, text
         for text in cast_queries():
-            assert dbs["repeated"].sql(text, options).rows == \
-                dbs["slots"].sql(text, options).rows, text
+            expected = dbs["jsonb"].sql(text, options).rows
+            assert dbs["slots"].sql(text, options).rows == expected, text
+            assert dbs["repeated"].sql(text, options).rows == expected, text
 
     @settings(max_examples=25, deadline=None)
     @given(drawn=st.lists(chains, min_size=4, max_size=20),
