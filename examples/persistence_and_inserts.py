@@ -1,7 +1,7 @@
 """Durability and trickle inserts: save a database, reopen it, keep
 inserting.
 
-Shows the on-disk ``.jtile`` format (tiles, headers, bloom filters and
+Shows the on-disk ``.jtile`` format (tiles, headers, row spans and
 statistics survive a round trip) and the Section 3.2 insert path: new
 documents buffer until a full tile can be sealed and extracted.
 
@@ -70,7 +70,7 @@ def main() -> None:
         """)
         print("\n=== top sensors since July 3 (fresh inserts included) ===")
         print(result.format_table())
-        print(f"tiles skipped by zone maps / bloom filters: "
+        print(f"tiles skipped by zone maps / row spans: "
               f"{result.counters.tiles_skipped}")
 
 

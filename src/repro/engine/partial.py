@@ -62,8 +62,7 @@ from repro.core.types import ColumnType
 from repro.engine import expressions as ex
 from repro.engine.batch import Batch, concat_batches
 from repro.engine.kernels import GroupByKernel, lexsort_indices
-from repro.engine.morsels import Morsel, block_ranges, canonical_chop, \
-    run_ordered
+from repro.engine.morsels import Morsel, block_ranges, run_ordered
 from repro.engine.operators import (
     BatchSource,
     FilterOp,
@@ -478,7 +477,6 @@ def _chunk_spans(relation, scan: TableScan, tile_rows: int,
         # one manifest snapshot for the span enumeration (repro.lsm):
         # a compaction swapping tiles mid-enumeration cannot tear the
         # chunk layout, and the counters match TableScan.morsels
-        block = canonical_chop(batch_rows, tile_rows)
         for tile in relation.manifest().tiles:
             scan.counters.tiles_total += 1
             if scan._can_skip(tile):
@@ -488,22 +486,12 @@ def _chunk_spans(relation, scan: TableScan, tile_rows: int,
             level = tile.header.level
             scan.levels_scanned[level] = \
                 scan.levels_scanned.get(level, 0) + 1
-            # block-granular zone maps (DESIGN.md §9), mirroring
-            # TableScan.morsels: pruned canonical-chop blocks punch
-            # holes into the live span; adjacent survivors coalesce so
-            # the no-pruning case reproduces the old whole-tile span
-            # (pruned rows fail the predicate anyway — survivors and
-            # their order are untouched)
-            base = tile.first_row
-            for b_start, b_stop in block_ranges(tile.row_count, block):
-                if scan._can_skip_block(tile, b_start, b_stop):
-                    scan.counters.blocks_pruned += 1
-                    scan.counters.rows_scanned -= b_stop - b_start
-                    continue
-                if live and live[-1][1] == base + b_start:
-                    live[-1] = (live[-1][0], base + b_stop)
-                else:
-                    live.append((base + b_start, base + b_stop))
+            # adjacent surviving tiles coalesce into one live span
+            first, end = tile.first_row, tile.first_row + tile.row_count
+            if live and live[-1][1] == first:
+                live[-1] = (live[-1][0], end)
+            else:
+                live.append((first, end))
     for start, stop in block_ranges(total, tile_rows):
         k = (start // tile_rows) * shard_count + shard_index
         for chunk_index, (c_start, c_stop) in enumerate(

@@ -181,10 +181,8 @@ class ScanCounters:
     #: that ran on the per-tuple reference path despite
     #: ``enable_kernels`` — the vectorized-coverage gap.
     fallback_rows: int = 0
-    #: canonical-chop blocks inside surviving tiles whose per-block
-    #: zone maps excluded the pushed comparisons (DESIGN.md §9) —
-    #: finer-grained than ``tiles_skipped``, and their rows never
-    #: count into ``rows_scanned``.
+    #: always 0: tiles carry one zone map each (DESIGN.md §9); kept
+    #: for readers of the counter set
     blocks_pruned: int = 0
     #: (tuple, path) fallback decodes the late-materialization
     #: selection vector avoided: rows the cheap extracted-column
@@ -348,15 +346,6 @@ class TableScan:
                 self.levels_scanned.get(level, 0) + 1
             for start in range(0, tile.row_count, block):
                 stop = min(start + block, tile.row_count)
-                if self._can_skip_block(tile, start, stop):
-                    # block-granular zone maps (DESIGN.md §9): inside
-                    # a surviving (typically LSM-merged) tile, whole
-                    # canonical-chop blocks whose per-block bounds
-                    # exclude the pushed comparisons never reach a
-                    # worker
-                    self.counters.blocks_pruned += 1
-                    self.counters.rows_scanned -= stop - start
-                    continue
                 morsels.append(Morsel(len(morsels), tile, start, stop))
         return morsels
 
@@ -419,43 +408,6 @@ class TableScan:
         for prune in self.range_prunes:
             bounds = tile.header.column_bounds(prune.path)
             if bounds is not None and prune.excludes(*bounds):
-                return True
-        return False
-
-    def _can_skip_block(self, tile, start: int, stop: int) -> bool:
-        """Block-granular zone maps: skip ``[start, stop)`` of a
-        surviving tile when one pushed comparison excludes every
-        ``tile_size`` bound-block the range overlaps.  An all-NULL
-        bound-block is excluded by any prune (comparisons are
-        null-rejecting, same argument as :meth:`_can_skip`); an
-        unknown block (``None`` — incomparable mixed values) never
-        prunes."""
-        if not self.enable_skipping or not self.range_prunes:
-            return False
-        if not self.relation.format.supports_skipping:
-            return False
-        header = tile.header
-        rows_per = getattr(header, "block_bounds_rows", 0)
-        if rows_per <= 0:
-            return False
-        first = start // rows_per
-        last = (stop - 1) // rows_per
-        for prune in self.range_prunes:
-            entries = header.block_bounds_for(prune.path)
-            if entries is None or last >= len(entries):
-                continue
-            excluded = True
-            for index in range(first, last + 1):
-                entry = entries[index]
-                if entry is None:
-                    excluded = False
-                    break
-                if not entry:  # all-NULL block: no row can satisfy
-                    continue
-                if not prune.excludes(entry[0], entry[1]):
-                    excluded = False
-                    break
-            if excluded:
                 return True
         return False
 
@@ -1144,6 +1096,16 @@ def _typed_from_jsonb(value: Optional[JsonbValue],
     return _jsonb_getter(request)(value)
 
 
+def _jsonb_key_order(value: object) -> object:
+    """*value* with every object's keys in JSONB order (Section 5.1):
+    sorted by their UTF-8 bytes, which is code point order."""
+    if isinstance(value, dict):
+        return {key: _jsonb_key_order(value[key]) for key in sorted(value)}
+    if isinstance(value, list):
+        return [_jsonb_key_order(item) for item in value]
+    return value
+
+
 def _typed_from_python(raw: object, request: AccessRequest) -> object:
     """Coercion used by the raw-text format (after a full parse)."""
     if raw is None:
@@ -1153,7 +1115,7 @@ def _typed_from_python(raw: object, request: AccessRequest) -> object:
         return PROBES[name].python(raw, *args)
     target = request.target
     if target == ColumnType.JSONB:
-        return raw
+        return _jsonb_key_order(raw)
     if isinstance(raw, str):
         if target == ColumnType.STRING:
             return raw
@@ -1174,7 +1136,7 @@ def _typed_from_python(raw: object, request: AccessRequest) -> object:
             else None
     # text semantics of ->> on containers: compact JSON
     if isinstance(raw, (dict, list)):
-        return json.dumps(raw, separators=(",", ":"))
+        return json.dumps(_jsonb_key_order(raw), separators=(",", ":"))
     if isinstance(raw, bool):
         return "true" if raw else "false"
     if isinstance(raw, float):

@@ -2,12 +2,10 @@
 
 * :class:`HyperLogLog` — distinct-count sketches (64 per relation).
 * :class:`FrequencyCounters` — bounded key-path frequency slots (256).
-* :class:`BloomFilter` — non-extracted key paths per tile header.
 * :class:`TileStatistics` / :class:`TableStatistics` — the per-tile
   collection and relation-level aggregation the optimizer reads.
 """
 
-from repro.stats.bloom import BloomFilter
 from repro.stats.frequency import FrequencyCounters
 from repro.stats.hyperloglog import HyperLogLog, estimate_distinct, hash64
 from repro.stats.table_stats import (
@@ -17,7 +15,6 @@ from repro.stats.table_stats import (
 )
 
 __all__ = [
-    "BloomFilter",
     "ColumnStatistics",
     "FrequencyCounters",
     "HyperLogLog",

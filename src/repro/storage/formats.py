@@ -50,6 +50,7 @@ class StorageFormat(enum.Enum):
 
     @property
     def supports_skipping(self) -> bool:
-        """Only tile headers carry the bloom filters needed by
-        Section 4.8 skipping."""
+        """Section 4.8 skipping trusts the per-tile headers of the
+        local-schema formats: their row spans (DESIGN.md §5i) say which
+        paths a tile lacks; Sinew's global schema keeps none."""
         return self.uses_local_schemas

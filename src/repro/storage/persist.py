@@ -7,8 +7,8 @@ smaller than its JSON text:
 * magic ``JTIL4`` (5 bytes),
 * the blobs, streamed in write order,
 * the JSON *catalog* (a footer): structural metadata (format, config,
-  tiles, extracted columns, statistics, bloom filters) where every
-  bulk payload is replaced by a blob id, plus
+  tiles, extracted columns, statistics, row spans) where every bulk
+  payload is replaced by a blob id, plus
   - ``blob_index``: ``[offset, stored length, codec, decoded length]``
     of every blob, the codec an index into ``codecs``,
   - ``codecs``: ``["raw", "zlib"]``.  Every blob is deflated with
@@ -31,9 +31,14 @@ Every value is stored once (DESIGN.md §3).  The blob kinds
   bitmap marks them,
 * ``fixed_columns``: the other extracted columns' numpy values,
 * ``null_bitmaps``, ``statistics`` (HyperLogLog registers and
-  histograms), ``bloom``, ``presence`` (one blob of every tile's
-  row-presence bitmaps), ``repeated`` (``chain[*].key`` columns) and
+  histograms), ``presence`` (one blob of every tile's row-presence
+  bitmaps), ``repeated`` (``chain[*].key`` columns) and
   ``insert_buffer`` (the pending inserts as JSON text).
+
+Older files (v1–v3 and early v4) may carry more: a ``bloom`` blob per
+tile (the §4.4 bloom filter, which the row spans replace) and per-block
+zone maps under ``block_rows`` / ``block_bounds``.  The reader ignores
+them; their stored bytes still count under their own kind.
 
 In memory a string column stays an object array (the dictionary
 gathered by the codes), and each tile's catalog entry records its
@@ -73,7 +78,6 @@ import numpy as np
 from repro.core.jsonpath import KeyPath
 from repro.core.types import ColumnType, JsonType
 from repro.errors import StorageError
-from repro.stats.bloom import BloomFilter
 from repro.stats.hyperloglog import HyperLogLog
 from repro.stats.table_stats import (
     ColumnStatistics,
@@ -114,8 +118,8 @@ _OVERFLOW = 0xFFFFFFFF
 #: ``Relation.size_report()["stored"]`` adds ``"catalog"`` (magic,
 #: footer, trailer) so the parts sum to the file size
 BLOB_KINDS = ("row_heap", "string_columns", "fixed_columns",
-              "null_bitmaps", "statistics", "bloom", "insert_buffer",
-              "presence", "repeated")
+              "null_bitmaps", "statistics", "insert_buffer", "presence",
+              "repeated")
 
 
 class _BlobWriter:
@@ -405,19 +409,6 @@ def _restore_column_stats(meta: dict, blobs) -> ColumnStatistics:
     return stats
 
 
-def _bloom_meta(bloom: BloomFilter, blobs: _BlobWriter) -> dict:
-    return {"bits": blobs.add(bloom.bits.tobytes(), "bloom"),
-            "num_bits": bloom.num_bits, "num_hashes": bloom.num_hashes}
-
-
-def _restore_bloom(meta: dict, blobs) -> BloomFilter:
-    bloom = BloomFilter()
-    bloom.num_bits = meta["num_bits"]
-    bloom.num_hashes = meta["num_hashes"]
-    bloom.bits = np.frombuffer(blobs[meta["bits"]], dtype=np.uint8).copy()
-    return bloom
-
-
 def _tile_payload_meta(tile: Tile, blobs: _BlobWriter) -> dict:
     header = tile.header
     heap_blob = blobs.add(tile.heap.buf, "row_heap")
@@ -440,18 +431,12 @@ def _tile_payload_meta(tile: Tile, blobs: _BlobWriter) -> dict:
         "max_array_elements": header.max_array_elements,
         "level": header.level,
         "key_counts": header.key_counts,
-        "bloom": _bloom_meta(header.unextracted_paths, blobs),
         "stats_keys": header.statistics.key_counts,
         "stats_columns": {
             str(path): _column_stats_meta(stats, blobs)
             for path, stats in header.statistics.columns.items()
         },
         "columns": columns,
-        # per-block zone maps (DESIGN.md §9); entries are JSON-plain
-        # ([min, max] lists, [] for all-NULL, null for incomparable)
-        "block_rows": header.block_bounds_rows,
-        "block_bounds": {str(path): entries
-                         for path, entries in header.block_bounds.items()},
         "rows": heap_blob,
         # the residency charge of the loaded tile (TileSegment.nbytes):
         # strings are codes on disk but full objects once loaded
@@ -501,16 +486,16 @@ def _tile_meta(tile, blobs: _BlobWriter) -> dict:
 
 def _restore_tile_header(meta: dict, blobs,
                          presence: Optional[bytes] = None) -> TileHeader:
-    """The eagerly-resident part of a tile: schema, blooms, zone maps,
-    row spans and presence — everything planning and tile skipping
-    consult.  *presence* is the file's presence blob, ``None`` for
+    """The eagerly-resident part of a tile: schema, zone maps, row
+    spans and presence — everything planning and tile skipping
+    consult (an older file's bloom filter and block bounds are not
+    read).  *presence* is the file's presence blob, ``None`` for
     files written before per-row presence: their spans count as full."""
     header = TileHeader(meta["tile_number"], meta["row_count"],
                         max_array_elements=meta["max_array_elements"],
                         # pre-LSM snapshots have no level key: level 0
                         level=int(meta.get("level", 0)))
     header.key_counts = dict(meta["key_counts"])
-    header.unextracted_paths = _restore_bloom(meta["bloom"], blobs)
     header.statistics = TileStatistics(row_count=meta["row_count"])
     header.statistics.key_counts = dict(meta["stats_keys"])
     for path_text, stats_meta in meta["stats_columns"].items():
@@ -527,13 +512,8 @@ def _restore_tile_header(meta: dict, blobs,
         ))
     header.repeated = tuple((KeyPath(tuple(entry["chain"])), entry["key"])
                             for entry in meta.get("repeated", ()))
-    # pre-§9 snapshots carry no block bounds: block pruning simply
-    # stays tile-granular for them
-    header.block_bounds_rows = int(meta.get("block_rows", 0))
-    for path_text, entries in (meta.get("block_bounds") or {}).items():
-        header.block_bounds[KeyPath.parse(path_text)] = entries
     # files written without row spans leave them None: those tiles
-    # decode every row, as before spans existed
+    # decode every row and are never skipped for a missing path
     if "spans" in meta:
         spans = {KeyPath(tuple(steps)): (first, end)
                  for first, end, *paths in meta["spans"] for steps in paths}

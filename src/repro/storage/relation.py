@@ -7,9 +7,8 @@ JSON text format keeps the original strings instead and re-parses on
 access.
 
 Updates (Section 4.7) patch extracted column values in place, register
-new key paths in the tile's bloom filter and row spans, and trigger a tile
-recomputation once the majority of its tuples no longer match the
-extracted schema.
+new key paths in the tile's row spans, and trigger a tile recomputation
+once the majority of its tuples no longer match the extracted schema.
 """
 
 from __future__ import annotations
@@ -520,13 +519,6 @@ class Relation:
                       != column.sentinel).any())
                 for column in tile.repeated)
 
-            # every access path of the new document must be visible to
-            # skipping, otherwise changed tiles could be skipped
-            # incorrectly
-            for path in new_paths:
-                if path not in tile.columns:
-                    tile.header.record_unextracted(path)
-
         self._fire_event("update", handle)
         if overlapping == 0:
             # outlier document: no overlap with the extracted keys
@@ -557,7 +549,6 @@ class Relation:
                 # widen the tile's zone map / sketch; bounds may only
                 # grow (stale-wide bounds are safe for pruning)
                 tile.header.statistics.column(path).observe(value)
-                tile.header.widen_block_bounds(path, local, value)
         return overlapping
 
     def recompute_tile(self, tile: TileHandle, append_guard=None) -> bool:
@@ -778,7 +769,7 @@ class Relation:
         ``stored`` (present once the relation was saved to or loaded
         from a v3 or v4 file) breaks that file's bytes down by blob
         kind — row heap, string columns, fixed columns, null bitmaps,
-        statistics, bloom, insert buffer, presence, repeated columns,
+        statistics, insert buffer, presence, repeated columns,
         catalog (v3 files: string refs and overflow) — and sums to its
         size.  It describes the last snapshot, not tiles sealed since.
 

@@ -5,8 +5,8 @@ self-contained chunk of tuples with its own columns, JSONB heap and
 header.  This module turns them into one.
 
 * A :class:`TileHandle` is what a :class:`~repro.storage.relation.Relation`
-  actually holds in ``relation.tiles``.  The *header* (schema, bloom
-  filter, zone maps — everything tile skipping needs) is always
+  actually holds in ``relation.tiles``.  The *header* (schema, row
+  spans, zone maps — everything tile skipping needs) is always
   resident; the *payload* (column vectors + JSONB rows) is pinned and
   loaded on demand from the relation's ``.jtile`` segment and unpinned
   after use.  Handles for freshly built tiles (sealing, bulk load,

@@ -15,8 +15,8 @@ For every chunk of ``tile_size`` tuples the extractor
    types,
 4. recognizes date/time strings and materializes them as TIMESTAMP
    columns, and
-5. fills the tile header: statistics, key-path frequency database, the
-   bloom filter of non-extracted paths and the row span of every path.
+5. fills the tile header: statistics, key-path frequency database and
+   the row span of every path.
 
 Values that do not match the extracted type stay NULL in the column and
 remain reachable through the per-tuple JSONB fallback, preserving JSON
@@ -299,31 +299,6 @@ def _column_vector(column_type: ColumnType, values: List[object],
     return builder.finish()
 
 
-def _block_bounds(vector, block_rows: int, num_rows: int) -> List[Optional[list]]:
-    """Per-block [min, max] entries for one extracted column
-    (DESIGN.md §9): ``[]`` marks an all-NULL block, ``None`` a block
-    whose values are mutually incomparable (pruning must not trust it)."""
-    entries: List[Optional[list]] = []
-    for start in range(0, num_rows, block_rows):
-        stop = min(start + block_rows, num_rows)
-        nulls = vector.null_mask[start:stop]
-        if nulls.all():
-            entries.append([])
-            continue
-        values = vector.data[start:stop][~nulls]
-        try:
-            low, high = values.min(), values.max()
-        except TypeError:
-            entries.append(None)
-            continue
-        if isinstance(low, np.generic):
-            low = low.item()
-        if isinstance(high, np.generic):
-            high = high.item()
-        entries.append([low, high])
-    return entries
-
-
 def leaf_presence(dictionary: ItemDictionary,
                   transactions: Sequence[Sequence[int]]
                   ) -> Tuple[Dict[KeyPath, Span], Dict[KeyPath, bytes]]:
@@ -483,16 +458,10 @@ def build_tile(documents: Sequence[object],
         header.add_column(materialized)
         vector = _column_vector(column_meta.column_type, values, nulls)
         columns[column_meta.path] = vector
-        header.block_bounds_rows = config.tile_size
-        header.block_bounds[column_meta.path] = _block_bounds(
-            vector, config.tile_size, num_rows)
         if column_meta.column_type in _HISTOGRAM_TYPES:
             present = vector.data[~vector.null_mask]
             stats.histogram = EquiDepthHistogram.from_values(present)
 
-    for (path, _jtype), _item_id in dictionary.items():
-        if path not in columns:
-            header.record_unextracted(path)
     header.repeated = tuple(schema.repeated)
     repeated = tuple(RepeatedColumn.build(heap, chain, key,
                                           columns.get(chain))
@@ -515,9 +484,8 @@ def extend_tile(tail: Tile, documents: Sequence[object],
     and merged into it.  Columns are concatenated, conflict / nullable
     flags OR-ed, key counts summed, leaf spans united (the batch's
     shifted past the tail; no spans when either side has none),
-    sketches merged and bounds folded on, bloom filters OR-ed.
-    Histograms and block bounds are recomputed from the concatenated
-    vectors; repeated columns are concatenated
+    sketches merged and bounds folded on.  Histograms are recomputed
+    from the concatenated vectors; repeated columns are concatenated
     (:meth:`~repro.tiles.repeated.RepeatedColumn.concat`).  Extending
     by b1 then b2 therefore equals extending by b1 + b2.
 
@@ -558,8 +526,6 @@ def extend_tile(tail: Tile, documents: Sequence[object],
     header.key_counts = combined_key_counts([head.key_counts,
                                              added.key_counts])
     header.statistics.key_counts = dict(header.key_counts)
-    header.unextracted_paths.merge(head.unextracted_paths)
-    header.unextracted_paths.merge(added.unextracted_paths)
 
     columns = {}
     for path, meta in head.columns.items():
@@ -574,9 +540,6 @@ def extend_tile(tail: Tile, documents: Sequence[object],
                               np.concatenate([old.data, new.data]),
                               np.concatenate([old.null_mask, new.null_mask]))
         columns[path] = vector
-        header.block_bounds_rows = config.tile_size
-        header.block_bounds[path] = _block_bounds(
-            vector, config.tile_size, header.row_count)
         old_stats = head.statistics.columns[path]
         new_stats = added.statistics.columns[path]
         stats = header.statistics.column(path)

@@ -3,14 +3,15 @@
 Each tile describes its *seen* and *materialized* data: the extracted
 key paths with their value types, whether a path also occurs with other
 types (the type-conflict flag needed for correct fallback accesses),
-whether nulls are possible, the key-path frequency database that seeded
-itemset mining, and a bloom filter over the paths that were *not*
-extracted (used by tile skipping, Section 4.8).
+whether nulls are possible, and the key-path frequency database that
+seeded itemset mining.
 
-Row spans (DESIGN.md §5i) extend what the header has seen from "which
-paths" to "which rows": every key path maps to the half-open range
+Row spans (DESIGN.md §5i) record what the header has seen down to
+"which rows": every key path maps to the half-open range
 ``[first, end)`` of tile rows that contain it, so a scan decodes only
-that range and answers an absent path NULL without opening a document.
+that range, answers an absent path NULL without opening a document and
+skips a tile that lacks a null-rejected path (Section 4.8; the spans
+stand in for the paper's bloom filter of non-extracted paths).
 A leaf path whose span has holes also keeps a bitmap of the span's rows
 that contain it, so :meth:`TileHeader.rows_of` knows every path's rows
 exactly and a scan drops the rows that lack a null-rejected path.
@@ -25,7 +26,6 @@ import numpy as np
 
 from repro.core.jsonpath import KeyPath
 from repro.core.types import ColumnType, JsonType
-from repro.stats.bloom import BloomFilter
 from repro.stats.table_stats import TileStatistics
 
 Span = Tuple[int, int]
@@ -146,21 +146,7 @@ class TileHeader:
         #: slot columns ``chain[k].key``
         self.repeated: Tuple[Tuple[KeyPath, str], ...] = ()
         self.key_counts: Dict[str, int] = {}
-        self.unextracted_paths = BloomFilter(expected_items=64)
         self.statistics = TileStatistics(row_count=row_count)
-        #: per-block zone maps (DESIGN.md §9): for each extracted
-        #: column, one entry per ``block_bounds_rows``-row block of the
-        #: tile — ``[min, max]`` of the block's non-null values, ``[]``
-        #: for an all-NULL block, ``None`` when the values are mutually
-        #: incomparable.  One-block tiles duplicate the tile-level
-        #: bounds; LSM-merged tiles (fanout × tile_size rows) are where
-        #: block pruning beats whole-tile skipping.  Empty for tiles
-        #: restored from pre-§9 .jtile files — pruning simply stays
-        #: tile-granular for them.
-        self.block_bounds: Dict[KeyPath, List[Optional[list]]] = {}
-        #: rows per bound-block (the extraction config's ``tile_size``
-        #: at build time); 0 means no block bounds were recorded
-        self.block_bounds_rows: int = 0
         #: ``(leaf_spans, spans, leaf_holes, rows_of cache)``, replaced
         #: as a whole on every change (copy on write), so a concurrent
         #: scan always reads one consistent state; see the properties
@@ -296,8 +282,9 @@ class TileHeader:
         step outside ``[0, max_array_elements)`` was never recorded (the
         key-path collection stops at the cap, and negative steps count
         from the end), so it takes its nearest recorded ancestor's span
-        — the rule :meth:`may_contain` follows.  Any other missing path
-        occurs in no row; the root path is the whole tile.
+        and :meth:`may_contain` never claims such a slot absent.  Any
+        other missing path occurs in no row; the root path is the whole
+        tile.
         """
         spans = self.spans
         if spans is None:
@@ -324,17 +311,6 @@ class TileHeader:
     def extracted(self, path: KeyPath) -> Optional[ExtractedColumn]:
         return self.columns.get(path)
 
-    def record_unextracted(self, path: KeyPath) -> None:
-        """Make a non-extracted path (and every ancestor container, so
-        accesses to the container itself stay visible) known to the
-        skipping filter."""
-        current = path
-        while True:
-            self.unextracted_paths.add(str(current))
-            if not current.steps:
-                break
-            current = current.parent()
-
     def column_bounds(self, path: KeyPath):
         """(min, max) of an extracted column's non-null values, or
         ``None``.  These per-tile zone maps extend Section 4.8's
@@ -351,77 +327,12 @@ class TileHeader:
             return None
         return stats.min_value, stats.max_value
 
-    def block_bounds_for(self, path: KeyPath) -> Optional[List[Optional[list]]]:
-        """The per-block bound entries for one extracted column, or
-        ``None`` when pruning on them would be unsound — same rule as
-        :meth:`column_bounds`: a type-conflicted column's outliers live
-        in the JSONB fallback and are not covered by the bounds."""
-        if self.block_bounds_rows <= 0:
-            return None
-        entries = self.block_bounds.get(path)
-        if entries is None:
-            return None
-        column = self.columns.get(path)
-        if column is not None and column.has_type_conflicts:
-            return None
-        return entries
-
-    def widen_block_bounds(self, path: KeyPath, local: int,
-                           value: object) -> None:
-        """Widen the bound-block covering row *local* after an in-place
-        update stored *value* — mirroring the tile-level zone map's
-        "bounds may only grow" rule (stale-wide bounds are safe for
-        pruning).  Incomparable values degrade the block to unknown."""
-        entries = self.block_bounds.get(path)
-        if entries is None or self.block_bounds_rows <= 0:
-            return
-        index = local // self.block_bounds_rows
-        if index >= len(entries):
-            return
-        entry = entries[index]
-        if entry is None:
-            return
-        try:
-            if not entry:
-                entries[index] = [value, value]
-            else:
-                if value < entry[0]:
-                    entry[0] = value
-                if value > entry[1]:
-                    entry[1] = value
-        except TypeError:
-            entries[index] = None
-
     def may_contain(self, path: KeyPath) -> bool:
-        """Can any tuple of this tile contain *path*?
-
-        Extracted paths are definitely present; everything else goes
-        through the bloom filter.  A bloom hit may be a false positive
-        (the tile is then scanned needlessly) but a miss is definite, so
-        skipping on a miss is always safe.  Array slots beyond the
-        key-path collection cap were never recorded, so such accesses
-        are answered conservatively from the array's own entry.
-        """
-        if path in self.columns:
-            return True
-        # A prefix of an extracted path is present as a nested object
-        # (e.g. `geo` when `geo.lat` is materialized).
-        for extracted_path in self.columns:
-            if extracted_path.startswith(path):
-                return True
-        if self.unextracted_paths.might_contain(str(path)):
-            return True
-        # slots past the collection cap: trust the deepest recorded
-        # ancestor (the array itself) rather than claiming absence
-        if any(isinstance(step, int) and step >= self.max_array_elements
-               for step in path.steps):
-            current = path
-            while current.steps:
-                current = current.parent()
-                if self.unextracted_paths.might_contain(str(current)) or \
-                        current in self.columns:
-                    return True
-        return False
+        """Can any tuple of this tile contain *path*?  Its span says
+        (:meth:`span_of`): exact for every recorded path, the nearest
+        recorded ancestor's for a slot past the collection cap, and the
+        whole tile when the header has no spans."""
+        return self.span_of(path) != EMPTY_SPAN
 
     def extracted_paths(self) -> List[KeyPath]:
         return list(self.columns)

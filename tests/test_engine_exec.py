@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import Database
 from repro.core.jsonpath import KeyPath
 from repro.core.types import ColumnType
 from repro.engine.batch import Batch, concat_batches
@@ -273,6 +274,36 @@ class TestTileSkipping:
                          enable_skipping=False)
         list(scan.batches())
         assert scan.counters.tiles_skipped == 0
+
+    #: null-rejecting accesses to an array and to an array below an
+    #: object; only rows 0..7 hold them
+    ARRAY_QUERIES = {
+        "length": "json_length(t.data->'a') > 0",
+        "array": "t.data->'a' is not null",
+        "slot": "(t.data->'a'->>0)::int >= 0",
+        "nested": "t.data->'o'->'x' is not null",
+    }
+
+    @pytest.mark.parametrize("cap, skipped", [(8, 3), (0, 0)])
+    @pytest.mark.parametrize("query", sorted(ARRAY_QUERIES))
+    def test_skipping_keeps_array_rows(self, query, cap, skipped):
+        # with a zero array cap a non-empty array records no key path,
+        # so the header has no spans and must not claim the path absent
+        sql = ("select count(*) as n from t t where "
+               + self.ARRAY_QUERIES[query])
+        docs = [{"k": i, "a": [i, i + 1], "o": {"x": [i]}} if i < 8
+                else {"k": i} for i in range(64)]
+        config = ExtractionConfig(tile_size=16, enable_reordering=False,
+                                  max_array_elements=cap)
+        counts = {}
+        for storage_format in (StorageFormat.TILES, StorageFormat.JSONB):
+            db = Database(storage_format, config)
+            db.load_table("t", docs)
+            result = db.sql(sql)
+            counts[storage_format] = result.scalar()
+            if storage_format == StorageFormat.TILES:
+                assert result.counters.tiles_skipped == skipped
+        assert counts == {StorageFormat.TILES: 8, StorageFormat.JSONB: 8}
 
     def test_jsonb_format_cannot_skip(self):
         docs = [{"kind": "a", "x": i} for i in range(64)] + \

@@ -168,17 +168,20 @@ class TestSchemaPin:
 #: sha256 of the checkpointed ``yelp.jtile`` below: load-path
 #: optimizations must not move the stored file by a single byte.  This
 #: is the format v4 file (rows without the values their columns hold,
-#: dictionary-coded string columns); the v3 file before it was sha256
-#: c8f5b70c… (with per-row presence) and bd92a21b… (without), itself
-#: byte-identical to the format v2 file of the previous load path
-#: (sha256 76eb369e…) loaded and saved again
+#: dictionary-coded string columns) without a bloom blob or per-block
+#: zone maps.  The first v4 writer's file (sha256 32002b8e… with
+#: presence, 078819aa… without) held the same blobs plus one bloom blob
+#: per tile and the ``block_rows`` / ``block_bounds`` catalog keys; the
+#: v3 file before it was sha256 c8f5b70c… (with per-row presence) and
+#: bd92a21b… (without), itself byte-identical to the format v2 file of
+#: the previous load path (sha256 76eb369e…) loaded and saved again
 GOLDEN_YELP_JTILE = \
-    "32002b8ef80560f2fd258bf0a2011548be977439f44cd97200c120f45da7d1bb"
+    "a578fb836032aca7ca43192afa9b9654984c3b4ce4b5fa0b140d41edc7cf17d4"
 #: the same file with the catalog's ``spans`` entries and the per-row
 #: presence (the ``holes`` entries and the presence blob) removed: row
 #: spans live in the catalog only, never in a blob
 GOLDEN_YELP_JTILE_WITHOUT_SPANS = \
-    "078819aa68fe7c6ffb78661de7578d199f72eba7996cbfa909d75e2ee3649da5"
+    "c27e6f43442261177012756951dba45682156f1a82d71f5c2cc9ce4ed83eac9e"
 
 
 def _strip_spans(data: bytes) -> bytes:

@@ -8,9 +8,9 @@ of the same scan, where every row is decoded and then filtered
 compaction forced on vs left off.  The counters prove the selection
 vector actually engaged (``fallback_rows_skipped`` > 0 on selective
 queries that project fallback paths), including on tiles with
-type-conflicted columns.  Block-granular zone maps (``blocks_pruned``)
-are exercised on LSM-merged tiles, the shape where a single tile spans
-many canonical-chop blocks.
+type-conflicted columns.  Tile-level zone maps are exercised on
+LSM-merged tiles, the shape where a single tile spans many
+canonical-chop blocks.
 """
 
 import struct
@@ -26,7 +26,6 @@ from repro import (
 )
 from repro.engine.scan import RangePrune
 from repro.lsm import plan_compactions
-from repro.storage.persist import open_database, save_database
 from repro.workloads import twitter, yelp
 from repro.workloads.tpch import TPCH_QUERIES
 from repro.workloads.tpch import make_database as make_tpch
@@ -245,14 +244,13 @@ class TestCounters:
 
 
 # ----------------------------------------------------------------------
-# block-granular zone maps
+# zone maps on LSM-merged tiles
 
 
 class TestBlockPruning:
     def _merged_db(self):
         """8 L0 tiles of 64 rows compacted into 2 tiles of 256 rows:
-        one tile spans 4 canonical-chop blocks, so a selective range
-        predicate prunes whole blocks inside a surviving tile."""
+        one tile spans 4 canonical-chop blocks and one zone map."""
         rows = [{"k": i, "fb": f"p{i}" if i % 3 else None}
                 for i in range(512)]
         db = Database(StorageFormat.TILES,
@@ -264,31 +262,23 @@ class TestBlockPruning:
                    for tile in db.tables["t"].manifest().tiles)
         return db
 
-    def test_blocks_pruned_inside_merged_tile(self):
-        db = self._merged_db()
-        sql = ("select t.data->>'k'::int as k, t.data->>'fb' as f "
-               "from t t where t.data->>'k'::int < 20 order by k")
-        on, off = run_on_off(db, sql, batch_rows=64)
-        assert on.counters.blocks_pruned > 0
-        assert off.counters.blocks_pruned > 0  # pruning needs no split
-        assert len(on.rows) == 20
-        # pruned rows never count as scanned
-        assert on.counters.rows_scanned < 512
-
     def test_pruning_off_with_zone_maps_disabled(self):
         db = self._merged_db()
         sql = ("select t.data->>'k'::int as k from t t "
                "where t.data->>'k'::int < 20 order by k")
         result = db.sql(sql, QueryOptions(enable_zone_maps=False,
                                           batch_rows=64))
-        assert result.counters.blocks_pruned == 0
+        assert result.counters.tiles_skipped == 0
         assert len(result.rows) == 20
+        pruned = db.sql(sql, QueryOptions(batch_rows=64))
+        assert pruned.counters.tiles_skipped == 1
+        assert pruned.rows == result.rows
 
     def test_update_widens_block_bounds(self):
         db = self._merged_db()
         relation = db.tables["t"]
         # move a huge key into the first block of the first tile: the
-        # per-block bounds must widen, so k=9999 is still found
+        # tile's bounds must widen, so k=9999 is still found
         relation.update(3, {"k": 9999, "fb": "patched"})
         sql = ("select t.data->>'k'::int as k from t t "
                "where t.data->>'k'::int > 5000")
@@ -301,58 +291,6 @@ class TestBlockPruning:
         assert prune.excludes("a", "z") is False  # int vs str: keep
         assert RangePrune(None, "=", "x").excludes(1, 2) is False
         assert RangePrune(None, ">", None).excludes(1, 2) is False
-
-    def test_block_bounds_survive_persistence(self, tmp_path):
-        db = self._merged_db()
-        save_database(db, tmp_path)
-        restored = open_database(tmp_path)
-        old = db.tables["t"].manifest().tiles
-        new = restored.tables["t"].manifest().tiles
-        for tile_old, tile_new in zip(old, new):
-            assert tile_new.header.block_bounds_rows == \
-                tile_old.header.block_bounds_rows
-            assert tile_new.header.block_bounds == \
-                tile_old.header.block_bounds
-        sql = ("select t.data->>'k'::int as k, t.data->>'fb' as f "
-               "from t t where t.data->>'k'::int < 20 order by k")
-        on, _off = run_on_off(restored, sql, batch_rows=64)
-        assert on.counters.blocks_pruned > 0
-
-    def test_pre_block_bounds_files_still_load(self, tmp_path):
-        # a header without block bounds (pre-§9 .jtile) must load and
-        # simply keep pruning tile-granular
-        db = self._merged_db()
-        save_database(db, tmp_path)
-        import json as jsonlib
-        import struct as structlib
-
-        path = tmp_path / "t.jtile"
-        raw = bytearray(path.read_bytes())
-        length = structlib.unpack("<Q", raw[-13:-5])[0]
-        catalog = jsonlib.loads(bytes(raw[-13 - length:-13]))
-
-        def strip(meta):
-            for tile_meta in meta.get("tiles", []):
-                tile_meta.pop("block_bounds", None)
-                tile_meta.pop("block_rows", None)
-            for child in meta.get("children", {}).values():
-                strip(child)
-
-        strip(catalog)
-        body = jsonlib.dumps(catalog,
-                             separators=(",", ":")).encode("utf-8")
-        stripped = bytes(raw[:-13 - length]) + body + \
-            structlib.pack("<Q", len(body)) + raw[-5:]
-        path.write_bytes(stripped)
-        restored = open_database(tmp_path)
-        for tile in restored.tables["t"].manifest().tiles:
-            assert tile.header.block_bounds_rows == 0
-            assert tile.header.block_bounds == {}
-        sql = ("select t.data->>'k'::int as k from t t "
-               "where t.data->>'k'::int < 20 order by k")
-        on, _off = run_on_off(restored, sql, batch_rows=64)
-        assert on.counters.blocks_pruned == 0
-        assert len(on.rows) == 20
 
 
 # ----------------------------------------------------------------------

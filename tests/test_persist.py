@@ -1,5 +1,7 @@
 """Tests for on-disk persistence (save/load of relations)."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,7 @@ class TestRelationRoundTrip:
         db = Database(StorageFormat.TILES,
                       ExtractionConfig(tile_size=32, threshold=0.9))
         docs = tweets(64)
-        docs[0]["rare_key"] = 1  # below threshold -> bloom only
+        docs[0]["rare_key"] = 1  # below threshold -> row spans only
         relation = db.load_table("t", docs)
         save_relation(relation, tmp_path / "t.jtile")
         restored = load_relation(tmp_path / "t.jtile")
@@ -306,6 +308,68 @@ class TestFormatV3Compatibility:
                 == rows, sql
 
 
+class TestFormatV4Compatibility:
+    """``format_v4.jtile`` was written by the first v4 serializer, which
+    also stored a §4.4 bloom filter blob and per-block zone maps
+    (``block_rows`` / ``block_bounds``) per tile: the documents of the
+    v3 fixture in three 16-row tiles, plus one pending insert.  The
+    reader ignores those keys; the row spans answer absent paths.  The
+    expected JSON holds the documents and the rows that code returned
+    for each query."""
+
+    ABSENT = ("select count(*) as n from old o "
+              "where o.data->'user'->>'missing'::int >= 0")
+
+    @pytest.fixture
+    def fixture_paths(self):
+        return format_fixture("v4")
+
+    def test_v4_file_with_bloom_and_block_bounds_loads(self, fixture_paths):
+        import json
+
+        path, expected = fixture_paths
+        raw = path.read_bytes()
+        assert raw[:5] == b"JTIL4"
+        length = struct.unpack("<Q", raw[-13:-5])[0]
+        catalog = json.loads(raw[-13 - length:-13])
+        assert all({"bloom", "block_rows", "block_bounds"} <= set(meta)
+                   for meta in catalog["tiles"])
+        relation = load_relation(path)
+        assert not any(handle.resident for handle in relation.tiles)
+        assert relation.row_count == expected["row_count"]
+        assert relation.pending_inserts == expected["pending"]
+        assert len(relation.tiles) == expected["tiles"]
+        stored = relation.size_report()["stored"]
+        assert stored["bloom"] > 0  # still counted, under its own kind
+        assert sum(stored.values()) == path.stat().st_size
+
+    def test_v4_documents_and_query_results_match(self, fixture_paths):
+        path, expected = fixture_paths
+        relation = load_relation(path)
+        assert list(relation.documents()) == expected["documents"]
+        for sql, rows in expected["queries"].items():
+            assert TestFormatV2Compatibility.query_rows(relation, sql) \
+                == rows, sql
+        db = Database(StorageFormat.TILES, CONFIG)
+        db.register("old", relation)
+        assert db.sql(self.ABSENT).counters.tiles_skipped == len(
+            relation.tiles)
+
+    def test_v4_rewrites_without_bloom(self, tmp_path, fixture_paths):
+        path, expected = fixture_paths
+        old = load_relation(path)
+        new_path = tmp_path / "rewritten.jtile"
+        size = save_relation(old, new_path)
+        assert size < path.stat().st_size
+        rewritten = load_relation(new_path)
+        assert "bloom" not in rewritten.size_report()["stored"]
+        assert list(rewritten.documents()) == expected["documents"]
+        assert_tiles_identical(old, rewritten)
+        for sql, rows in expected["queries"].items():
+            assert TestFormatV2Compatibility.query_rows(rewritten, sql) \
+                == rows, sql
+
+
 def assert_tiles_identical(left, right):
     """Every tile of *right* holds exactly *left*'s payload: JSONB rows,
     column types, null masks and every non-NULL value (type included);
@@ -468,8 +532,8 @@ class TestFormatV3:
             assert set(stored) == set(BLOB_KINDS) | {"catalog"}
             assert sum(stored.values()) == size == path.stat().st_size
             for kind in ("row_heap", "string_columns", "fixed_columns",
-                         "null_bitmaps", "statistics", "bloom",
-                         "insert_buffer", "catalog"):
+                         "null_bitmaps", "statistics", "insert_buffer",
+                         "catalog"):
                 assert stored[kind] > 0, kind
 
     def test_residency_charges_loaded_bytes(self, tmp_path):

@@ -1,12 +1,9 @@
-"""Tests for the statistics substrate (HLL, bloom, frequency, table stats)."""
+"""Tests for the statistics substrate (HLL, frequency, table stats)."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.jsonpath import KeyPath
 from repro.stats import (
-    BloomFilter,
     FrequencyCounters,
     HyperLogLog,
     TableStatistics,
@@ -80,46 +77,6 @@ class TestHyperLogLog:
 
     def test_one_shot_helper(self):
         assert abs(estimate_distinct(range(500)) - 500) / 500 < 0.15
-
-
-class TestBloomFilter:
-    def test_no_false_negatives(self):
-        bloom = BloomFilter(expected_items=100)
-        items = [f"path.{i}" for i in range(100)]
-        for item in items:
-            bloom.add(item)
-        assert all(item in bloom for item in items)
-
-    def test_low_false_positive_rate(self):
-        bloom = BloomFilter(expected_items=100)
-        for i in range(100):
-            bloom.add(f"present-{i}")
-        false_hits = sum(f"absent-{i}" in bloom for i in range(1000))
-        assert false_hits < 30  # ~1% expected at 10 bits/item
-
-    def test_empty_filter_rejects_everything(self):
-        bloom = BloomFilter()
-        assert "anything" not in bloom
-        assert bloom.fill_ratio() == 0.0
-
-    def test_merge(self):
-        a, b = BloomFilter(64), BloomFilter(64)
-        a.add("x")
-        b.add("y")
-        a.merge(b)
-        assert "x" in a and "y" in a
-
-    def test_merge_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            BloomFilter(64).merge(BloomFilter(1000))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.text(min_size=1, max_size=20), max_size=50))
-    def test_property_membership(self, items):
-        bloom = BloomFilter(expected_items=max(1, len(items)))
-        for item in items:
-            bloom.add(item)
-        assert all(bloom.might_contain(item) for item in items)
 
 
 class TestFrequencyCounters:

@@ -113,7 +113,6 @@ def tile_facts(tile) -> dict:
         "key_counts": header.key_counts,
         "spans": header.leaf_spans,
         "holes": header.leaf_holes,
-        "bloom": header.unextracted_paths.bits.tolist(),
         "stats": {str(path): (stats.non_null_count,
                               as_text([stats.min_value, stats.max_value]),
                               stats.sketch.registers.tolist(),
@@ -121,8 +120,6 @@ def tile_facts(tile) -> dict:
                                   stats.histogram.boundaries.tolist(),
                                   stats.histogram.counts.tolist()))
                   for path, stats in header.statistics.columns.items()},
-        "block_bounds": as_text([{str(path): entries for path, entries
-                                  in header.block_bounds.items()}]),
     }
 
 
@@ -203,7 +200,7 @@ class TestExtendTileDifferential:
         when = extended.columns[next(path for path in header.columns
                                      if str(path) == "when")]
         assert not when.null_mask[20:].any()  # batch dates parsed
-        # the new path is unextracted, in the bloom filter and spanned
+        # the new path is unextracted and spanned
         fresh = next(path for path in header.leaf_spans
                      if str(path) == "fresh.deep")
         assert header.span_of(fresh) == (21, 22)

@@ -75,11 +75,6 @@ class TestThresholdBehaviour:
         assert tile.column(KeyPath.parse("geo.lat")) is None
         assert tile.column(KeyPath.parse("id")) is not None
 
-    def test_dropped_keys_land_in_bloom_filter(self):
-        tile = make_tile(TILE2_DOCS, threshold=0.8)
-        assert tile.header.may_contain(KeyPath.parse("geo.lat"))
-        assert not tile.header.may_contain(KeyPath.parse("definitely.absent"))
-
     def test_extracted_prefix_visible(self):
         tile = make_tile(TILE2_DOCS, threshold=0.6)
         # `geo` itself is a prefix of the extracted geo.lat
